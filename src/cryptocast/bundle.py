@@ -2,137 +2,26 @@
 
 A bundle is a JSON document carrying the model kind, its hyperparameters,
 the normalization stats and windowing needed to run it on raw data, and
-all parameter arrays under their structural names. Every model kind
-round-trips exactly.
+one flat map from dotted parameter name (`forward.W_fx`,
+`encoder_layers.0.W_Q`) to array. Every model kind round-trips exactly;
+loading checks each array's name, shape and finiteness.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import NormStats
-from .errors import ConfigError, DataError
-from .hybrid import EncoderLayerParams, HybridConfig, HybridModel
+from .errors import ConfigError, DataError, NumericalError
 from .jsonio import dumps_canonical
-from .kernels import GrnnModel, RbfnModel
-from .recurrent import BiRnnModel, GruCellParams, LstmCellParams
+from .params import named_arrays
+from .pipeline import MODELS
 
-BUNDLE_FORMAT = "model-bundle/1"
-MODEL_KINDS = ("rbfn", "grnn", "bilstm", "bigru", "hybrid")
-
-
-def _cell_to_dict(cell) -> dict:
-    return {f.name: getattr(cell, f.name).tolist() for f in dataclasses.fields(cell)}
-
-
-def _cell_from_dict(cls, d: dict):
-    return cls(**{f.name: np.array(d[f.name], dtype=np.float64)
-                  for f in dataclasses.fields(cls)})
-
-
-def model_to_dict(kind: str, model) -> dict:
-    if kind == "rbfn":
-        return {
-            "centers": model.centers.tolist(),
-            "spreads": model.spreads.tolist(),
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-        }
-    if kind == "grnn":
-        return {
-            "stored_inputs": model.stored_inputs.tolist(),
-            "stored_targets": model.stored_targets.tolist(),
-            "sigma": model.sigma,
-        }
-    if kind in ("bilstm", "bigru"):
-        return {
-            "forward": _cell_to_dict(model.forward_cell),
-            "backward": _cell_to_dict(model.backward_cell),
-            "W_head": model.W_head.tolist(),
-            "b_head": model.b_head.tolist(),
-        }
-    if kind == "hybrid":
-        return {
-            "W_e": model.W_e.tolist(),
-            "b_e": model.b_e.tolist(),
-            "encoder_layers": [
-                {
-                    "W_Q": [w.tolist() for w in layer.W_Q],
-                    "W_K": [w.tolist() for w in layer.W_K],
-                    "W_V": [w.tolist() for w in layer.W_V],
-                    "W_O": layer.W_O.tolist(),
-                    "W_1": layer.W_1.tolist(),
-                    "b_1": layer.b_1.tolist(),
-                    "W_2": layer.W_2.tolist(),
-                    "b_2": layer.b_2.tolist(),
-                    "ln1_gamma": layer.ln1_gamma.tolist(),
-                    "ln1_beta": layer.ln1_beta.tolist(),
-                    "ln2_gamma": layer.ln2_gamma.tolist(),
-                    "ln2_beta": layer.ln2_beta.tolist(),
-                }
-                for layer in model.encoder_layers
-            ],
-            "gru": _cell_to_dict(model.gru),
-            "W_p": model.W_p.tolist(),
-            "b_p": model.b_p.tolist(),
-        }
-    raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def model_from_dict(kind: str, hyper: dict, params: dict):
-    arr = lambda key: np.array(params[key], dtype=np.float64)
-    if kind == "rbfn":
-        return RbfnModel(centers=arr("centers"), spreads=arr("spreads"),
-                         weights=arr("weights"), bias=float(params["bias"]))
-    if kind == "grnn":
-        return GrnnModel(stored_inputs=arr("stored_inputs"),
-                         stored_targets=arr("stored_targets"),
-                         sigma=float(params["sigma"]))
-    if kind in ("bilstm", "bigru"):
-        cell_cls = LstmCellParams if kind == "bilstm" else GruCellParams
-        return BiRnnModel(
-            cell_kind="lstm" if kind == "bilstm" else "gru",
-            forward_cell=_cell_from_dict(cell_cls, params["forward"]),
-            backward_cell=_cell_from_dict(cell_cls, params["backward"]),
-            W_head=arr("W_head"), b_head=arr("b_head"),
-            hidden_size=int(hyper["hidden_size"]),
-            input_size=int(hyper["input_size"]),
-        )
-    if kind == "hybrid":
-        config = HybridConfig(
-            window=int(hyper["window"]), input_size=int(hyper["input_size"]),
-            d_model=int(hyper["d_model"]), heads=int(hyper["heads"]),
-            layers=int(hyper["layers"]), d_ffn=int(hyper["d_ffn"]),
-            d_gru=int(hyper["d_gru"]),
-        ).validate()
-        layers = []
-        for ld in params["encoder_layers"]:
-            layers.append(EncoderLayerParams(
-                W_Q=[np.array(w, dtype=np.float64) for w in ld["W_Q"]],
-                W_K=[np.array(w, dtype=np.float64) for w in ld["W_K"]],
-                W_V=[np.array(w, dtype=np.float64) for w in ld["W_V"]],
-                W_O=np.array(ld["W_O"], dtype=np.float64),
-                W_1=np.array(ld["W_1"], dtype=np.float64),
-                b_1=np.array(ld["b_1"], dtype=np.float64),
-                W_2=np.array(ld["W_2"], dtype=np.float64),
-                b_2=np.array(ld["b_2"], dtype=np.float64),
-                ln1_gamma=np.array(ld["ln1_gamma"], dtype=np.float64),
-                ln1_beta=np.array(ld["ln1_beta"], dtype=np.float64),
-                ln2_gamma=np.array(ld["ln2_gamma"], dtype=np.float64),
-                ln2_beta=np.array(ld["ln2_beta"], dtype=np.float64),
-            ))
-        return HybridModel(
-            config=config,
-            W_e=arr("W_e"), b_e=arr("b_e"),
-            encoder_layers=layers,
-            gru=_cell_from_dict(GruCellParams, params["gru"]),
-            W_p=arr("W_p"), b_p=arr("b_p"),
-        )
-    raise ConfigError(f"unknown model kind {kind!r}")
+BUNDLE_FORMAT = "model-bundle/2"
 
 
 @dataclass
@@ -146,6 +35,15 @@ class ModelBundle:
     stats: NormStats
 
 
+def model_bundle(cfg: ExperimentConfig, stats: NormStats, kind: str, model,
+                 hyperparameters: dict) -> ModelBundle:
+    return ModelBundle(
+        kind=kind, model=model, hyperparameters=hyperparameters, window=cfg.window,
+        feature_columns=list(cfg.feature_columns), target_column=cfg.target_column,
+        stats=stats,
+    )
+
+
 def bundle_to_json(b: ModelBundle) -> str:
     return dumps_canonical({
         "format": BUNDLE_FORMAT,
@@ -155,13 +53,41 @@ def bundle_to_json(b: ModelBundle) -> str:
         "feature_columns": b.feature_columns,
         "target_column": b.target_column,
         "normalization": b.stats.to_json_dict(),
-        "parameters": model_to_dict(b.kind, b.model),
+        "parameters": named_arrays(b.model),
     })
 
 
 def save_bundle(b: ModelBundle, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(bundle_to_json(b) + "\n")
+
+
+def _parameter_arrays(path, expected: dict, params: dict) -> dict[str, np.ndarray]:
+    """Arrays named exactly as `expected`, each of its shape and finite.
+    A string dimension is free but must agree wherever it appears."""
+    for name in expected:
+        if name not in params:
+            raise DataError(f"bundle {path} lacks parameter {name}")
+    for name in params:
+        if name not in expected:
+            raise DataError(f"bundle {path} has unexpected parameter {name}")
+    free: dict[str, int] = {}
+    arrays = {}
+    for name, shape in expected.items():
+        try:
+            a = np.array(params[name], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"bundle {path}: parameter {name} is not numeric: {exc}") from None
+        if a.ndim == len(shape):
+            shape = tuple(free.setdefault(d, n) if isinstance(d, str) else d
+                          for d, n in zip(shape, a.shape))
+        if a.shape != shape:
+            raise DataError(f"bundle {path}: parameter {name} has shape {a.shape}, "
+                            f"expected {shape}")
+        if not np.all(np.isfinite(a)):
+            raise DataError(f"bundle {path}: parameter {name} has non-finite values")
+        arrays[name] = a
+    return arrays
 
 
 def load_bundle(path) -> ModelBundle:
@@ -172,19 +98,29 @@ def load_bundle(path) -> ModelBundle:
         raise DataError(f"cannot open bundle {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"bundle {path} is not valid JSON: {exc}") from exc
-    if doc.get("format") != BUNDLE_FORMAT:
-        raise DataError(f"bundle {path} has format {doc.get('format')!r}, "
-                        f"expected {BUNDLE_FORMAT!r}")
-    kind = doc["model"]
-    if kind not in MODEL_KINDS:
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != BUNDLE_FORMAT:
+        raise DataError(f"bundle {path} has format {found!r}, expected {BUNDLE_FORMAT!r}")
+    kind = doc.get("model")
+    if not isinstance(kind, str) or kind not in MODELS:
         raise DataError(f"bundle {path} names unknown model kind {kind!r}")
-    hyper = doc["hyperparameters"]
-    return ModelBundle(
-        kind=kind,
-        model=model_from_dict(kind, hyper, doc["parameters"]),
-        hyperparameters=hyper,
-        window=int(doc["window"]),
-        feature_columns=list(doc["feature_columns"]),
-        target_column=doc["target_column"],
-        stats=NormStats.from_json_dict(doc["normalization"]),
-    )
+    spec = MODELS[kind]
+    try:
+        hyper = doc["hyperparameters"]
+        window = int(doc["window"])
+        feature_columns = list(doc["feature_columns"])
+        target_column = doc["target_column"]
+        stats = NormStats.from_json_dict(doc["normalization"])
+        params = dict(doc["parameters"])
+        expected = spec.shapes(hyper, window * len(feature_columns))
+    except KeyError as exc:
+        raise DataError(f"bundle {path} lacks field {exc}") from None
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"bundle {path} has a malformed envelope: {exc}") from None
+    arrays = _parameter_arrays(path, expected, params)
+    try:
+        model = spec.rebuild(hyper, arrays)
+    except NumericalError as exc:
+        raise DataError(f"bundle {path}: {exc}") from None
+    return ModelBundle(kind=kind, model=model, hyperparameters=hyper, window=window,
+                       feature_columns=feature_columns, target_column=target_column, stats=stats)

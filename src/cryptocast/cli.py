@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import data as dataio
-from .bundle import ModelBundle, load_bundle, save_bundle
+from .bundle import load_bundle, model_bundle, save_bundle
 from .config import load_config_file
 from .errors import (
     AlignmentError,
@@ -31,11 +31,10 @@ from .errors import (
 from .jsonio import dumps_canonical
 from .pipeline import (
     MODEL_ORDER,
+    MODELS,
     comparison_csv,
     emit_artifacts,
-    hyper_dict,
     loss_csv,
-    model_bundle,
     predict_windows,
     prepare_data,
     report_json_dict,
@@ -124,21 +123,12 @@ def _cmd_fgi(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = load_config_file(args.config)
-    if args.model not in MODEL_ORDER:
-        raise ConfigError(f"--model must be one of {MODEL_ORDER}, got {args.model!r}")
     if args.seed is not None:
         cfg.seed = args.seed
     prepared = prepare_data(cfg)
     model, trace = train_model(args.model, cfg, prepared, Rng(cfg.seed))
-    bundle = ModelBundle(
-        kind=args.model, model=model,
-        hyperparameters=hyper_dict(args.model, cfg,
-                                    prepared.train_windows.X.shape[2]),
-        window=cfg.window,
-        feature_columns=list(cfg.feature_columns),
-        target_column=cfg.target_column, stats=prepared.stats,
-    )
-    save_bundle(bundle, args.out)
+    hyper = MODELS[args.model].hyper(cfg, prepared.train_windows.X.shape[2])
+    save_bundle(model_bundle(cfg, prepared.stats, args.model, model, hyper), args.out)
     print(f"trained {args.model} on {len(prepared.train_windows)} windows; "
           f"bundle written to {args.out}")
     if trace is not None and args.loss_out:
@@ -194,8 +184,9 @@ def _cmd_run(args) -> int:
     result = run_experiment(cfg)
     manifest = emit_artifacts(result, cfg.output_dir)
     if args.save_models:
-        for kind in MODEL_ORDER:
-            save_bundle(model_bundle(result, kind),
+        for kind, run in result.runs.items():
+            save_bundle(model_bundle(cfg, result.prepared.stats, kind, run.model,
+                                     run.hyperparameters),
                         os.path.join(cfg.output_dir, f"model_{kind}.json"))
     print(f"run complete: {len(manifest['files'])} artifacts in {cfg.output_dir}")
     for kind in MODEL_ORDER:
@@ -352,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model and save its bundle")
     p.add_argument("--config", required=True)
-    p.add_argument("--model", required=True, choices=list(MODEL_ORDER))
+    p.add_argument("--model", required=True, choices=list(MODELS))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--loss-out")

@@ -143,6 +143,9 @@ def load_series(path, schema: dict[str, str] | None = None) -> SeriesFrame:
         except StopIteration:
             raise ParseError(f"{path} is empty") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise SchemaError(f"{path} header repeats column {repeated[0]!r}")
         if schema is None:
             mapping = {"date": "date"}
             mapping.update({h: h for h in header if h != "date"})

@@ -54,4 +54,4 @@ class NumericalError(CryptocastError):
 
 
 class DivergenceError(NumericalError):
-    """Training produced a non-finite loss; the message names the epoch."""
+    """Non-finite training loss or gradient; the message names the epoch."""

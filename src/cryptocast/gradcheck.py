@@ -18,9 +18,10 @@ def grad_check(loss_and_grad, params, h: float = 1e-5) -> float:
     Parameters
     ----------
     loss_and_grad : callable
-        Maps a list of parameter arrays to (scalar loss, list of analytic
-        gradient arrays of matching shapes). Must be deterministic.
-    params : list of ndarray
+        Maps a dict of named parameter arrays to (scalar loss, dict of
+        analytic gradient arrays under the same names and shapes). Must be
+        deterministic.
+    params : dict of str -> ndarray
         Point at which to check.
     h : float
         Central-difference step.
@@ -33,17 +34,15 @@ def grad_check(loss_and_grad, params, h: float = 1e-5) -> float:
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
-    params = [np.array(p, dtype=np.float64) for p in params]
+    params = {name: np.array(p, dtype=np.float64) for name, p in params.items()}
     loss0, grads = loss_and_grad(params)
     if not np.isfinite(loss0):
         raise NumericalError("loss is non-finite at the checkpoint")
-    if len(grads) != len(params):
-        raise NumericalError(
-            f"got {len(grads)} gradients for {len(params)} parameters"
-        )
+    if set(grads) != set(params):
+        raise NumericalError(f"got gradients for {sorted(grads)}, parameters {sorted(params)}")
     max_rel = 0.0
-    for k, p in enumerate(params):
-        grad = np.asarray(grads[k], dtype=np.float64)
+    for name, p in params.items():
+        grad = np.asarray(grads[name], dtype=np.float64)
         flat = p.reshape(-1)
         gflat = grad.reshape(-1)
         for i in range(flat.size):

@@ -12,8 +12,6 @@ there is no autodiff here.
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,8 @@ from .data import Forecast, NormStats, SeriesFrame, WindowSet, apply_minmax, inv
 from .errors import ConfigError, DimensionError, SizeError
 from .ops import layer_norm_backward, layer_norm_with_cache, softmax_backward, softmax_rows, xavier
 from .optim import TrainConfig, run_adam_training
-from .recurrent import GruCellParams, _gru_step, _gru_step_backward, _zero_grads_like, init_gru_cell
+from .params import from_arrays, named_arrays, with_arrays, zeros_like
+from .recurrent import GruCellParams, _gru_step, _gru_step_backward, cell_shapes, init_cell
 from .rng import Rng
 
 LAYER_NORM_EPS = 1e-5
@@ -64,9 +63,9 @@ class HybridConfig:
 
 @dataclass
 class EncoderLayerParams:
-    W_Q: list[np.ndarray]  # per head, (d_model, d_head)
-    W_K: list[np.ndarray]
-    W_V: list[np.ndarray]
+    W_Q: np.ndarray        # (heads, d_model, d_head)
+    W_K: np.ndarray
+    W_V: np.ndarray
     W_O: np.ndarray        # (heads * d_head, d_model)
     W_1: np.ndarray        # (d_model, d_ffn)
     b_1: np.ndarray
@@ -97,9 +96,9 @@ def init_hybrid(config: HybridConfig, seed: int) -> HybridModel:
     for ell in range(config.layers):
         lr = rng.derive(f"encoder{ell}")
         layers.append(EncoderLayerParams(
-            W_Q=[xavier(lr.derive(f"q{m}"), d, dk) for m in range(config.heads)],
-            W_K=[xavier(lr.derive(f"k{m}"), d, dk) for m in range(config.heads)],
-            W_V=[xavier(lr.derive(f"v{m}"), d, dk) for m in range(config.heads)],
+            W_Q=np.stack([xavier(lr.derive(f"q{m}"), d, dk) for m in range(config.heads)]),
+            W_K=np.stack([xavier(lr.derive(f"k{m}"), d, dk) for m in range(config.heads)]),
+            W_V=np.stack([xavier(lr.derive(f"v{m}"), d, dk) for m in range(config.heads)]),
             W_O=xavier(lr.derive("o"), config.heads * dk, d),
             W_1=xavier(lr.derive("ffn1"), d, config.d_ffn),
             b_1=np.zeros(config.d_ffn),
@@ -113,24 +112,45 @@ def init_hybrid(config: HybridConfig, seed: int) -> HybridModel:
         W_e=xavier(rng.derive("embed"), d, config.input_size),
         b_e=np.zeros(d),
         encoder_layers=layers,
-        gru=init_gru_cell(d, config.d_gru, rng.derive("gru")),
+        gru=init_cell(GruCellParams, d, config.d_gru, rng.derive("gru")),
         W_p=xavier(rng.derive("head"), 1, config.d_gru),
         b_p=np.zeros(1),
     )
 
 
+def hybrid_shapes(config: HybridConfig) -> dict[str, tuple]:
+    """Parameter shapes of a hybrid model, by dotted name."""
+    d, h, dk, f = config.d_model, config.heads, config.d_head, config.d_ffn
+    layer = {"W_Q": (h, d, dk), "W_K": (h, d, dk), "W_V": (h, d, dk), "W_O": (h * dk, d),
+             "W_1": (d, f), "b_1": (f,), "W_2": (f, d), "b_2": (d,),
+             "ln1_gamma": (d,), "ln1_beta": (d,), "ln2_gamma": (d,), "ln2_beta": (d,)}
+    gru = cell_shapes(GruCellParams, d, config.d_gru)
+    return {"W_e": (d, config.input_size), "b_e": (d,),
+            **{f"encoder_layers.{i}.{name}": shape
+               for i in range(config.layers) for name, shape in layer.items()},
+            **{f"gru.{name}": shape for name, shape in gru.items()},
+            "W_p": (1, config.d_gru), "b_p": (1,)}
+
+
+def hybrid_from_arrays(config: HybridConfig, arrays: dict[str, np.ndarray]) -> HybridModel:
+    return HybridModel(
+        config=config, W_e=arrays["W_e"], b_e=arrays["b_e"],
+        encoder_layers=[from_arrays(EncoderLayerParams, arrays, f"encoder_layers.{i}.")
+                        for i in range(config.layers)],
+        gru=from_arrays(GruCellParams, arrays, "gru."),
+        W_p=arrays["W_p"], b_p=arrays["b_p"],
+    )
+
+
 # ---------------------------------------------------------------------------
-# building blocks (public single-window ops + batched internals)
+# building blocks (batched: leading axis = windows)
 # ---------------------------------------------------------------------------
 
-def embed_window(window: np.ndarray, W_e: np.ndarray, b_e: np.ndarray) -> np.ndarray:
-    """Affine map of each timestep row: E_t = W_e x_t + b_e."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[1] != W_e.shape[1]:
-        raise DimensionError(
-            f"window shape {window.shape} does not match embedding {W_e.shape}"
-        )
-    return window @ W_e.T + b_e
+def _embed(X: np.ndarray, W_e: np.ndarray, b_e: np.ndarray) -> np.ndarray:
+    """Affine map of each timestep row of an (N, T, k) batch: E_t = W_e x_t + b_e."""
+    if X.shape[-1] != W_e.shape[1]:
+        raise DimensionError(f"window has {X.shape[-1]} features, model expects {W_e.shape[1]}")
+    return X @ W_e.T + b_e
 
 
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
@@ -151,8 +171,7 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
 
 def _mha_forward(H: np.ndarray, layer: EncoderLayerParams):
     """Batched multi-head self-attention; H is (N, T, d)."""
-    heads = len(layer.W_Q)
-    dk = layer.W_Q[0].shape[1]
+    heads, _, dk = layer.W_Q.shape
     scale = 1.0 / np.sqrt(dk)
     outs, head_caches = [], []
     for m in range(heads):
@@ -171,8 +190,7 @@ def _mha_forward(H: np.ndarray, layer: EncoderLayerParams):
 def _mha_backward(dout: np.ndarray, cache, layer: EncoderLayerParams, grads: "EncoderLayerParams"):
     H, concat, head_caches, scale = cache
     d = H.shape[-1]
-    heads = len(layer.W_Q)
-    dk = layer.W_Q[0].shape[1]
+    heads, _, dk = layer.W_Q.shape
     grads.W_O += concat.reshape(-1, heads * dk).T @ dout.reshape(-1, d)
     dconcat = dout @ layer.W_O.T
     dH = np.zeros_like(H)
@@ -190,17 +208,6 @@ def _mha_backward(dout: np.ndarray, cache, layer: EncoderLayerParams, grads: "En
         grads.W_V[m] += H_flat.T @ dV.reshape(-1, dk)
         dH += dQ @ layer.W_Q[m].T + dK @ layer.W_K[m].T + dV @ layer.W_V[m].T
     return dH
-
-
-def multi_head_attention(H: np.ndarray, layer: EncoderLayerParams) -> np.ndarray:
-    """Self-attention for one T x d matrix."""
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[1] != layer.W_Q[0].shape[0]:
-        raise DimensionError(
-            f"input shape {H.shape} does not match projections {layer.W_Q[0].shape}"
-        )
-    out, _ = _mha_forward(H[None], layer)
-    return out[0]
 
 
 def _encoder_layer_forward(H_in: np.ndarray, layer: EncoderLayerParams):
@@ -242,59 +249,13 @@ def _encoder_layer_backward(dH_out: np.ndarray, cache, layer: EncoderLayerParams
     return dH_in
 
 
-def encoder_layer_forward(H_in: np.ndarray, layer: EncoderLayerParams) -> np.ndarray:
-    """One full encoder layer for a single T x d matrix."""
-    H_in = np.asarray(H_in, dtype=np.float64)
-    if H_in.ndim != 2 or H_in.shape[1] != layer.W_Q[0].shape[0]:
-        raise DimensionError(
-            f"input shape {H_in.shape} does not match layer dimension "
-            f"{layer.W_Q[0].shape[0]}"
-        )
-    out, _ = _encoder_layer_forward(H_in[None], layer)
-    return out[0]
-
-
-def _zero_layer_grads(layer: EncoderLayerParams) -> EncoderLayerParams:
-    return EncoderLayerParams(
-        W_Q=[np.zeros_like(w) for w in layer.W_Q],
-        W_K=[np.zeros_like(w) for w in layer.W_K],
-        W_V=[np.zeros_like(w) for w in layer.W_V],
-        W_O=np.zeros_like(layer.W_O),
-        W_1=np.zeros_like(layer.W_1), b_1=np.zeros_like(layer.b_1),
-        W_2=np.zeros_like(layer.W_2), b_2=np.zeros_like(layer.b_2),
-        ln1_gamma=np.zeros_like(layer.ln1_gamma), ln1_beta=np.zeros_like(layer.ln1_beta),
-        ln2_gamma=np.zeros_like(layer.ln2_gamma), ln2_beta=np.zeros_like(layer.ln2_beta),
-    )
-
-
-def _layer_arrays(layer: EncoderLayerParams) -> list[np.ndarray]:
-    return (list(layer.W_Q) + list(layer.W_K) + list(layer.W_V)
-            + [layer.W_O, layer.W_1, layer.b_1, layer.W_2, layer.b_2,
-               layer.ln1_gamma, layer.ln1_beta, layer.ln2_gamma, layer.ln2_beta])
-
-
-def _layer_assign(layer: EncoderLayerParams, arrays: list[np.ndarray]) -> None:
-    h = len(layer.W_Q)
-    layer.W_Q = list(arrays[0:h])
-    layer.W_K = list(arrays[h:2 * h])
-    layer.W_V = list(arrays[2 * h:3 * h])
-    (layer.W_O, layer.W_1, layer.b_1, layer.W_2, layer.b_2,
-     layer.ln1_gamma, layer.ln1_beta, layer.ln2_gamma, layer.ln2_beta) = arrays[3 * h:]
-
-
 # ---------------------------------------------------------------------------
 # full model
 # ---------------------------------------------------------------------------
 
 def _hybrid_forward_batch(m: HybridModel, X: np.ndarray, need_cache: bool):
-    n, T, k = X.shape
-    if k != m.config.input_size:
-        raise DimensionError(
-            f"window has {k} features, model expects {m.config.input_size}"
-        )
-    E = X @ m.W_e.T + m.b_e
-    pe = positional_encoding(T, m.config.d_model)
-    H = E + pe
+    n, T, _ = X.shape
+    H = _embed(X, m.W_e, m.b_e) + positional_encoding(T, m.config.d_model)
     layer_caches = []
     for layer in m.encoder_layers:
         H, cache = _encoder_layer_forward(H, layer)
@@ -310,15 +271,6 @@ def _hybrid_forward_batch(m: HybridModel, X: np.ndarray, need_cache: bool):
     return pred, (X, layer_caches, gru_caches, h)
 
 
-def hybrid_forward(m: HybridModel, window: np.ndarray) -> float:
-    """Normalized scalar prediction for one T x k window."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise DimensionError(f"window must be 2-D, got {window.ndim}-D")
-    pred, _ = _hybrid_forward_batch(m, window[None], need_cache=False)
-    return float(pred[0])
-
-
 def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     pred, _ = _hybrid_forward_batch(m, X, need_cache=False)
@@ -329,7 +281,7 @@ def encode_window(m: HybridModel, window: np.ndarray, add_positional: bool = Tru
     """Encoder output (T x d) for one window; positional encoding optional
     so order-sensitivity can be probed."""
     window = np.asarray(window, dtype=np.float64)[None]
-    H = window @ m.W_e.T + m.b_e
+    H = _embed(window, m.W_e, m.b_e)
     if add_positional:
         H = H + positional_encoding(window.shape[1], m.config.d_model)
     for layer in m.encoder_layers:
@@ -340,8 +292,7 @@ def encode_window(m: HybridModel, window: np.ndarray, add_positional: bool = Tru
 def attention_maps(m: HybridModel, window: np.ndarray) -> list[np.ndarray]:
     """Per-layer attention probabilities, each (heads, T, T)."""
     window = np.asarray(window, dtype=np.float64)[None]
-    H = window @ m.W_e.T + m.b_e
-    H = H + positional_encoding(window.shape[1], m.config.d_model)
+    H = _embed(window, m.W_e, m.b_e) + positional_encoding(window.shape[1], m.config.d_model)
     maps = []
     for layer in m.encoder_layers:
         _, (_, _, head_caches, _) = _mha_forward(H, layer)
@@ -350,31 +301,9 @@ def attention_maps(m: HybridModel, window: np.ndarray) -> list[np.ndarray]:
     return maps
 
 
-def _hybrid_params(m: HybridModel) -> list[np.ndarray]:
-    arrays = [m.W_e, m.b_e]
-    for layer in m.encoder_layers:
-        arrays.extend(_layer_arrays(layer))
-    arrays.extend(getattr(m.gru, f.name) for f in dataclasses.fields(m.gru))
-    arrays.extend([m.W_p, m.b_p])
-    return arrays
-
-
-def _hybrid_assign(m: HybridModel, arrays: list[np.ndarray]) -> None:
-    m.W_e, m.b_e = arrays[0], arrays[1]
-    pos = 2
-    per_layer = 3 * m.config.heads + 9
-    for layer in m.encoder_layers:
-        _layer_assign(layer, arrays[pos:pos + per_layer])
-        pos += per_layer
-    for f in dataclasses.fields(m.gru):
-        setattr(m.gru, f.name, arrays[pos])
-        pos += 1
-    m.W_p, m.b_p = arrays[pos], arrays[pos + 1]
-
-
 def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray):
-    """Mean squared error and analytic gradients for all parameters,
-    ordered as in _hybrid_params."""
+    """Mean squared error and its analytic gradient for every parameter,
+    by name."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, T, _ = X.shape
@@ -384,45 +313,35 @@ def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray):
     loss = float((resid**2).mean())
 
     dpred = 2.0 * resid / n
-    dW_p = (h_final.T @ dpred)[None, :]
-    db_p = np.array([dpred.sum()])
+    grads = zeros_like(m)
+    grads.W_p = (h_final.T @ dpred)[None, :]
+    grads.b_p = np.array([dpred.sum()])
     dh = dpred[:, None] * m.W_p[0][None, :]
 
-    gru_grads = _zero_grads_like(m.gru)
     dH = np.zeros((n, T, m.config.d_model))
     for t in range(T - 1, -1, -1):
-        dx, dh = _gru_step_backward(m.gru, gru_caches[t], dh, gru_grads)
+        dx, dh = _gru_step_backward(m.gru, gru_caches[t], dh, grads.gru)
         dH[:, t, :] = dx
 
-    layer_grads = [_zero_layer_grads(layer) for layer in m.encoder_layers]
     for idx in range(len(m.encoder_layers) - 1, -1, -1):
         dH = _encoder_layer_backward(dH, layer_caches[idx], m.encoder_layers[idx],
-                                     layer_grads[idx])
+                                     grads.encoder_layers[idx])
     # positional encoding is constant; dH passes straight to the embedding
-    dW_e = np.einsum("ntd,ntk->dk", dH, X)
-    db_e = dH.sum(axis=(0, 1))
-
-    grads = [dW_e, db_e]
-    for lg in layer_grads:
-        grads.extend(_layer_arrays(lg))
-    grads.extend(getattr(gru_grads, f.name) for f in dataclasses.fields(gru_grads))
-    grads.extend([dW_p, db_p])
-    return loss, grads
+    grads.W_e = np.einsum("ntd,ntk->dk", dH, X)
+    grads.b_e = dH.sum(axis=(0, 1))
+    return loss, named_arrays(grads)
 
 
 def hybrid_train(m: HybridModel, data: WindowSet, cfg: TrainConfig):
     """Adam training through the whole stack; returns (trained copy, trace)."""
     if len(data) == 0:
         raise SizeError("training window set is empty")
-    model = copy.deepcopy(m)
 
     def loss_grad(params, idx):
-        _hybrid_assign(model, params)
-        return hybrid_loss_and_grads(model, data.X[idx], data.y[idx])
+        return hybrid_loss_and_grads(with_arrays(m, params), data.X[idx], data.y[idx])
 
-    params, trace = run_adam_training(_hybrid_params(model), loss_grad, len(data), cfg)
-    _hybrid_assign(model, params)
-    return model, trace
+    params, trace = run_adam_training(named_arrays(m), loss_grad, len(data), cfg)
+    return with_arrays(m, params), trace
 
 
 def predict_series(m: HybridModel, frame: SeriesFrame, stats: NormStats,

@@ -80,7 +80,7 @@ class RbfnModel:
     centers: np.ndarray   # (m, k)
     spreads: np.ndarray   # (m,) all positive
     weights: np.ndarray   # (m,)
-    bias: float
+    bias: np.ndarray      # ()
 
     def __post_init__(self):
         if np.any(self.spreads <= 0.0):
@@ -102,7 +102,7 @@ def _solve_readout(phi: np.ndarray, y: np.ndarray):
         raise NumericalError(f"rbfn readout system is singular: {exc}") from exc
     if not np.all(np.isfinite(coef)):
         raise NumericalError("rbfn readout produced non-finite coefficients")
-    return coef[:-1], float(coef[-1])
+    return coef[:-1], np.array(coef[-1])
 
 
 def rbfn_fit(X: np.ndarray, y: np.ndarray, m: int, seed: int,
@@ -142,17 +142,6 @@ def rbfn_fit(X: np.ndarray, y: np.ndarray, m: int, seed: int,
     return RbfnModel(centers=centers, spreads=spreads, weights=weights, bias=bias)
 
 
-def rbfn_predict(model: RbfnModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.centers.shape[1],):
-        raise DimensionError(
-            f"query shape {x.shape} does not match center dimension "
-            f"{model.centers.shape[1]}"
-        )
-    phi = _design_matrix(x[None, :], model.centers, model.spreads)[0]
-    return float(phi @ model.weights + model.bias)
-
-
 def rbfn_predict_batch(model: RbfnModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.centers.shape[1]:
@@ -166,18 +155,16 @@ def rbfn_predict_batch(model: RbfnModel, X: np.ndarray) -> np.ndarray:
 
 def rbfn_loss_and_grad(model: RbfnModel, X: np.ndarray, y: np.ndarray):
     """Mean squared residual of the linear readout and its gradient with
-    respect to (weights, bias). Centers and spreads are held fixed, exactly
-    as in fitting, so this is the objective the least-squares solve minimizes
-    (up to the ridge jitter)."""
+    respect to weights and bias, by name. Centers and spreads are held
+    fixed, exactly as in fitting, so this is the objective the least-squares
+    solve minimizes (up to the ridge jitter)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     phi = _design_matrix(X, model.centers, model.spreads)
     resid = phi @ model.weights + model.bias - y
     n = y.shape[0]
     loss = float((resid**2).mean())
-    grad_w = 2.0 * phi.T @ resid / n
-    grad_b = float(2.0 * resid.mean())
-    return loss, [grad_w, np.array([grad_b])]
+    return loss, {"weights": 2.0 * phi.T @ resid / n, "bias": np.array(2.0 * resid.mean())}
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +178,7 @@ class GrnnModel:
 
     stored_inputs: np.ndarray   # (n, k)
     stored_targets: np.ndarray  # (n,)
-    sigma: float
+    sigma: np.ndarray           # ()
 
     def __post_init__(self):
         if self.sigma <= 0.0:
@@ -235,21 +222,10 @@ def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid=None) -> GrnnModel:
         if mse < best_mse:
             best_mse = mse
             best_sigma = sigma
-    return GrnnModel(stored_inputs=X.copy(), stored_targets=y.copy(), sigma=best_sigma)
+    return GrnnModel(stored_inputs=X.copy(), stored_targets=y.copy(), sigma=np.array(best_sigma))
 
 
 DEFAULT_SIGMA_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
-
-
-def grnn_predict(model: GrnnModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.stored_inputs.shape[1],):
-        raise DimensionError(
-            f"query shape {x.shape} does not match stored dimension "
-            f"{model.stored_inputs.shape[1]}"
-        )
-    w = _grnn_weights(x[None, :], model.stored_inputs, model.sigma)[0]
-    return float(w @ model.stored_targets)
 
 
 def grnn_predict_batch(model: GrnnModel, X: np.ndarray) -> np.ndarray:
@@ -259,5 +235,5 @@ def grnn_predict_batch(model: GrnnModel, X: np.ndarray) -> np.ndarray:
             f"query matrix shape {X.shape} does not match stored dimension "
             f"{model.stored_inputs.shape[1]}"
         )
-    w = _grnn_weights(X, model.stored_inputs, model.sigma)
+    w = _grnn_weights(X, model.stored_inputs, float(model.sigma))
     return w @ model.stored_targets

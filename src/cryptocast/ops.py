@@ -13,19 +13,6 @@ from .errors import DimensionError
 from .rng import Rng
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays with explicit shape checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shapes {a.shape} and {b.shape} do not chain")
-    return a @ b
-
-
 def sigmoid(x):
     """Logistic function, overflow-safe for any finite input."""
     x = np.asarray(x, dtype=np.float64)
@@ -39,18 +26,6 @@ def tanh(x):
 
 def relu(x):
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def elementwise_activation(kind: str, x) -> np.ndarray:
-    """Apply one of the supported activations ('sigmoid', 'tanh', 'relu')."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(x)
 
 
 def softmax_rows(x) -> np.ndarray:
@@ -122,8 +97,3 @@ def xavier(rng: Rng, rows: int, cols: int) -> np.ndarray:
         raise DimensionError(f"xavier dimensions must be >= 1, got {rows}x{cols}")
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
-
-
-def xavier_init(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Xavier-uniform matrix from a fresh seed; same seed, same matrix."""
-    return xavier(Rng(seed), rows, cols)

@@ -85,37 +85,38 @@ class TrainConfig:
         return self
 
 
-def run_adam_training(params, loss_grad, n_samples: int, cfg: TrainConfig):
+def run_adam_training(params: dict, loss_grad, n_samples: int, cfg: TrainConfig):
     """Drive Adam over `loss_grad(params, idx) -> (loss, grads)`.
 
-    `idx` is the integer index array of the samples to use this step.
-    Full-batch when cfg.batch_size == 0, otherwise seeded shuffled
-    mini-batches. Returns (trained_params, per_epoch_loss).
+    `params` and `grads` map parameter names to arrays; `idx` is the integer
+    index array of the samples to use this step. Full-batch when
+    cfg.batch_size == 0, otherwise seeded shuffled mini-batches. A
+    non-finite loss or gradient raises DivergenceError naming the epoch.
+    Returns (trained params by name, per-epoch loss).
     """
     cfg.validate()
     if n_samples < 1:
         raise SizeError("training requires at least one sample")
-    state = AdamState.init(params, lr=cfg.lr, beta1=cfg.beta1,
+    names = list(params)
+    values = list(params.values())
+    state = AdamState.init(values, lr=cfg.lr, beta1=cfg.beta1,
                            beta2=cfg.beta2, eps=cfg.eps)
     rng = Rng(cfg.seed)
-    all_idx = np.arange(n_samples)
+    full_batch = cfg.batch_size == 0 or cfg.batch_size >= n_samples
     trace: list[float] = []
     for epoch in range(cfg.epochs):
-        if cfg.batch_size == 0 or cfg.batch_size >= n_samples:
-            loss, grads = loss_grad(params, all_idx)
+        order = np.arange(n_samples) if full_batch else rng.permutation(n_samples)
+        step = n_samples if full_batch else cfg.batch_size
+        losses = []
+        for start in range(0, n_samples, step):
+            loss, grads = loss_grad(dict(zip(names, values)), order[start:start + step])
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            params, state = adam_step(params, grads, state)
-            trace.append(float(loss))
-        else:
-            perm = rng.permutation(n_samples)
-            losses = []
-            for start in range(0, n_samples, cfg.batch_size):
-                idx = perm[start:start + cfg.batch_size]
-                loss, grads = loss_grad(params, idx)
-                if not np.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss at epoch {epoch}")
-                params, state = adam_step(params, grads, state)
-                losses.append(float(loss))
-            trace.append(float(np.mean(losses)))
-    return params, trace
+            grad_list = [grads[name] for name in names]
+            for name, g in zip(names, grad_list):
+                if not np.all(np.isfinite(g)):
+                    raise DivergenceError(f"non-finite gradient for {name} at epoch {epoch}")
+            values, state = adam_step(values, grad_list, state)
+            losses.append(float(loss))
+        trace.append(losses[0] if full_batch else float(np.mean(losses)))
+    return dict(zip(names, values)), trace

@@ -4,25 +4,96 @@ evaluate, compare, and emit deterministic artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import data as dataio
-from .bundle import ModelBundle
 from .config import ExperimentConfig
 from .errors import CryptocastError, SizeError
-from .hybrid import HybridConfig, hybrid_forward_batch, hybrid_train, init_hybrid
+from .hybrid import (HybridConfig, hybrid_forward_batch, hybrid_from_arrays, hybrid_shapes,
+                     hybrid_train, init_hybrid)
 from .jsonio import dumps_canonical, sha256_hex
-from .kernels import grnn_fit, grnn_predict_batch, rbfn_fit, rbfn_predict_batch
+from .kernels import GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit, rbfn_predict_batch
 from .optim import TrainConfig
-from .recurrent import birnn_forward_batch, birnn_train, init_birnn
+from .params import from_arrays
+from .recurrent import birnn_forward_batch, birnn_from_arrays, birnn_shapes, birnn_train, init_birnn
 from .rng import Rng
 from .stats import ComparisonReport, IntervalBand, MetricReport, compare_models, compute_metrics, prediction_interval
 
-MODEL_ORDER = ("rbfn", "grnn", "bilstm", "bigru", "hybrid")
+
+@dataclass(frozen=True)
+class ModelKind:
+    """How the pipeline, CLI and bundles handle one kind. Entries look model
+    functions up in this module's globals at call time, so wrappers on them apply."""
+
+    hyper: Callable    # (cfg, input_size) -> hyperparameters (JSON-ready dict)
+    fit: Callable      # (hyper, train WindowSet, seed) -> (model, loss trace or None)
+    predict: Callable  # (model, WindowSet) -> normalized predictions
+    shapes: Callable   # (hyper, flat window width) -> {parameter name: shape}
+    rebuild: Callable  # (hyper, {parameter name: array}) -> model
+
+
+def _train_config(hyper: dict, seed: int) -> TrainConfig:
+    return TrainConfig(epochs=hyper["epochs"], lr=hyper["lr"], seed=seed,
+                       batch_size=hyper["batch_size"])
+
+
+def _hybrid_config(hyper: dict) -> HybridConfig:
+    return HybridConfig(**{f.name: int(hyper[f.name])
+                           for f in dataclasses.fields(HybridConfig)}).validate()
+
+
+def _recurrent(cell: str, section: str) -> ModelKind:
+    def sizes(h):
+        return int(h["input_size"]), int(h["hidden_size"])
+
+    return ModelKind(
+        hyper=lambda cfg, k: {**dataclasses.asdict(getattr(cfg, section)), "input_size": k},
+        fit=lambda h, ws, seed: birnn_train(
+            init_birnn(cell, *sizes(h), seed), ws, _train_config(h, seed)),
+        predict=lambda model, ws: birnn_forward_batch(model, ws.X),
+        shapes=lambda h, width: birnn_shapes(cell, *sizes(h)),
+        rebuild=lambda h, a: birnn_from_arrays(cell, *sizes(h), a),
+    )
+
+
+# A GRNN stores every training window, so its row count is free ("rows")
+# but must agree between its two stored arrays.
+MODELS = {
+    "rbfn": ModelKind(
+        hyper=lambda cfg, k: {"centers": cfg.rbfn.centers},
+        fit=lambda h, ws, seed: (rbfn_fit(ws.flatten(), ws.y, h["centers"], seed), None),
+        predict=lambda model, ws: rbfn_predict_batch(model, ws.flatten()),
+        shapes=lambda h, width: {"centers": (h["centers"], width), "spreads": (h["centers"],),
+                                 "weights": (h["centers"],), "bias": ()},
+        rebuild=lambda h, a: from_arrays(RbfnModel, a),
+    ),
+    "grnn": ModelKind(
+        hyper=lambda cfg, k: {"sigma_grid": list(cfg.grnn.sigma_grid)},
+        fit=lambda h, ws, seed: (grnn_fit(ws.flatten(), ws.y, h["sigma_grid"]), None),
+        predict=lambda model, ws: grnn_predict_batch(model, ws.flatten()),
+        shapes=lambda h, width: {"stored_inputs": ("rows", width),
+                                 "stored_targets": ("rows",), "sigma": ()},
+        rebuild=lambda h, a: from_arrays(GrnnModel, a),
+    ),
+    "bilstm": _recurrent("lstm", "bilstm"),
+    "bigru": _recurrent("gru", "bigru"),
+    "hybrid": ModelKind(
+        hyper=lambda cfg, k: {**dataclasses.asdict(cfg.hybrid), "window": cfg.window,
+                              "input_size": k},
+        fit=lambda h, ws, seed: hybrid_train(
+            init_hybrid(_hybrid_config(h), seed), ws, _train_config(h, seed)),
+        predict=lambda model, ws: hybrid_forward_batch(model, ws.X),
+        shapes=lambda h, width: hybrid_shapes(_hybrid_config(h)),
+        rebuild=lambda h, a: hybrid_from_arrays(_hybrid_config(h), a),
+    ),
+}
+MODEL_ORDER = tuple(MODELS)
 
 
 @contextmanager
@@ -88,61 +159,17 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
                         train_windows=train_windows, test_windows=test_windows)
 
 
-def hyper_dict(kind: str, cfg: ExperimentConfig, input_size: int) -> dict:
-    if kind == "rbfn":
-        return {"centers": cfg.rbfn.centers}
-    if kind == "grnn":
-        return {"sigma_grid": list(cfg.grnn.sigma_grid)}
-    if kind in ("bilstm", "bigru"):
-        mc = cfg.bilstm if kind == "bilstm" else cfg.bigru
-        return {"hidden_size": mc.hidden_size, "input_size": input_size,
-                "epochs": mc.epochs, "lr": mc.lr, "batch_size": mc.batch_size}
-    if kind == "hybrid":
-        mc = cfg.hybrid
-        return {"window": cfg.window, "input_size": input_size,
-                "d_model": mc.d_model, "heads": mc.heads, "layers": mc.layers,
-                "d_ffn": mc.d_ffn, "d_gru": mc.d_gru,
-                "epochs": mc.epochs, "lr": mc.lr, "batch_size": mc.batch_size}
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
 def train_model(kind: str, cfg: ExperimentConfig, prepared: PreparedData,
                 master: Rng):
     """Fit one model kind on the training windows; returns (model, trace)."""
     ws = prepared.train_windows
-    seed = master.derive(kind).seed
-    if kind == "rbfn":
-        return rbfn_fit(ws.flatten(), ws.y, cfg.rbfn.centers, seed), None
-    if kind == "grnn":
-        return grnn_fit(ws.flatten(), ws.y, cfg.grnn.sigma_grid), None
-    k = ws.X.shape[2]
-    if kind in ("bilstm", "bigru"):
-        mc = cfg.bilstm if kind == "bilstm" else cfg.bigru
-        model = init_birnn("lstm" if kind == "bilstm" else "gru",
-                           k, mc.hidden_size, seed)
-        tc = TrainConfig(epochs=mc.epochs, lr=mc.lr, seed=seed, batch_size=mc.batch_size)
-        return birnn_train(model, ws, tc)
-    if kind == "hybrid":
-        mc = cfg.hybrid
-        model = init_hybrid(HybridConfig(
-            window=cfg.window, input_size=k, d_model=mc.d_model, heads=mc.heads,
-            layers=mc.layers, d_ffn=mc.d_ffn, d_gru=mc.d_gru), seed)
-        tc = TrainConfig(epochs=mc.epochs, lr=mc.lr, seed=seed, batch_size=mc.batch_size)
-        return hybrid_train(model, ws, tc)
-    raise ValueError(f"unknown model kind {kind!r}")
+    spec = MODELS[kind]
+    return spec.fit(spec.hyper(cfg, ws.X.shape[2]), ws, master.derive(kind).seed)
 
 
 def predict_windows(kind: str, model, ws: dataio.WindowSet) -> np.ndarray:
-    """Normalized predictions for a window set, dispatched per model kind."""
-    if kind == "rbfn":
-        return rbfn_predict_batch(model, ws.flatten())
-    if kind == "grnn":
-        return grnn_predict_batch(model, ws.flatten())
-    if kind in ("bilstm", "bigru"):
-        return birnn_forward_batch(model, ws.X)
-    if kind == "hybrid":
-        return hybrid_forward_batch(model, ws.X)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """Normalized predictions for a window set."""
+    return MODELS[kind].predict(model, ws)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -171,7 +198,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             metrics = compute_metrics(test_actual, test_pred)
         runs[kind] = ModelRun(
             kind=kind, model=model,
-            hyperparameters=hyper_dict(kind, cfg, prepared.train_windows.X.shape[2]),
+            hyperparameters=MODELS[kind].hyper(cfg, prepared.train_windows.X.shape[2]),
             loss_trace=trace, train_pred=train_pred, test_pred=test_pred,
             band=band, metrics=metrics,
         )
@@ -312,13 +339,3 @@ def emit_artifacts(result: RunResult, out_dir: str) -> dict:
         raise
     return manifest
 
-
-def model_bundle(result: RunResult, kind: str) -> ModelBundle:
-    run = result.runs[kind]
-    return ModelBundle(
-        kind=kind, model=run.model, hyperparameters=run.hyperparameters,
-        window=result.config.window,
-        feature_columns=list(result.config.feature_columns),
-        target_column=result.config.target_column,
-        stats=result.prepared.stats,
-    )

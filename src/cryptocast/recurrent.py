@@ -23,7 +23,6 @@ them against central finite differences.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ from .data import WindowSet
 from .errors import DimensionError, SizeError
 from .ops import sigmoid, xavier
 from .optim import TrainConfig, run_adam_training
+from .params import from_arrays, named_arrays, with_arrays, zeros_like
 from .rng import Rng
 
 
@@ -81,45 +81,21 @@ class GruCellParams:
         return self.W_rx.shape[1]
 
 
-def _cell_arrays(params) -> list[np.ndarray]:
-    return [getattr(params, f.name) for f in dataclasses.fields(params)]
+CELLS = {"lstm": LstmCellParams, "gru": GruCellParams}
 
 
-def _zero_grads_like(params):
-    return type(params)(**{
-        f.name: np.zeros_like(getattr(params, f.name))
-        for f in dataclasses.fields(params)
-    })
+def cell_shapes(cls, input_size: int, hidden_size: int) -> dict[str, tuple]:
+    """Field shapes of a cell: W_*x maps the input, W_*h the hidden state,
+    and every other field is a bias."""
+    rows = {"x": input_size, "h": hidden_size}
+    return {f.name: (rows[f.name[-1]], hidden_size) if f.name.startswith("W_")
+            else (hidden_size,) for f in dataclasses.fields(cls)}
 
 
-def init_lstm_cell(input_size: int, hidden_size: int, rng: Rng) -> LstmCellParams:
-    def w(rows, cols):
-        return xavier(rng, rows, cols)
-
-    return LstmCellParams(
-        W_fx=w(input_size, hidden_size), W_fh=w(hidden_size, hidden_size),
-        b_f=np.zeros(hidden_size),
-        W_ix=w(input_size, hidden_size), W_ih=w(hidden_size, hidden_size),
-        b_i=np.zeros(hidden_size),
-        W_cx=w(input_size, hidden_size), W_ch=w(hidden_size, hidden_size),
-        b_c=np.zeros(hidden_size),
-        W_ox=w(input_size, hidden_size), W_oh=w(hidden_size, hidden_size),
-        b_o=np.zeros(hidden_size),
-    )
-
-
-def init_gru_cell(input_size: int, hidden_size: int, rng: Rng) -> GruCellParams:
-    def w(rows, cols):
-        return xavier(rng, rows, cols)
-
-    return GruCellParams(
-        W_rx=w(input_size, hidden_size), W_rh=w(hidden_size, hidden_size),
-        b_r=np.zeros(hidden_size),
-        W_zx=w(input_size, hidden_size), W_zh=w(hidden_size, hidden_size),
-        b_z=np.zeros(hidden_size),
-        W_x=w(input_size, hidden_size), W_h=w(hidden_size, hidden_size),
-        b=np.zeros(hidden_size),
-    )
+def init_cell(cls, input_size: int, hidden_size: int, rng: Rng):
+    """Xavier weights drawn in field order, zero biases."""
+    return cls(**{name: xavier(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+                  for name, shape in cell_shapes(cls, input_size, hidden_size).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +219,8 @@ def gru_cell_step(p: GruCellParams, x_t, h_prev):
 @dataclass
 class BiRnnModel:
     cell_kind: str  # "lstm" | "gru"
-    forward_cell: LstmCellParams | GruCellParams
-    backward_cell: LstmCellParams | GruCellParams
+    forward: LstmCellParams | GruCellParams
+    backward: LstmCellParams | GruCellParams
     W_head: np.ndarray  # (2*hidden, 1)
     b_head: np.ndarray  # (1,)
     hidden_size: int
@@ -252,16 +228,35 @@ class BiRnnModel:
 
 
 def init_birnn(cell_kind: str, input_size: int, hidden_size: int, seed: int) -> BiRnnModel:
-    if cell_kind not in ("lstm", "gru"):
+    if cell_kind not in CELLS:
         raise ValueError(f"unknown cell kind {cell_kind!r}")
     rng = Rng(seed)
-    init_cell = init_lstm_cell if cell_kind == "lstm" else init_gru_cell
-    fwd = init_cell(input_size, hidden_size, rng.derive("forward"))
-    bwd = init_cell(input_size, hidden_size, rng.derive("backward"))
+    cls = CELLS[cell_kind]
+    fwd = init_cell(cls, input_size, hidden_size, rng.derive("forward"))
+    bwd = init_cell(cls, input_size, hidden_size, rng.derive("backward"))
     head = xavier(rng.derive("head"), 2 * hidden_size, 1)
     return BiRnnModel(
-        cell_kind=cell_kind, forward_cell=fwd, backward_cell=bwd,
+        cell_kind=cell_kind, forward=fwd, backward=bwd,
         W_head=head, b_head=np.zeros(1),
+        hidden_size=hidden_size, input_size=input_size,
+    )
+
+
+def birnn_shapes(cell_kind: str, input_size: int, hidden_size: int) -> dict[str, tuple]:
+    """Parameter shapes of a bidirectional model, by dotted name."""
+    cell = cell_shapes(CELLS[cell_kind], input_size, hidden_size)
+    return {**{f"{direction}.{name}": shape
+               for direction in ("forward", "backward") for name, shape in cell.items()},
+            "W_head": (2 * hidden_size, 1), "b_head": (1,)}
+
+
+def birnn_from_arrays(cell_kind: str, input_size: int, hidden_size: int,
+                      arrays: dict[str, np.ndarray]) -> BiRnnModel:
+    cls = CELLS[cell_kind]
+    return BiRnnModel(
+        cell_kind=cell_kind, forward=from_arrays(cls, arrays, "forward."),
+        backward=from_arrays(cls, arrays, "backward."),
+        W_head=arrays["W_head"], b_head=arrays["b_head"],
         hidden_size=hidden_size, input_size=input_size,
     )
 
@@ -308,8 +303,8 @@ def birnn_states(m: BiRnnModel, X: np.ndarray):
         raise DimensionError(
             f"window has {X.shape[-1]} features, model expects {m.input_size}"
         )
-    h_fwd, _ = _run_direction(m.cell_kind, m.forward_cell, X, reverse=False)
-    h_bwd, _ = _run_direction(m.cell_kind, m.backward_cell, X, reverse=True)
+    h_fwd, _ = _run_direction(m.cell_kind, m.forward, X, reverse=False)
+    h_bwd, _ = _run_direction(m.cell_kind, m.backward, X, reverse=True)
     return h_fwd, h_bwd
 
 
@@ -319,67 +314,39 @@ def birnn_forward_batch(m: BiRnnModel, X: np.ndarray) -> np.ndarray:
     return concat @ m.W_head[:, 0] + m.b_head[0]
 
 
-def birnn_forward(m: BiRnnModel, window: np.ndarray) -> float:
-    """Scalar prediction for one T x k window."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise DimensionError(f"window must be 2-D, got {window.ndim}-D")
-    return float(birnn_forward_batch(m, window[None])[0])
-
-
-def _birnn_params(m: BiRnnModel) -> list[np.ndarray]:
-    return _cell_arrays(m.forward_cell) + _cell_arrays(m.backward_cell) + [m.W_head, m.b_head]
-
-
-def _birnn_assign(m: BiRnnModel, arrays: list[np.ndarray]) -> None:
-    fields_f = dataclasses.fields(m.forward_cell)
-    n_cell = len(fields_f)
-    for f, a in zip(fields_f, arrays[:n_cell]):
-        setattr(m.forward_cell, f.name, a)
-    for f, a in zip(dataclasses.fields(m.backward_cell), arrays[n_cell:2 * n_cell]):
-        setattr(m.backward_cell, f.name, a)
-    m.W_head = arrays[2 * n_cell]
-    m.b_head = arrays[2 * n_cell + 1]
-
-
 def birnn_loss_and_grads(m: BiRnnModel, X: np.ndarray, y: np.ndarray):
-    """Mean squared error over the batch and gradients for every parameter,
-    ordered as in _birnn_params."""
+    """Mean squared error over the batch and its gradient for every
+    parameter, by name."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
-    h_fwd, caches_f = _run_direction(m.cell_kind, m.forward_cell, X, reverse=False)
-    h_bwd, caches_b = _run_direction(m.cell_kind, m.backward_cell, X, reverse=True)
+    h_fwd, caches_f = _run_direction(m.cell_kind, m.forward, X, reverse=False)
+    h_bwd, caches_b = _run_direction(m.cell_kind, m.backward, X, reverse=True)
     concat = np.concatenate([h_fwd, h_bwd], axis=1)
     pred = concat @ m.W_head[:, 0] + m.b_head[0]
     resid = pred - y
     loss = float((resid**2).mean())
 
     dpred = 2.0 * resid / n
-    dW_head = (concat.T @ dpred)[:, None]
-    db_head = np.array([dpred.sum()])
+    grads = zeros_like(m)
+    grads.W_head = (concat.T @ dpred)[:, None]
+    grads.b_head = np.array([dpred.sum()])
     dconcat = dpred[:, None] * m.W_head[:, 0][None, :]
     d = m.hidden_size
-    grads_f = _zero_grads_like(m.forward_cell)
-    grads_b = _zero_grads_like(m.backward_cell)
-    _direction_backward(m.cell_kind, m.forward_cell, caches_f,
-                        dconcat[:, :d], grads_f, None, reverse=False)
-    _direction_backward(m.cell_kind, m.backward_cell, caches_b,
-                        dconcat[:, d:], grads_b, None, reverse=True)
-    grads = _cell_arrays(grads_f) + _cell_arrays(grads_b) + [dW_head, db_head]
-    return loss, grads
+    _direction_backward(m.cell_kind, m.forward, caches_f,
+                        dconcat[:, :d], grads.forward, None, reverse=False)
+    _direction_backward(m.cell_kind, m.backward, caches_b,
+                        dconcat[:, d:], grads.backward, None, reverse=True)
+    return loss, named_arrays(grads)
 
 
 def birnn_train(m: BiRnnModel, data: WindowSet, cfg: TrainConfig):
     """Full BPTT training with Adam; returns (trained copy, loss per epoch)."""
     if len(data) == 0:
         raise SizeError("training window set is empty")
-    model = copy.deepcopy(m)
 
     def loss_grad(params, idx):
-        _birnn_assign(model, params)
-        return birnn_loss_and_grads(model, data.X[idx], data.y[idx])
+        return birnn_loss_and_grads(with_arrays(m, params), data.X[idx], data.y[idx])
 
-    params, trace = run_adam_training(_birnn_params(model), loss_grad, len(data), cfg)
-    _birnn_assign(model, params)
-    return model, trace
+    params, trace = run_adam_training(named_arrays(m), loss_grad, len(data), cfg)
+    return with_arrays(m, params), trace

@@ -241,18 +241,6 @@ def standard_normal_tail(x: float) -> float:
     return float(0.5 * erfc(x / math.sqrt(2.0)))
 
 
-def tail_probability(kind: str, x: float, df: int | None = None) -> float:
-    """Dispatcher for the two tails used by the tests: kind is either
-    'chi_square' (df required) or 'standard_normal'."""
-    if kind == "chi_square":
-        if df is None:
-            raise DomainError("chi_square tail requires df")
-        return chi_square_tail(x, df)
-    if kind == "standard_normal":
-        return standard_normal_tail(x)
-    raise DomainError(f"unknown distribution kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # model comparison report
 # ---------------------------------------------------------------------------

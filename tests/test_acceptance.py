@@ -15,6 +15,7 @@ from cryptocast.config import validate_config
 from cryptocast.data import SynthParams, synthesize_series, write_series_csv
 from cryptocast.gradcheck import grad_check
 from cryptocast.optim import TrainConfig
+from cryptocast.params import named_arrays, with_arrays
 from cryptocast.pipeline import run_experiment
 from cryptocast.rng import Rng
 
@@ -43,12 +44,11 @@ def test_gradient_oracle():
     rbfn.bias = rng.uniform(-1, 1)
 
     def rbfn_lg(params):
-        rbfn.weights = params[0]
-        rbfn.bias = float(params[1][0])
+        rbfn.weights, rbfn.bias = params["weights"], params["bias"]
         return kernels.rbfn_loss_and_grad(rbfn, X, y)
 
     results["rbfn"] = grad_check(
-        rbfn_lg, [rbfn.weights.copy(), np.array([rbfn.bias])], h=1e-5)
+        rbfn_lg, {"weights": rbfn.weights.copy(), "bias": np.array(rbfn.bias)}, h=1e-5)
 
     # bidirectional recurrent models, T <= 4
     Xw = rng.uniform(0, 1, (4, 4, 2))
@@ -57,10 +57,9 @@ def test_gradient_oracle():
         model = recurrent.init_birnn(kind, 2, 3, seed=11)
 
         def birnn_lg(params, model=model):
-            recurrent._birnn_assign(model, params)
-            return recurrent.birnn_loss_and_grads(model, Xw, yw)
+            return recurrent.birnn_loss_and_grads(with_arrays(model, params), Xw, yw)
 
-        results[name] = grad_check(birnn_lg, recurrent._birnn_params(model), h=1e-5)
+        results[name] = grad_check(birnn_lg, named_arrays(model), h=1e-5)
 
     # full hybrid stack, T <= 4
     cfg = hybrid.HybridConfig(window=3, input_size=2, d_model=4, heads=2,
@@ -70,10 +69,9 @@ def test_gradient_oracle():
     hmodel = hybrid.init_hybrid(cfg, seed=13)
 
     def hybrid_lg(params):
-        hybrid._hybrid_assign(hmodel, params)
-        return hybrid.hybrid_loss_and_grads(hmodel, Xh, yh)
+        return hybrid.hybrid_loss_and_grads(with_arrays(hmodel, params), Xh, yh)
 
-    results["hybrid"] = grad_check(hybrid_lg, hybrid._hybrid_params(hmodel), h=1e-5)
+    results["hybrid"] = grad_check(hybrid_lg, named_arrays(hmodel), h=1e-5)
 
     elapsed = time.time() - started
     for name, err in results.items():

@@ -61,6 +61,12 @@ class TestLoadSeries:
         with pytest.raises(SchemaError, match="volume"):
             dataio.load_series(path, schema={"close": "close", "volume": "volume"})
 
+    def test_duplicate_header_is_schema_error(self, tmp_path):
+        path = tmp_path / "duplicate.csv"
+        path.write_text("date,close,close\n2021-01-01,1,2\n")
+        with pytest.raises(SchemaError, match="'close'"):
+            dataio.load_series(path)
+
     def test_bad_cell_reports_row_number(self, tmp_path):
         path = tmp_path / "bad_cell.csv"
         path.write_text("date,close\n2021-01-01,1\n2021-01-02,oops\n")

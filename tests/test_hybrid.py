@@ -9,6 +9,7 @@ from cryptocast.data import NormStats, SeriesFrame, WindowSet
 from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
 from cryptocast.optim import TrainConfig
+from cryptocast.params import named_arrays, with_arrays
 from cryptocast.rng import Rng
 
 SMALL = hybrid.HybridConfig(window=3, input_size=2, d_model=4, heads=2,
@@ -20,9 +21,9 @@ def zero_model(config=SMALL, head_bias=0.0):
     m.W_e = np.zeros_like(m.W_e)
     m.b_e = np.zeros_like(m.b_e)
     for layer in m.encoder_layers:
-        layer.W_Q = [np.zeros_like(w) for w in layer.W_Q]
-        layer.W_K = [np.zeros_like(w) for w in layer.W_K]
-        layer.W_V = [np.zeros_like(w) for w in layer.W_V]
+        layer.W_Q = np.zeros_like(layer.W_Q)
+        layer.W_K = np.zeros_like(layer.W_K)
+        layer.W_V = np.zeros_like(layer.W_V)
         layer.W_O = np.zeros_like(layer.W_O)
         layer.W_1 = np.zeros_like(layer.W_1)
         layer.b_1 = np.zeros_like(layer.b_1)
@@ -48,23 +49,23 @@ def make_window_set(n, T, k, seed=0):
 class TestEmbedding:
     def test_zero_window_zero_bias(self):
         W_e = Rng(1).uniform(-1, 1, (4, 3))
-        out = hybrid.embed_window(np.zeros((5, 3)), W_e, np.zeros(4))
+        out = hybrid._embed(np.zeros((1, 5, 3)), W_e, np.zeros(4))
         assert np.all(out == 0.0)
 
     def test_scalar_affine_case(self):
-        out = hybrid.embed_window(np.array([[0.5]]), np.array([[2.0]]), np.array([1.0]))
-        assert out[0, 0] == 2.0
+        out = hybrid._embed(np.array([[[0.5]]]), np.array([[2.0]]), np.array([1.0]))
+        assert out[0, 0, 0] == 2.0
 
     def test_identical_timesteps_identical_rows(self):
         W_e = Rng(2).uniform(-1, 1, (4, 3))
         b_e = Rng(3).uniform(-1, 1, (4,))
         row = np.array([0.2, 0.4, 0.6])
-        out = hybrid.embed_window(np.vstack([row, row]), W_e, b_e)
-        assert np.array_equal(out[0], out[1])
+        out = hybrid._embed(np.vstack([row, row])[None], W_e, b_e)
+        assert np.array_equal(out[0, 0], out[0, 1])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            hybrid.embed_window(np.zeros((5, 2)), np.zeros((4, 3)), np.zeros(4))
+            hybrid._embed(np.zeros((1, 5, 2)), np.zeros((4, 3)), np.zeros(4))
 
 
 class TestPositionalEncoding:
@@ -118,9 +119,9 @@ class TestAttention:
         # T=2, one head, hand-set 2x2 projections: compare against a direct
         # softmax(Q K^T / sqrt(d_k)) V evaluation written out separately
         layer = hybrid.EncoderLayerParams(
-            W_Q=[np.array([[1.0, 0.0], [0.0, 1.0]])],
-            W_K=[np.array([[0.0, 1.0], [1.0, 0.0]])],
-            W_V=[np.array([[1.0, 2.0], [3.0, 4.0]])],
+            W_Q=np.array([[[1.0, 0.0], [0.0, 1.0]]]),
+            W_K=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
+            W_V=np.array([[[1.0, 2.0], [3.0, 4.0]]]),
             W_O=np.eye(2),
             W_1=np.zeros((2, 4)), b_1=np.zeros(4),
             W_2=np.zeros((4, 2)), b_2=np.zeros(2),
@@ -128,7 +129,7 @@ class TestAttention:
             ln2_gamma=np.ones(2), ln2_beta=np.zeros(2),
         )
         H = np.array([[1.0, 0.5], [-0.25, 2.0]])
-        out = hybrid.multi_head_attention(H, layer)
+        out = hybrid._mha_forward(H[None], layer)[0][0]
 
         Q = H @ layer.W_Q[0]
         K = H @ layer.W_K[0]
@@ -154,7 +155,7 @@ class TestEncoderLayer:
     def test_output_rows_have_layernorm_statistics(self):
         m = hybrid.init_hybrid(SMALL, seed=10)
         layer = m.encoder_layers[0]
-        out = hybrid.encoder_layer_forward(Rng(11).uniform(-1, 1, (3, 4)), layer)
+        out = hybrid._encoder_layer_forward(Rng(11).uniform(-1, 1, (3, 4))[None], layer)[0][0]
         assert np.all(np.abs(out.mean(axis=1)) < 1e-8)
         assert np.all(np.abs((out**2).mean(axis=1) - 1.0) < 1e-4)
 
@@ -167,12 +168,12 @@ class TestEncoderLayer:
         layer.b_2 = np.zeros_like(layer.b_2)
         from cryptocast.ops import layer_norm
         H = Rng(13).uniform(-1, 1, (3, 4))
-        attn = hybrid.multi_head_attention(H, layer)
+        attn = hybrid._mha_forward(H[None], layer)[0][0]
         h_attn = layer_norm(H + attn, layer.ln1_gamma, layer.ln1_beta,
                             hybrid.LAYER_NORM_EPS)
         expected = layer_norm(h_attn, layer.ln2_gamma, layer.ln2_beta,
                               hybrid.LAYER_NORM_EPS)
-        out = hybrid.encoder_layer_forward(H, layer)
+        out = hybrid._encoder_layer_forward(H[None], layer)[0][0]
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_against_independent_reimplementation(self):
@@ -212,7 +213,7 @@ class TestEncoderLayer:
             for t in range(H.shape[0])
         ])
 
-        out = hybrid.encoder_layer_forward(H, layer)
+        out = hybrid._encoder_layer_forward(H[None], layer)[0][0]
         assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -220,18 +221,18 @@ class TestHybridForward:
     def test_all_zero_params_predicts_head_bias(self):
         m = zero_model(head_bias=0.625)
         window = Rng(16).uniform(0, 1, (3, 2))
-        assert hybrid.hybrid_forward(m, window) == pytest.approx(0.625)
+        assert hybrid.hybrid_forward_batch(m, window[None])[0] == pytest.approx(0.625)
 
     def test_scalar_output_for_any_window_length(self):
         m = hybrid.init_hybrid(SMALL, seed=17)
         for T in (1, 3, 6, 12):
-            out = hybrid.hybrid_forward(m, Rng(T).uniform(0, 1, (T, 2)))
-            assert isinstance(out, float)
+            out = hybrid.hybrid_forward_batch(m, Rng(T).uniform(0, 1, (1, T, 2)))
+            assert out.shape == (1,)
 
     def test_feature_mismatch(self):
         m = hybrid.init_hybrid(SMALL, seed=18)
         with pytest.raises(DimensionError):
-            hybrid.hybrid_forward(m, np.zeros((3, 5)))
+            hybrid.hybrid_forward_batch(m, np.zeros((1, 3, 5)))
 
     def test_invalid_head_split_rejected(self):
         with pytest.raises(ConfigError):
@@ -247,8 +248,8 @@ class TestHybridForward:
         m = hybrid.init_hybrid(SMALL, seed=19)
         window = Rng(20).uniform(0, 1, (3, 2))
         permuted = window[[2, 0, 1]]
-        assert hybrid.hybrid_forward(m, window) != pytest.approx(
-            hybrid.hybrid_forward(m, permuted), abs=1e-9)
+        assert hybrid.hybrid_forward_batch(m, window[None])[0] != pytest.approx(
+            hybrid.hybrid_forward_batch(m, permuted[None])[0], abs=1e-9)
 
     def test_encoder_is_permutation_equivariant_without_positions(self):
         # with the positional encoding removed and a mean-pool readout, the
@@ -280,10 +281,9 @@ class TestHybridGradients:
         m = hybrid.init_hybrid(SMALL, seed=26)
 
         def lg(params):
-            hybrid._hybrid_assign(m, params)
-            return hybrid.hybrid_loss_and_grads(m, X, y)
+            return hybrid.hybrid_loss_and_grads(with_arrays(m, params), X, y)
 
-        err = grad_check(lg, hybrid._hybrid_params(m), h=1e-5)
+        err = grad_check(lg, named_arrays(m), h=1e-5)
         assert err < 1e-4
 
     def test_two_layer_gradient_check(self):
@@ -295,10 +295,9 @@ class TestHybridGradients:
         m = hybrid.init_hybrid(cfg, seed=28)
 
         def lg(params):
-            hybrid._hybrid_assign(m, params)
-            return hybrid.hybrid_loss_and_grads(m, X, y)
+            return hybrid.hybrid_loss_and_grads(with_arrays(m, params), X, y)
 
-        err = grad_check(lg, hybrid._hybrid_params(m), h=1e-5)
+        err = grad_check(lg, named_arrays(m), h=1e-5)
         assert err < 1e-4
 
 
@@ -321,8 +320,9 @@ class TestHybridTraining:
         t1, trace1 = hybrid.hybrid_train(m, data, cfg)
         t2, trace2 = hybrid.hybrid_train(m, data, cfg)
         assert trace1 == trace2
-        for a, b in zip(hybrid._hybrid_params(t1), hybrid._hybrid_params(t2)):
-            assert np.array_equal(a, b)
+        p2 = named_arrays(t2)
+        for name, a in named_arrays(t1).items():
+            assert np.array_equal(a, p2[name])
 
     def test_empty_data_rejected(self):
         data = make_window_set(2, 3, 2)

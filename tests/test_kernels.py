@@ -65,14 +65,14 @@ class TestRbfn:
             centers=np.array([[1.0, 2.0]]), spreads=np.array([0.5]),
             weights=np.array([1.0]), bias=0.0,
         )
-        assert kernels.rbfn_predict(model, np.array([1.0, 2.0])) == pytest.approx(1.0)
+        assert kernels.rbfn_predict_batch(model, np.array([1.0, 2.0])[None])[0] == pytest.approx(1.0)
 
     def test_far_query_returns_bias(self):
         model = kernels.RbfnModel(
             centers=np.array([[0.0, 0.0]]), spreads=np.array([0.5]),
             weights=np.array([3.0]), bias=-1.25,
         )
-        assert kernels.rbfn_predict(model, np.array([1e4, 1e4])) == pytest.approx(-1.25)
+        assert kernels.rbfn_predict_batch(model, np.array([1e4, 1e4])[None])[0] == pytest.approx(-1.25)
 
     def test_two_neuron_hand_formula(self):
         centers = np.array([[0.0], [2.0]])
@@ -81,7 +81,7 @@ class TestRbfn:
         model = kernels.RbfnModel(centers=centers, spreads=spreads, weights=weights, bias=0.5)
         x = np.array([1.0])
         expected = 2.0 * np.exp(-0.5) - 1.0 * np.exp(-0.5) + 0.5
-        assert kernels.rbfn_predict(model, x) == pytest.approx(expected, abs=1e-15)
+        assert kernels.rbfn_predict_batch(model, x[None])[0] == pytest.approx(expected, abs=1e-15)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -99,7 +99,7 @@ class TestRbfn:
         for i in range(m):
             dist_sq = float(((x - model.centers[i]) ** 2).sum())
             direct += model.weights[i] * np.exp(-dist_sq / (2 * model.spreads[i] ** 2))
-        assert abs(kernels.rbfn_predict(model, x) - direct) < 1e-12
+        assert abs(kernels.rbfn_predict_batch(model, x[None])[0] - direct) < 1e-12
 
     def test_m_exceeding_n_rejected(self):
         X, y = random_data(5, n=4)
@@ -110,7 +110,7 @@ class TestRbfn:
         X, y = random_data(6)
         model = kernels.rbfn_fit(X, y, m=3, seed=0)
         with pytest.raises(DimensionError):
-            kernels.rbfn_predict(model, np.zeros(5))
+            kernels.rbfn_predict_batch(model, np.zeros(5)[None])
 
     def test_readout_gradient_vanishes_at_fit(self):
         # least squares minimizes the residual, so the gradient of the
@@ -118,7 +118,7 @@ class TestRbfn:
         X, y = random_data(7, n=20)
         model = kernels.rbfn_fit(X, y, m=6, seed=3)
         _, grads = kernels.rbfn_loss_and_grad(model, X, y)
-        assert max(float(np.abs(g).max()) for g in grads) < 1e-6
+        assert max(float(np.abs(g).max()) for g in grads.values()) < 1e-6
 
     def test_loss_gradient_against_finite_differences(self):
         X, y = random_data(8, n=15)
@@ -128,11 +128,11 @@ class TestRbfn:
         model.bias = rng.uniform(-1, 1)
 
         def lg(params):
-            model.weights = params[0]
-            model.bias = float(params[1][0])
+            model.weights, model.bias = params["weights"], params["bias"]
             return kernels.rbfn_loss_and_grad(model, X, y)
 
-        err = grad_check(lg, [model.weights.copy(), np.array([model.bias])], h=1e-5)
+        err = grad_check(lg, {"weights": model.weights.copy(), "bias": np.array(model.bias)},
+                         h=1e-5)
         assert err < 1e-7
 
 
@@ -142,14 +142,14 @@ class TestGrnn:
             stored_inputs=np.array([[0.3, 0.4]]),
             stored_targets=np.array([7.5]), sigma=0.123,
         )
-        assert kernels.grnn_predict(model, np.array([100.0, -4.0])) == 7.5
+        assert kernels.grnn_predict_batch(model, np.array([100.0, -4.0])[None])[0] == 7.5
 
     def test_equidistant_pair_averages(self):
         model = kernels.GrnnModel(
             stored_inputs=np.array([[-1.0], [1.0]]),
             stored_targets=np.array([2.0, 4.0]), sigma=0.7,
         )
-        assert kernels.grnn_predict(model, np.array([0.0])) == pytest.approx(3.0)
+        assert kernels.grnn_predict_batch(model, np.array([0.0])[None])[0] == pytest.approx(3.0)
 
     def test_small_sigma_is_nearest_neighbor(self):
         X, y = random_data(11, n=15, k=2)
@@ -159,7 +159,7 @@ class TestGrnn:
             q = rng.uniform(0, 1, (2,))
             dists = ((X - q) ** 2).sum(axis=1)
             nearest = y[int(dists.argmin())]
-            assert kernels.grnn_predict(model, q) == pytest.approx(nearest, abs=1e-9)
+            assert kernels.grnn_predict_batch(model, q[None])[0] == pytest.approx(nearest, abs=1e-9)
 
     def test_forced_grid_choice(self):
         X, y = random_data(13, n=9)
@@ -217,7 +217,7 @@ class TestGrnn:
         y = rng.uniform(-10, 10, (n,))
         model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=sigma)
         q = rng.uniform(-5, 5, (2,))
-        pred = kernels.grnn_predict(model, q)
+        pred = kernels.grnn_predict_batch(model, q[None])[0]
         assert y.min() - 1e-9 <= pred <= y.max() + 1e-9
 
     def test_weights_sum_to_one(self):
@@ -234,17 +234,17 @@ class TestGrnn:
         perm = Rng(17).permutation(20)
         shuffled = kernels.GrnnModel(stored_inputs=X[perm], stored_targets=y[perm], sigma=0.3)
         q = Rng(18).uniform(0, 1, (3,))
-        assert kernels.grnn_predict(model, q) == pytest.approx(
-            kernels.grnn_predict(shuffled, q), abs=1e-12)
+        assert kernels.grnn_predict_batch(model, q[None])[0] == pytest.approx(
+            kernels.grnn_predict_batch(shuffled, q[None])[0], abs=1e-12)
 
     def test_distant_query_stays_finite(self):
         X, y = random_data(19, n=10)
         model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=0.05)
-        pred = kernels.grnn_predict(model, np.full(3, 1e6))
+        pred = kernels.grnn_predict_batch(model, np.full(3, 1e6)[None])[0]
         assert np.isfinite(pred)
 
     def test_dimension_mismatch(self):
         X, y = random_data(20)
         model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=0.1)
         with pytest.raises(DimensionError):
-            kernels.grnn_predict(model, np.zeros(7))
+            kernels.grnn_predict_batch(model, np.zeros(7)[None])

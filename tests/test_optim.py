@@ -60,48 +60,63 @@ def test_bias_correction_against_hand_formula():
 
 
 def test_training_loop_zero_epochs_is_noop():
-    params = [np.array([2.0])]
+    params = {"w": np.array([2.0])}
 
     def loss_grad(ps, idx):
-        return float(ps[0][0] ** 2), [2.0 * ps[0]]
+        return float(ps["w"][0] ** 2), {"w": 2.0 * ps["w"]}
 
     out, trace = run_adam_training(params, loss_grad, 4, TrainConfig(epochs=0))
-    assert out[0][0] == 2.0
+    assert out["w"][0] == 2.0
     assert trace == []
 
 
 def test_training_loop_descends_quadratic():
-    params = [np.array([2.0])]
+    params = {"w": np.array([2.0])}
 
     def loss_grad(ps, idx):
-        return float(ps[0][0] ** 2), [2.0 * ps[0]]
+        return float(ps["w"][0] ** 2), {"w": 2.0 * ps["w"]}
 
     out, trace = run_adam_training(params, loss_grad, 4, TrainConfig(epochs=300, lr=0.05))
-    assert abs(out[0][0]) < 0.05
+    assert abs(out["w"][0]) < 0.05
     assert trace[-1] < trace[0]
 
 
 def test_divergence_error_names_epoch():
-    params = [np.array([1.0])]
+    params = {"w": np.array([1.0])}
     calls = {"n": 0}
 
     def loss_grad(ps, idx):
         calls["n"] += 1
         if calls["n"] >= 3:
-            return float("nan"), [np.zeros(1)]
-        return 1.0, [np.zeros(1)]
+            return float("nan"), {"w": np.zeros(1)}
+        return 1.0, {"w": np.zeros(1)}
 
     with pytest.raises(DivergenceError, match="epoch 2"):
         run_adam_training(params, loss_grad, 4, TrainConfig(epochs=10))
 
 
+def test_non_finite_gradient_names_epoch_and_parameter():
+    params = {"w": np.array([1.0]), "b": np.array([0.5, -0.5])}
+    seen = []
+
+    def loss_grad(ps, idx):
+        seen.append({name: p.copy() for name, p in ps.items()})
+        b_grad = np.array([0.1, np.inf]) if len(seen) >= 2 else np.array([0.1, 0.1])
+        return 1.0, {"w": np.array([0.2]), "b": b_grad}
+
+    with pytest.raises(DivergenceError, match=r"gradient for b at epoch 1"):
+        run_adam_training(params, loss_grad, 4, TrainConfig(epochs=10))
+    assert len(seen) == 2
+    assert all(np.all(np.isfinite(p)) for ps in seen for p in ps.values())
+
+
 def test_minibatch_mode_is_deterministic():
     def loss_grad(ps, idx):
-        r = ps[0][0] - 3.0
-        return float(r * r), [np.array([2.0 * r])]
+        r = ps["w"][0] - 3.0
+        return float(r * r), {"w": np.array([2.0 * r])}
 
     cfg = TrainConfig(epochs=20, lr=0.05, seed=5, batch_size=2)
-    out1, trace1 = run_adam_training([np.array([0.0])], loss_grad, 6, cfg)
-    out2, trace2 = run_adam_training([np.array([0.0])], loss_grad, 6, cfg)
-    assert out1[0][0] == out2[0][0]
+    out1, trace1 = run_adam_training({"w": np.array([0.0])}, loss_grad, 6, cfg)
+    out2, trace2 = run_adam_training({"w": np.array([0.0])}, loss_grad, 6, cfg)
+    assert out1["w"][0] == out2["w"][0]
     assert trace1 == trace2

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cryptocast import data as dataio
-from cryptocast import pipeline
+from cryptocast import hybrid, pipeline, recurrent
+from cryptocast.cli import build_parser
 from cryptocast.config import validate_config
 from cryptocast.errors import ParseError
 from cryptocast.jsonio import sha256_hex
+from cryptocast.rng import Rng
 
 
 @pytest.fixture()
@@ -97,6 +99,53 @@ class TestPrepareData:
         result = pipeline.run_experiment(small_config)
         assert all(np.isfinite(result.runs[k].metrics.rmse)
                    for k in pipeline.MODEL_ORDER)
+
+
+class TestModelTable:
+    # perfbench and other tracers wrap these module globals; every kind must
+    # reach them by name at call time, not through references captured when
+    # the table was built
+    PATCHED = [
+        (pipeline, "rbfn_fit"), (pipeline, "grnn_fit"),
+        (pipeline, "rbfn_predict_batch"), (pipeline, "grnn_predict_batch"),
+        (pipeline, "birnn_forward_batch"), (pipeline, "hybrid_forward_batch"),
+        (recurrent, "birnn_loss_and_grads"), (recurrent, "run_adam_training"),
+        (hybrid, "hybrid_loss_and_grads"), (hybrid, "run_adam_training"),
+    ]
+    REACHED = {
+        "rbfn": {"rbfn_fit", "rbfn_predict_batch"},
+        "grnn": {"grnn_fit", "grnn_predict_batch"},
+        "bilstm": {"birnn_forward_batch", "birnn_loss_and_grads", "run_adam_training"},
+        "bigru": {"birnn_forward_batch", "birnn_loss_and_grads", "run_adam_training"},
+        "hybrid": {"hybrid_forward_batch", "hybrid_loss_and_grads", "run_adam_training"},
+    }
+
+    def test_every_kind_reaches_the_patched_module_globals(self, small_config, monkeypatch):
+        small_config.bilstm.epochs = small_config.bigru.epochs = small_config.hybrid.epochs = 2
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in self.PATCHED:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        prepared = pipeline.prepare_data(small_config)
+        for kind in pipeline.MODELS:
+            calls.clear()
+            model, _ = pipeline.train_model(kind, small_config, prepared, Rng(small_config.seed))
+            pipeline.predict_windows(kind, model, prepared.test_windows)
+            assert set(calls) == self.REACHED[kind], kind
+
+    def test_model_order_and_cli_choices_follow_the_table(self):
+        assert pipeline.MODEL_ORDER == tuple(pipeline.MODELS)
+        train = ["train", "--config", "c.json", "--out", "b.json", "--model"]
+        for kind in pipeline.MODELS:
+            assert build_parser().parse_args(train + [kind]).model == kind
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(train + ["perceptron"])
 
 
 class TestRunExperiment:

@@ -311,14 +311,6 @@ class TestTails:
                 assert stats.chi_square_tail(x, df) == pytest.approx(
                     scipy.stats.chi2.sf(x, df), abs=1e-10)
 
-    def test_dispatcher(self):
-        assert stats.tail_probability("chi_square", 4.0, df=2) == stats.chi_square_tail(4.0, 2)
-        assert stats.tail_probability("standard_normal", 0.0) == 0.5
-        with pytest.raises(DomainError):
-            stats.tail_probability("poisson", 1.0)
-        with pytest.raises(DomainError):
-            stats.tail_probability("chi_square", 1.0)
-
     def test_invalid_df(self):
         with pytest.raises(DomainError):
             stats.chi_square_tail(1.0, 0)
