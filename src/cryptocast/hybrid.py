@@ -18,10 +18,12 @@ import numpy as np
 
 from .data import Forecast, NormStats, SeriesFrame, WindowSet, apply_minmax, invert_minmax, make_windows
 from .errors import ConfigError, DimensionError, SizeError
-from .ops import layer_norm_backward, layer_norm_with_cache, softmax_backward, softmax_rows, xavier
+from .ops import (Buffers, layer_norm_backward, layer_norm_with_cache, softmax_backward, softmax_rows,
+                  sum_leading, xavier)
 from .optim import TrainConfig, run_adam_training
 from .params import from_arrays, named_arrays, with_arrays, zeros_like
-from .recurrent import GruCellParams, _gru_step, _gru_step_backward, cell_shapes, init_cell
+from .recurrent import (CELLS, GruCellParams, cell_shapes, init_cell, run_states, sequence_backward,
+                        sequence_forward)
 from .rng import Rng
 
 LAYER_NORM_EPS = 1e-5
@@ -146,11 +148,13 @@ def hybrid_from_arrays(config: HybridConfig, arrays: dict[str, np.ndarray]) -> H
 # building blocks (batched: leading axis = windows)
 # ---------------------------------------------------------------------------
 
-def _embed(X: np.ndarray, W_e: np.ndarray, b_e: np.ndarray) -> np.ndarray:
+def _embed(X: np.ndarray, W_e: np.ndarray, b_e: np.ndarray, out=None) -> np.ndarray:
     """Affine map of each timestep row of an (N, T, k) batch: E_t = W_e x_t + b_e."""
     if X.shape[-1] != W_e.shape[1]:
         raise DimensionError(f"window has {X.shape[-1]} features, model expects {W_e.shape[1]}")
-    return X @ W_e.T + b_e
+    out = np.matmul(X, W_e.T, out=out)
+    out += b_e
+    return out
 
 
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
@@ -169,112 +173,126 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def _mha_forward(H: np.ndarray, layer: EncoderLayerParams):
-    """Batched multi-head self-attention; H is (N, T, d)."""
+def _mha_forward(H: np.ndarray, layer: EncoderLayerParams, buffers: Buffers | None = None,
+                 name: str = ""):
+    """Batched multi-head self-attention; H is (N, T, d). The arrays the
+    backward pass reads go into `buffers` under `name` when given."""
+    buffers = Buffers() if buffers is None else buffers
     heads, _, dk = layer.W_Q.shape
+    n, T, _ = H.shape
     scale = 1.0 / np.sqrt(dk)
-    outs, head_caches = [], []
+    concat = buffers.empty(name + "concat", (n, T, heads * dk))
+    head_caches = []
     for m in range(heads):
-        Q = H @ layer.W_Q[m]
-        K = H @ layer.W_K[m]
-        V = H @ layer.W_V[m]
-        scores = (Q @ K.transpose(0, 2, 1)) * scale
-        probs = softmax_rows(scores)
-        outs.append(probs @ V)
+        Q, K, V = (np.matmul(H, W[m], out=buffers.empty(f"{name}{key}{m}", (n, T, dk)))
+                   for key, W in (("Q", layer.W_Q), ("K", layer.W_K), ("V", layer.W_V)))
+        probs = np.matmul(Q, K.transpose(0, 2, 1), out=buffers.empty(f"{name}probs{m}", (n, T, T)))
+        probs *= scale
+        softmax_rows(probs, out=probs)
+        np.matmul(probs, V, out=concat[..., m * dk:(m + 1) * dk])
         head_caches.append((Q, K, V, probs))
-    concat = np.concatenate(outs, axis=-1)
-    out = concat @ layer.W_O
+    out = np.matmul(concat, layer.W_O, out=buffers.empty(name + "attn", H.shape))
     return out, (H, concat, head_caches, scale)
 
 
-def _mha_backward(dout: np.ndarray, cache, layer: EncoderLayerParams, grads: "EncoderLayerParams"):
+def _head_backward(d_head_out: np.ndarray, head_cache, scale: float):
+    """Gradients w.r.t. one head's Q, K and V, written over them."""
+    Q, K, V, probs = head_cache
+    dprobs = d_head_out @ V.transpose(0, 2, 1)
+    dV = np.matmul(probs.transpose(0, 2, 1), d_head_out, out=V)
+    dscores = softmax_backward(dprobs, probs, out=dprobs)
+    dQ = dscores @ K
+    dK = np.matmul(dscores.transpose(0, 2, 1), Q, out=K)
+    dK *= scale
+    dQ = np.multiply(dQ, scale, out=Q)
+    return dQ, dK, dV
+
+
+def _mha_backward(dout: np.ndarray, cache, layer: EncoderLayerParams, grads: "EncoderLayerParams",
+                  dH: np.ndarray):
+    """Adds the attention's gradient w.r.t. its input H into `dH`, which may
+    be `dout` itself. Each gradient overwrites the cached activation it
+    replaces once that is no longer read."""
     H, concat, head_caches, scale = cache
     d = H.shape[-1]
     heads, _, dk = layer.W_Q.shape
     grads.W_O += concat.reshape(-1, heads * dk).T @ dout.reshape(-1, d)
-    dconcat = dout @ layer.W_O.T
-    dH = np.zeros_like(H)
+    dconcat = np.matmul(dout, layer.W_O.T, out=concat)
     H_flat = H.reshape(-1, d)
     for m in range(heads):
-        Q, K, V, probs = head_caches[m]
-        d_head_out = dconcat[..., m * dk:(m + 1) * dk]
-        dprobs = d_head_out @ V.transpose(0, 2, 1)
-        dV = probs.transpose(0, 2, 1) @ d_head_out
-        dscores = softmax_backward(dprobs, probs)
-        dQ = (dscores @ K) * scale
-        dK = (dscores.transpose(0, 2, 1) @ Q) * scale
-        grads.W_Q[m] += H_flat.T @ dQ.reshape(-1, dk)
-        grads.W_K[m] += H_flat.T @ dK.reshape(-1, dk)
-        grads.W_V[m] += H_flat.T @ dV.reshape(-1, dk)
-        dH += dQ @ layer.W_Q[m].T + dK @ layer.W_K[m].T + dV @ layer.W_V[m].T
+        d_qkv = _head_backward(dconcat[..., m * dk:(m + 1) * dk], head_caches[m], scale)
+        for W, dW, g in zip((layer.W_Q, layer.W_K, layer.W_V), (grads.W_Q, grads.W_K, grads.W_V), d_qkv):
+            dW[m] += H_flat.T @ g.reshape(-1, dk)
+            dH += g @ W[m].T
     return dH
 
 
-def _encoder_layer_forward(H_in: np.ndarray, layer: EncoderLayerParams):
-    attn, mha_cache = _mha_forward(H_in, layer)
-    res1 = H_in + attn
-    H_attn, ln1_cache = layer_norm_with_cache(res1, layer.ln1_gamma, layer.ln1_beta, LAYER_NORM_EPS)
-    z1 = H_attn @ layer.W_1 + layer.b_1
-    a1 = np.maximum(z1, 0.0)
-    ffn = a1 @ layer.W_2 + layer.b_2
-    res2 = H_attn + ffn
-    H_out, ln2_cache = layer_norm_with_cache(res2, layer.ln2_gamma, layer.ln2_beta, LAYER_NORM_EPS)
+def _encoder_layer_forward(H_in: np.ndarray, layer: EncoderLayerParams,
+                           buffers: Buffers | None = None, name: str = ""):
+    buffers = Buffers() if buffers is None else buffers
+    res1, mha_cache = _mha_forward(H_in, layer, buffers, name)
+    res1 += H_in
+    H_attn, ln1_cache = layer_norm_with_cache(res1, layer.ln1_gamma, layer.ln1_beta, LAYER_NORM_EPS,
+                                              buffers, name + "ln1.")
+    z1 = np.matmul(H_attn, layer.W_1, out=buffers.empty(name + "z1", H_attn.shape[:-1] + layer.b_1.shape))
+    z1 += layer.b_1
+    a1 = np.maximum(z1, 0.0, out=buffers.empty(name + "a1", z1.shape))
+    res2 = np.matmul(a1, layer.W_2, out=res1)
+    res2 += layer.b_2
+    res2 += H_attn
+    H_out, ln2_cache = layer_norm_with_cache(res2, layer.ln2_gamma, layer.ln2_beta, LAYER_NORM_EPS,
+                                             buffers, name + "ln2.")
     return H_out, (mha_cache, ln1_cache, z1, a1, H_attn, ln2_cache)
 
 
 def _encoder_layer_backward(dH_out: np.ndarray, cache, layer: EncoderLayerParams,
                             grads: EncoderLayerParams):
+    """Gradient w.r.t. the layer input; as in the attention, each gradient
+    overwrites the cached activation it replaces once that is no longer read."""
     mha_cache, ln1_cache, z1, a1, H_attn, ln2_cache = cache
     d = dH_out.shape[-1]
     d_ffn = layer.W_1.shape[1]
 
-    dres2, dg2, db2 = layer_norm_backward(dH_out, ln2_cache)
+    dres2, dg2, db2 = layer_norm_backward(dH_out, ln2_cache, out=dH_out)
     grads.ln2_gamma += dg2
     grads.ln2_beta += db2
 
-    dffn = dres2
-    da1 = dffn @ layer.W_2.T
-    grads.W_2 += a1.reshape(-1, d_ffn).T @ dffn.reshape(-1, d)
-    grads.b_2 += dffn.sum(axis=(0, 1))
-    dz1 = da1 * (z1 > 0.0)
+    grads.W_2 += a1.reshape(-1, d_ffn).T @ dres2.reshape(-1, d)
+    grads.b_2 += sum_leading(dres2)
+    dz1 = np.matmul(dres2, layer.W_2.T, out=a1)
+    dz1 *= z1 > 0.0
     grads.W_1 += H_attn.reshape(-1, d).T @ dz1.reshape(-1, d_ffn)
-    grads.b_1 += dz1.sum(axis=(0, 1))
-    dH_attn = dres2 + dz1 @ layer.W_1.T
+    grads.b_1 += sum_leading(dz1)
+    dH_attn = np.matmul(dz1, layer.W_1.T, out=H_attn)
+    dH_attn += dres2
 
-    dres1, dg1, db1 = layer_norm_backward(dH_attn, ln1_cache)
+    dres1, dg1, db1 = layer_norm_backward(dH_attn, ln1_cache, out=dH_attn)
     grads.ln1_gamma += dg1
     grads.ln1_beta += db1
 
-    dH_in = dres1 + _mha_backward(dres1, mha_cache, layer, grads)
-    return dH_in
+    return _mha_backward(dres1, mha_cache, layer, grads, dH=dres1)
 
 
 # ---------------------------------------------------------------------------
 # full model
 # ---------------------------------------------------------------------------
 
-def _hybrid_forward_batch(m: HybridModel, X: np.ndarray, need_cache: bool):
-    n, T, _ = X.shape
-    H = _embed(X, m.W_e, m.b_e) + positional_encoding(T, m.config.d_model)
+def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None):
+    """Encoder output (N, T, d_model) and each layer's backward cache."""
+    buffers = Buffers() if buffers is None else buffers
+    H = _embed(X, m.W_e, m.b_e, out=buffers.empty("H", X.shape[:2] + m.b_e.shape))
+    H += positional_encoding(X.shape[1], m.config.d_model)
     layer_caches = []
-    for layer in m.encoder_layers:
-        H, cache = _encoder_layer_forward(H, layer)
+    for idx, layer in enumerate(m.encoder_layers):
+        H, cache = _encoder_layer_forward(H, layer, buffers, f"encoder_layers.{idx}.")
         layer_caches.append(cache)
-    h = np.zeros((n, m.config.d_gru))
-    gru_caches = []
-    for t in range(T):
-        h, cache = _gru_step(m.gru, H[:, t, :], h)
-        gru_caches.append(cache)
-    pred = h @ m.W_p[0] + m.b_p[0]
-    if not need_cache:
-        return pred, None
-    return pred, (X, layer_caches, gru_caches, h)
+    return H, layer_caches
 
 
 def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    pred, _ = _hybrid_forward_batch(m, X, need_cache=False)
-    return pred
+    H, _ = _encode(m, np.asarray(X, dtype=np.float64))
+    h = run_states(CELLS["gru"], m.gru, H)["h"]
+    return m.W_p[0] @ h + m.b_p[0]
 
 
 def encode_window(m: HybridModel, window: np.ndarray, add_positional: bool = True) -> np.ndarray:
@@ -301,44 +319,52 @@ def attention_maps(m: HybridModel, window: np.ndarray) -> list[np.ndarray]:
     return maps
 
 
-def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray):
+def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
+                          buffers: Buffers | None = None):
     """Mean squared error and its analytic gradient for every parameter,
-    by name."""
+    by name. A training run passes its own `buffers` for the activations
+    the backward pass reads; without them the call allocates fresh ones."""
+    buffers = Buffers() if buffers is None else buffers
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, T, _ = X.shape
-    pred, cache = _hybrid_forward_batch(m, X, need_cache=True)
-    _, layer_caches, gru_caches, h_final = cache
+    d = m.config.d_model
+    H, layer_caches = _encode(m, X, buffers)
+    gru_in = buffers.empty("gru.X", (T, d, n))
+    np.copyto(gru_in, H.transpose(1, 2, 0))
+    cell = CELLS["gru"]
+    h_final, gru_cache = sequence_forward(cell, m.gru, gru_in, buffers, "gru.")
+    pred = m.W_p[0] @ h_final + m.b_p[0]
     resid = pred - y
     loss = float((resid**2).mean())
 
     dpred = 2.0 * resid / n
     grads = zeros_like(m)
-    grads.W_p = (h_final.T @ dpred)[None, :]
+    grads.W_p = (h_final @ dpred)[None, :]
     grads.b_p = np.array([dpred.sum()])
-    dh = dpred[:, None] * m.W_p[0][None, :]
-
-    dH = np.zeros((n, T, m.config.d_model))
-    for t in range(T - 1, -1, -1):
-        dx, dh = _gru_step_backward(m.gru, gru_caches[t], dh, grads.gru)
-        dH[:, t, :] = dx
+    grads.gru, dgru_in = sequence_backward(cell, gru_cache, np.outer(m.W_p[0], dpred), need_dx=True)
+    dH = buffers.empty("dH", (n, T, d))
+    np.copyto(dH, dgru_in.transpose(2, 0, 1))
 
     for idx in range(len(m.encoder_layers) - 1, -1, -1):
         dH = _encoder_layer_backward(dH, layer_caches[idx], m.encoder_layers[idx],
                                      grads.encoder_layers[idx])
     # positional encoding is constant; dH passes straight to the embedding
     grads.W_e = np.einsum("ntd,ntk->dk", dH, X)
-    grads.b_e = dH.sum(axis=(0, 1))
+    grads.b_e = sum_leading(dH)
     return loss, named_arrays(grads)
 
 
 def hybrid_train(m: HybridModel, data: WindowSet, cfg: TrainConfig):
-    """Adam training through the whole stack; returns (trained copy, trace)."""
+    """Adam training through the whole stack; returns (trained copy, trace).
+    The activation buffers live exactly as long as this call."""
     if len(data) == 0:
         raise SizeError("training window set is empty")
+    buffers = Buffers()
 
     def loss_grad(params, idx):
-        return hybrid_loss_and_grads(with_arrays(m, params), data.X[idx], data.y[idx])
+        return hybrid_loss_and_grads(with_arrays(m, params), data.X[idx], data.y[idx],
+                                     buffers=buffers)
 
     params, trace = run_adam_training(named_arrays(m), loss_grad, len(data), cfg)
     return with_arrays(m, params), trace

@@ -300,6 +300,20 @@ class TestHybridGradients:
         err = grad_check(lg, named_arrays(m), h=1e-5)
         assert err < 1e-4
 
+    def test_training_loss_matches_inference(self):
+        # the training pass writes its encoder and GRU activations into
+        # buffers and reuses them in place; its loss must still be the
+        # inference pass's error (600 windows cross its block boundary)
+        cfg = hybrid.HybridConfig(window=3, input_size=2, d_model=4, heads=2,
+                                  layers=2, d_ffn=6, d_gru=3)
+        rng = Rng(35)
+        X = rng.uniform(0, 1, (600, 3, 2))
+        y = rng.uniform(0, 1, (600,))
+        m = hybrid.init_hybrid(cfg, seed=36)
+        loss, _ = hybrid.hybrid_loss_and_grads(m, X, y)
+        expected = float(np.mean((hybrid.hybrid_forward_batch(m, X) - y) ** 2))
+        assert loss == pytest.approx(expected, rel=1e-12)
+
 
 class TestHybridTraining:
     def test_memorizes_small_fixture(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cryptocast import data as dataio
-from cryptocast import hybrid, pipeline, recurrent
+from cryptocast import hybrid, optim, pipeline, recurrent
 from cryptocast.cli import build_parser
 from cryptocast.config import validate_config
 from cryptocast.errors import ParseError
@@ -110,14 +110,20 @@ class TestModelTable:
         (pipeline, "rbfn_predict_batch"), (pipeline, "grnn_predict_batch"),
         (pipeline, "birnn_forward_batch"), (pipeline, "hybrid_forward_batch"),
         (recurrent, "birnn_loss_and_grads"), (recurrent, "run_adam_training"),
+        (recurrent, "sigmoid"),
         (hybrid, "hybrid_loss_and_grads"), (hybrid, "run_adam_training"),
+        (hybrid, "layer_norm_with_cache"), (hybrid, "layer_norm_backward"),
+        (hybrid, "softmax_rows"), (hybrid, "softmax_backward"),
+        (optim, "adam_step"),
     ]
+    TRAINED = {"run_adam_training", "adam_step", "sigmoid"}
     REACHED = {
         "rbfn": {"rbfn_fit", "rbfn_predict_batch"},
         "grnn": {"grnn_fit", "grnn_predict_batch"},
-        "bilstm": {"birnn_forward_batch", "birnn_loss_and_grads", "run_adam_training"},
-        "bigru": {"birnn_forward_batch", "birnn_loss_and_grads", "run_adam_training"},
-        "hybrid": {"hybrid_forward_batch", "hybrid_loss_and_grads", "run_adam_training"},
+        "bilstm": {"birnn_forward_batch", "birnn_loss_and_grads"} | TRAINED,
+        "bigru": {"birnn_forward_batch", "birnn_loss_and_grads"} | TRAINED,
+        "hybrid": {"hybrid_forward_batch", "hybrid_loss_and_grads", "layer_norm_with_cache",
+                   "layer_norm_backward", "softmax_rows", "softmax_backward"} | TRAINED,
     }
 
     def test_every_kind_reaches_the_patched_module_globals(self, small_config, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,11 +95,13 @@ class TestGruCell:
         cell = recurrent.init_cell(recurrent.GruCellParams, 3, 4, rng)
         x = rng.uniform(-2, 2, (3,))
         h_prev = rng.uniform(-1, 1, (4,))
-        h, cache = recurrent._gru_step(cell, x[None], h_prev[None])
-        hc = cache[5][0]
+        h = recurrent.gru_cell_step(cell, x, h_prev)
+        # the update gate does not enter the candidate: pinning it open
+        # returns the candidate itself
+        hc = recurrent.gru_cell_step(dataclasses.replace(cell, b_z=cell.b_z + 60.0), x, h_prev)
         lo = np.minimum(hc, h_prev)
         hi = np.maximum(hc, h_prev)
-        assert np.all(h[0] >= lo - 1e-12) and np.all(h[0] <= hi + 1e-12)
+        assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
 
 
 class TestBiRnn:
@@ -139,10 +142,102 @@ class TestBiRnn:
         h_f_after, h_b_after = recurrent.birnn_states(m, X)
         assert np.array_equal(h_f_before, h_f_after)
 
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_forward_keeps_no_per_step_history(self, kind):
+        # inference holds only the running state: a per-step history of
+        # T=30 steps would trace at least T times this bound
+        n, T, d = 2000, 30, 16
+        m = recurrent.init_birnn(kind, 3, d, seed=4)
+        X = Rng(5).uniform(0, 1, (n, T, 3))
+        tracemalloc.start()
+        try:
+            recurrent.birnn_forward_batch(m, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (4 * n * d * 8)
+
     def test_input_feature_mismatch(self):
         m = recurrent.init_birnn("gru", 3, 4, seed=9)
         with pytest.raises(DimensionError):
             recurrent.birnn_forward_batch(m, np.zeros((1, 5, 2)))
+
+
+def reference_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_lstm_step(p, x, h, c):
+    f = reference_sigmoid(x @ p.W_fx + h @ p.W_fh + p.b_f)
+    i = reference_sigmoid(x @ p.W_ix + h @ p.W_ih + p.b_i)
+    cc = np.tanh(x @ p.W_cx + h @ p.W_ch + p.b_c)
+    c = f * c + i * cc
+    o = reference_sigmoid(x @ p.W_ox + h @ p.W_oh + p.b_o)
+    return o * np.tanh(c), c
+
+
+def reference_gru_step(p, x, h, c):
+    r = reference_sigmoid(x @ p.W_rx + h @ p.W_rh + p.b_r)
+    z = reference_sigmoid(x @ p.W_zx + h @ p.W_zh + p.b_z)
+    hc = np.tanh(x @ p.W_x + (r * h) @ p.W_h + p.b)
+    return z * hc + (1.0 - z) * h, c
+
+
+REFERENCE_STEPS = {"lstm": reference_lstm_step, "gru": reference_gru_step}
+
+
+def reference_birnn_predict(m, X):
+    """The gate equations of the module docstring, one batch-major step at
+    a time, with random (not pinned) weights."""
+    step = REFERENCE_STEPS[m.cell_kind]
+    finals = []
+    for cell, steps in ((m.forward, range(X.shape[1])), (m.backward, range(X.shape[1] - 1, -1, -1))):
+        h = c = np.zeros((X.shape[0], m.hidden_size))
+        for t in steps:
+            h, c = step(cell, X[:, t], h, c)
+        finals.append(h)
+    return np.concatenate(finals, axis=1) @ m.W_head[:, 0] + m.b_head[0]
+
+
+class TestReferenceEquations:
+    # the sample-last kernel sums in another order than the textbook form,
+    # so agreement is to float64 rounding, not bit for bit
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_inference_matches_reference(self, kind):
+        # 600 windows cross the inference block boundary
+        m = recurrent.init_birnn(kind, 2, 3, seed=31)
+        rng = Rng(31)
+        for cell in (m.forward, m.backward):
+            for f in dataclasses.fields(cell):
+                if f.name.startswith("b"):
+                    setattr(cell, f.name, rng.uniform(-1, 1, (3,)))
+        X = Rng(32).uniform(-2, 2, (600, 4, 2))
+        assert np.allclose(recurrent.birnn_forward_batch(m, X), reference_birnn_predict(m, X),
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_training_loss_matches_reference(self, kind):
+        m = recurrent.init_birnn(kind, 2, 3, seed=33)
+        rng = Rng(34)
+        X = rng.uniform(-2, 2, (7, 5, 2))
+        y = rng.uniform(-1, 1, (7,))
+        loss, _ = recurrent.birnn_loss_and_grads(m, X, y)
+        expected = float(np.mean((reference_birnn_predict(m, X) - y) ** 2))
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["lstm", "gru"])
+    def test_cell_step_matches_reference(self, kind):
+        cls = recurrent.CELLS[kind].params
+        rng = Rng(35)
+        cell = recurrent.init_cell(cls, 3, 4, rng)
+        x, h, c = rng.uniform(-2, 2, (3,)), rng.uniform(-1, 1, (4,)), rng.uniform(-1, 1, (4,))
+        h_ref, c_ref = REFERENCE_STEPS[kind](cell, x[None], h[None], c[None])
+        if kind == "lstm":
+            h_new, c_new = recurrent.lstm_cell_step(cell, x, h, c)
+            assert np.allclose(c_new, c_ref[0], rtol=0.0, atol=1e-12)
+        else:
+            h_new = recurrent.gru_cell_step(cell, x, h)
+        assert np.allclose(h_new, h_ref[0], rtol=0.0, atol=1e-12)
 
 
 class TestBiRnnGradients:
