@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import Forecast, NormStats, SeriesFrame, WindowSet, apply_minmax, invert_minmax, make_windows
 from .errors import ConfigError, DimensionError, SizeError
-from .ops import (Buffers, layer_norm_backward, layer_norm_with_cache, softmax_backward, softmax_rows,
-                  sum_leading, xavier)
+from .ops import (Buffers, blocks, layer_norm_backward, layer_norm_with_cache, softmax_backward,
+                  softmax_rows, sum_leading, xavier)
 from .optim import TrainConfig, run_adam_training
 from .params import from_arrays, named_arrays, with_arrays, zeros_like
 from .recurrent import (CELLS, GruCellParams, cell_shapes, init_cell, run_states, sequence_backward,
@@ -148,10 +148,14 @@ def hybrid_from_arrays(config: HybridConfig, arrays: dict[str, np.ndarray]) -> H
 # building blocks (batched: leading axis = windows)
 # ---------------------------------------------------------------------------
 
-def _embed(X: np.ndarray, W_e: np.ndarray, b_e: np.ndarray, out=None) -> np.ndarray:
-    """Affine map of each timestep row of an (N, T, k) batch: E_t = W_e x_t + b_e."""
+def _check_features(X: np.ndarray, W_e: np.ndarray):
     if X.shape[-1] != W_e.shape[1]:
         raise DimensionError(f"window has {X.shape[-1]} features, model expects {W_e.shape[1]}")
+
+
+def _embed(X: np.ndarray, W_e: np.ndarray, b_e: np.ndarray, out=None) -> np.ndarray:
+    """Affine map of each timestep row of an (N, T, k) batch: E_t = W_e x_t + b_e."""
+    _check_features(X, W_e)
     out = np.matmul(X, W_e.T, out=out)
     out += b_e
     return out
@@ -277,22 +281,35 @@ def _encoder_layer_backward(dH_out: np.ndarray, cache, layer: EncoderLayerParams
 # full model
 # ---------------------------------------------------------------------------
 
-def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None):
-    """Encoder output (N, T, d_model) and each layer's backward cache."""
+def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None, slots: int | None = None):
+    """Encoder output (N, T, d_model) and each layer's backward cache.
+    Layer i writes its activations under buffer slot i % `slots` (every
+    layer its own slot by default). Inference passes slots=2: a layer never
+    overwrites its own input, and each cache is overwritten two layers on,
+    so the working set does not grow with depth."""
     buffers = Buffers() if buffers is None else buffers
+    slots = len(m.encoder_layers) if slots is None else slots
     H = _embed(X, m.W_e, m.b_e, out=buffers.empty("H", X.shape[:2] + m.b_e.shape))
     H += positional_encoding(X.shape[1], m.config.d_model)
     layer_caches = []
     for idx, layer in enumerate(m.encoder_layers):
-        H, cache = _encoder_layer_forward(H, layer, buffers, f"encoder_layers.{idx}.")
+        H, cache = _encoder_layer_forward(H, layer, buffers, f"encoder_layers.{idx % slots}.")
         layer_caches.append(cache)
     return H, layer_caches
 
 
 def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
-    H, _ = _encode(m, np.asarray(X, dtype=np.float64))
-    h = run_states(CELLS["gru"], m.gru, H)["h"]
-    return m.W_p[0] @ h + m.b_p[0]
+    """Predictions for an (N, T, k) batch, computed in blocks of
+    `ops.FORWARD_CHUNK` windows through one block-sized set of buffers, so
+    the working set does not grow with N."""
+    X = np.asarray(X, dtype=np.float64)
+    _check_features(X, m.W_e)
+    out = np.empty(X.shape[0])
+    buffers = Buffers()
+    for rows in blocks(len(X)):
+        H, _ = _encode(m, X[rows], buffers, slots=2)
+        out[rows] = m.W_p[0] @ run_states(CELLS["gru"], m.gru, H)["h"] + m.b_p[0]
+    return out
 
 
 def encode_window(m: HybridModel, window: np.ndarray, add_positional: bool = True) -> np.ndarray:
@@ -350,7 +367,7 @@ def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
         dH = _encoder_layer_backward(dH, layer_caches[idx], m.encoder_layers[idx],
                                      grads.encoder_layers[idx])
     # positional encoding is constant; dH passes straight to the embedding
-    grads.W_e = np.einsum("ntd,ntk->dk", dH, X)
+    grads.W_e = dH.reshape(-1, d).T @ X.reshape(n * T, -1)
     grads.b_e = sum_leading(dH)
     return loss, named_arrays(grads)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError, SizeError
+from .ops import blocks
 from .rng import Rng
 
 RIDGE_JITTER = 1e-8
@@ -21,8 +22,11 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a (p,k) and b (q,k)."""
     aa = (a * a).sum(axis=1)[:, None]
     bb = (b * b).sum(axis=1)[None, :]
-    sq = aa + bb - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
+    ab2 = a @ b.T
+    ab2 *= 2.0
+    sq = np.add(aa, bb)
+    sq -= ab2
+    return np.maximum(sq, 0.0, out=sq)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +189,15 @@ class GrnnModel:
             raise NumericalError("grnn sigma must be positive")
 
 
-def _grnn_weights(x_query: np.ndarray, stored: np.ndarray, sigma: float) -> np.ndarray:
-    sq = _pairwise_sq_dists(x_query, stored)
-    expo = -sq / (2.0 * sigma**2)
-    expo -= expo.max(axis=1, keepdims=True)  # distant queries stay finite
-    w = np.exp(expo)
-    return w / w.sum(axis=1, keepdims=True)
+def _grnn_weights(sq: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel weights, normalized per query row, from the (queries, stored)
+    squared distances."""
+    w = np.negative(sq)
+    w /= 2.0 * sigma**2
+    w -= w.max(axis=1, keepdims=True)  # distant queries stay finite
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid=None) -> GrnnModel:
@@ -216,8 +223,9 @@ def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid=None) -> GrnnModel:
     x_hold, y_hold = X[n_fit:], y[n_fit:]
     best_sigma = grid[0]
     best_mse = np.inf
+    sq = _pairwise_sq_dists(x_hold, x_fit)
     for sigma in grid:
-        w = _grnn_weights(x_hold, x_fit, sigma)
+        w = _grnn_weights(sq, sigma)
         mse = float(((w @ y_fit - y_hold) ** 2).mean())
         if mse < best_mse:
             best_mse = mse
@@ -229,11 +237,17 @@ DEFAULT_SIGMA_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
 
 
 def grnn_predict_batch(model: GrnnModel, X: np.ndarray) -> np.ndarray:
+    """Kernel-weighted averages for the rows of X, in blocks of
+    `ops.FORWARD_CHUNK` query rows, so the (queries, stored) matrices stay
+    block-sized for any N."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.stored_inputs.shape[1]:
         raise DimensionError(
             f"query matrix shape {X.shape} does not match stored dimension "
             f"{model.stored_inputs.shape[1]}"
         )
-    w = _grnn_weights(X, model.stored_inputs, float(model.sigma))
-    return w @ model.stored_targets
+    out = np.empty(X.shape[0])
+    for rows in blocks(len(X)):
+        sq = _pairwise_sq_dists(X[rows], model.stored_inputs)
+        out[rows] = _grnn_weights(sq, float(model.sigma)) @ model.stored_targets
+    return out

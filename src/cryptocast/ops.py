@@ -3,7 +3,9 @@
 Functions never mutate their inputs; those with an `out=` write only there.
 Matrices are row-major 64-bit numpy arrays throughout; every exported
 operation keeps results finite for finite inputs. `Buffers` holds the
-activation arrays one training run reuses from call to call.
+activation arrays that a training run reuses from call to call and an
+inference pass from block to block; `FORWARD_CHUNK` is the block size of
+every inference pass.
 """
 
 from __future__ import annotations
@@ -13,21 +15,35 @@ import numpy as np
 from .errors import DimensionError
 from .rng import Rng
 
+# windows (GRNN: query rows) per block of an inference pass: bounds its
+# working set for any N
+FORWARD_CHUNK = 256
+
+
+def blocks(n: int):
+    """Consecutive slices of at most FORWARD_CHUNK covering range(n)."""
+    return [slice(start, min(start + FORWARD_CHUNK, n)) for start in range(0, n, FORWARD_CHUNK)]
+
 
 class Buffers:
-    """Arrays reused by the loss/grad calls of one training run, keyed by
-    role and shape: a smaller last mini-batch gets arrays of its own instead
-    of a slice of larger ones. Contents are uninitialised on first use and
-    stale afterwards, so every user writes an array before reading it."""
+    """Arrays reused by the loss/grad calls of one training run or the blocks
+    of one inference pass, keyed by role and by every axis but the first. A
+    request with a shorter first axis gets the leading, still contiguous,
+    part of the array held, so a smaller last mini-batch or block touches no
+    new memory; a longer one replaces it. Sample-last arrays, whose batch is
+    the last axis, get one array per batch size. Contents are uninitialised
+    on first use and stale afterwards, so every user writes an array before
+    reading it."""
 
     def __init__(self):
         self._arrays: dict[tuple, np.ndarray] = {}
 
     def empty(self, name: str, shape: tuple) -> np.ndarray:
-        key = (name, shape)
-        if key not in self._arrays:
-            self._arrays[key] = np.empty(shape)
-        return self._arrays[key]
+        key = (name, shape[1:])
+        held = self._arrays.get(key)
+        if held is None or held.shape[0] < shape[0]:
+            held = self._arrays[key] = np.empty(shape)
+        return held[:shape[0]]
 
 
 def sigmoid(x, out=None):
@@ -44,19 +60,34 @@ def softmax_rows(x, out=None) -> np.ndarray:
     """Row-wise softmax over the last axis, with max subtraction; `out`
     may be `x` itself."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    out = np.subtract(x, _max_last(x), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out /= _sum_last(out)
     return out
 
 
 def softmax_backward(dprobs: np.ndarray, probs: np.ndarray, out=None) -> np.ndarray:
     """Gradient through softmax given upstream dprobs and forward probs;
     `out` may be `dprobs` itself."""
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
+    inner = _sum_last(dprobs * probs)
     out = np.subtract(dprobs, inner, out=out)
     out *= probs
     return out
+
+
+def _max_last(x) -> np.ndarray:
+    """Max over the last axis, kept as a length-1 axis, as a running maximum
+    over the columns: numpy's own reduction over a short last axis costs
+    several times more."""
+    top = x[..., :1].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(top, x[..., j:j + 1], out=top)
+    return top
+
+
+def _sum_last(x) -> np.ndarray:
+    """Sum over the last axis, kept as a length-1 axis, as one GEMV."""
+    return (x @ np.ones(x.shape[-1]))[..., None]
 
 
 def sum_leading(x) -> np.ndarray:
@@ -68,7 +99,7 @@ def sum_leading(x) -> np.ndarray:
 
 def mean_last(x) -> np.ndarray:
     """Mean over the last axis, kept as a length-1 axis, as one GEMV."""
-    return (x @ np.ones(x.shape[-1]))[..., None] / x.shape[-1]
+    return _sum_last(x) / x.shape[-1]
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:

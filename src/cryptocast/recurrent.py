@@ -41,13 +41,10 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import DimensionError, SizeError
-from .ops import Buffers, sigmoid, xavier
+from .ops import Buffers, blocks, sigmoid, xavier
 from .optim import TrainConfig, run_adam_training
 from .params import from_arrays, named_arrays, with_arrays
 from .rng import Rng
-
-# samples per block of the inference pass: bounds its working set for any N
-FORWARD_CHUNK = 512
 
 
 @dataclass
@@ -264,16 +261,15 @@ def sequence_backward(cell: Cell, cache, dh: np.ndarray, need_dx: bool = False):
 def run_states(cell: Cell, p, X: np.ndarray, initial: dict | None = None) -> dict:
     """Inference pass of one cell over an (N, T, k) batch: only the running
     state is kept, each step's input is projected on its own, and samples go
-    through in blocks of FORWARD_CHUNK. Returns the final carried state
+    through in blocks of `ops.FORWARD_CHUNK`. Returns the final carried state
     arrays (d, N) by name, zero-started unless `initial` gives them."""
     Ux, Uh, b = _stack(cell, p)
     n, T, _ = X.shape
     d = Uh.shape[1]
     final = {name: np.zeros((d, n)) if initial is None else np.array(initial[name], dtype=np.float64)
              for name, carried in cell.state if carried}
-    for start in range(0, n, FORWARD_CHUNK):
-        cols = slice(start, min(start + FORWARD_CHUNK, n))
-        width = cols.stop - start
+    for cols in blocks(n):
+        width = cols.stop - cols.start
         g = np.empty((Ux.shape[0], width))
         views = [v for name, carried in cell.state
                  for v in ((final[name][:, cols],) * 2 if carried else (np.empty((d, width)),))]

@@ -54,3 +54,15 @@ def test_buffered_calls_equal_fresh_calls(kind, T, n_samples, batch, seed):
         assert grads.keys() == fresh_grads.keys()
         for name, g in grads.items():
             assert np.array_equal(g, fresh_grads[name]), (name, n)
+
+
+def test_shorter_first_axis_gets_leading_part():
+    buffers = Buffers()
+    full = buffers.empty("H", (5, 3, 2))
+    part = buffers.empty("H", (2, 3, 2))
+    assert part.shape == (2, 3, 2) and part.flags.c_contiguous
+    assert np.shares_memory(part, full)
+    grown = buffers.empty("H", (7, 3, 2))
+    assert grown.shape == (7, 3, 2) and not np.shares_memory(grown, full)
+    # a sample-last array of another batch size is an array of its own
+    assert not np.shares_memory(buffers.empty("H", (5, 3, 1)), full)

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cryptocast import hybrid
 from cryptocast.data import NormStats, SeriesFrame, WindowSet
 from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
+from cryptocast.ops import FORWARD_CHUNK as B
 from cryptocast.optim import TrainConfig
 from cryptocast.params import named_arrays, with_arrays
 from cryptocast.rng import Rng
@@ -271,6 +273,59 @@ class TestHybridForward:
         with_pe_perm = hybrid.encode_window(m, window[perm], add_positional=True)
         # with positions added, equivariance breaks generically
         assert not np.allclose(with_pe[perm], with_pe_perm, atol=1e-9)
+
+
+class TestBlockedInference:
+    """Inference runs in blocks of FORWARD_CHUNK windows through one reused
+    set of buffers; no window may see another's block or a stale layer."""
+
+    DEEP = hybrid.HybridConfig(window=5, input_size=2, d_model=4, heads=2,
+                               layers=3, d_ffn=6, d_gru=3)
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_equal_single_window_calls(self, n):
+        m = hybrid.init_hybrid(self.DEEP, seed=30)
+        X = Rng(n).uniform(-1, 1, (n, 5, 2))
+        single = np.array([hybrid.hybrid_forward_batch(m, X[i:i + 1])[0] for i in range(n)])
+        assert np.allclose(hybrid.hybrid_forward_batch(m, X), single, rtol=0.0, atol=1e-12)
+
+    def test_layers_sharing_a_slot_match_the_training_pass(self):
+        # three layers over two inference slots, so the third writes over
+        # the first's buffers; the training pass keeps one slot per layer
+        # and must give the same error
+        rng = Rng(34)
+        X = rng.uniform(-1, 1, (B + 1, 5, 2))
+        y = rng.uniform(-1, 1, (B + 1,))
+        m = hybrid.init_hybrid(self.DEEP, seed=35)
+        loss, _ = hybrid.hybrid_loss_and_grads(m, X, y)
+        expected = float(np.mean((hybrid.hybrid_forward_batch(m, X) - y) ** 2))
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+    def test_empty_batch(self):
+        m = hybrid.init_hybrid(self.DEEP, seed=31)
+        out = hybrid.hybrid_forward_batch(m, np.zeros((0, 5, 2)))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("n", [0, 1, B + 1])
+    def test_feature_mismatch_at_any_size(self, n):
+        m = hybrid.init_hybrid(self.DEEP, seed=32)
+        with pytest.raises(DimensionError):
+            hybrid.hybrid_forward_batch(m, np.zeros((n, 5, 3)))
+
+    def test_working_set_does_not_grow_with_n(self):
+        # the whole batch at once would trace four times the peak at N=4,000
+        m = hybrid.init_hybrid(hybrid.HybridConfig(window=10, input_size=3, d_model=8, heads=2,
+                                                   layers=2, d_ffn=16, d_gru=8), seed=33)
+        peaks = {}
+        for n in (1000, 4000):
+            X = Rng(n).uniform(0, 1, (n, 10, 3))
+            tracemalloc.start()
+            try:
+                hybrid.hybrid_forward_batch(m, X)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] < 1.25 * peaks[1000]
 
 
 class TestHybridGradients:

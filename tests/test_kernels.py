@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from cryptocast import kernels
 from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
+from cryptocast.ops import FORWARD_CHUNK as B
 from cryptocast.rng import Rng
 
 
@@ -224,7 +227,7 @@ class TestGrnn:
         rng = Rng(21)
         X = rng.uniform(0, 1, (30, 4))
         q = rng.uniform(0, 1, (5, 4))
-        w = kernels._grnn_weights(q, X, 0.2)
+        w = kernels._grnn_weights(kernels._pairwise_sq_dists(q, X), 0.2)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w >= 0.0)
 
@@ -248,3 +251,42 @@ class TestGrnn:
         model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=0.1)
         with pytest.raises(DimensionError):
             kernels.grnn_predict_batch(model, np.zeros(7)[None])
+
+
+class TestGrnnBlocks:
+    """Predictions run in blocks of FORWARD_CHUNK query rows."""
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_equal_single_query_calls(self, n):
+        X, y = random_data(40, n=50, k=4)
+        model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=0.2)
+        Q = Rng(n).uniform(0, 1, (n, 4))
+        single = np.array([kernels.grnn_predict_batch(model, Q[i:i + 1])[0] for i in range(n)])
+        assert np.allclose(kernels.grnn_predict_batch(model, Q), single, rtol=0.0, atol=1e-12)
+
+    def test_empty_query_matrix(self):
+        X, y = random_data(41)
+        model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=0.2)
+        assert kernels.grnn_predict_batch(model, np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("n", [0, 1, B + 1])
+    def test_dimension_mismatch_at_any_size(self, n):
+        X, y = random_data(42)
+        model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=0.2)
+        with pytest.raises(DimensionError):
+            kernels.grnn_predict_batch(model, np.zeros((n, 4)))
+
+    def test_working_set_does_not_grow_with_n(self):
+        # all queries at once would trace four times the peak at N=4,000
+        X, y = random_data(43, n=2000, k=20)
+        model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=0.3)
+        peaks = {}
+        for n in (1000, 4000):
+            Q = Rng(n).uniform(0, 1, (n, 20))
+            tracemalloc.start()
+            try:
+                kernels.grnn_predict_batch(model, Q)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] < 1.25 * peaks[1000]
