@@ -1,8 +1,8 @@
 """Uniform on-disk envelope for every trained model.
 
 A bundle is a JSON document carrying the model kind, its hyperparameters,
-the normalization stats and windowing needed to run it on raw data, and
-one flat map from dotted parameter name (`forward.W_fx`,
+the fgi composition, normalization stats and windowing needed to run it
+on raw data, and one flat map from dotted parameter name (`forward.W_fx`,
 `encoder_layers.0.W_Q`) to array. Every model kind round-trips exactly;
 loading checks each array's name, shape and finiteness.
 """
@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import NormStats
-from .errors import ConfigError, DataError, NumericalError
+from .data import NormStats, check_fgi_weights
+from .errors import ConfigError, DataError, DomainError, NumericalError
 from .jsonio import dumps_canonical
 from .params import named_arrays
 from .pipeline import MODELS
 
-BUNDLE_FORMAT = "model-bundle/2"
+BUNDLE_FORMAT = "model-bundle/3"
 
 
 @dataclass
@@ -32,6 +32,8 @@ class ModelBundle:
     window: int
     feature_columns: list[str]
     target_column: str
+    compose_fgi: bool
+    fgi_weights: list[float]
     stats: NormStats
 
 
@@ -39,8 +41,8 @@ def model_bundle(cfg: ExperimentConfig, stats: NormStats, kind: str, model,
                  hyperparameters: dict) -> ModelBundle:
     return ModelBundle(
         kind=kind, model=model, hyperparameters=hyperparameters, window=cfg.window,
-        feature_columns=list(cfg.feature_columns), target_column=cfg.target_column,
-        stats=stats,
+        feature_columns=list(cfg.data.feature_columns), target_column=cfg.data.target_column,
+        compose_fgi=cfg.data.compose_fgi, fgi_weights=list(cfg.data.fgi_weights), stats=stats,
     )
 
 
@@ -52,6 +54,8 @@ def bundle_to_json(b: ModelBundle) -> str:
         "window": b.window,
         "feature_columns": b.feature_columns,
         "target_column": b.target_column,
+        "compose_fgi": b.compose_fgi,
+        "fgi_weights": b.fgi_weights,
         "normalization": b.stats.to_json_dict(),
         "parameters": named_arrays(b.model),
     })
@@ -110,12 +114,17 @@ def load_bundle(path) -> ModelBundle:
         window = int(doc["window"])
         feature_columns = list(doc["feature_columns"])
         target_column = doc["target_column"]
+        compose_fgi = doc["compose_fgi"]
+        if not isinstance(compose_fgi, bool):
+            raise TypeError(f"compose_fgi must be a boolean, got {compose_fgi!r}")
+        fgi_weights = [float(w) for w in doc["fgi_weights"]]
+        check_fgi_weights(*fgi_weights)
         stats = NormStats.from_json_dict(doc["normalization"])
         params = dict(doc["parameters"])
         expected = spec.shapes(hyper, window * len(feature_columns))
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None
-    except (TypeError, ValueError, ConfigError) as exc:
+    except (TypeError, ValueError, ConfigError, DomainError) as exc:
         raise DataError(f"bundle {path} has a malformed envelope: {exc}") from None
     arrays = _parameter_arrays(path, expected, params)
     try:
@@ -123,4 +132,5 @@ def load_bundle(path) -> ModelBundle:
     except NumericalError as exc:
         raise DataError(f"bundle {path}: {exc}") from None
     return ModelBundle(kind=kind, model=model, hyperparameters=hyper, window=window,
-                       feature_columns=feature_columns, target_column=target_column, stats=stats)
+                       feature_columns=feature_columns, target_column=target_column,
+                       compose_fgi=compose_fgi, fgi_weights=fgi_weights, stats=stats)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
-import json
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import data as dataio
 from .bundle import load_bundle, model_bundle, save_bundle
-from .config import load_config_file
+from .config import load_config_file, validate_config
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -121,10 +120,16 @@ def _cmd_fgi(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
+def _load_config(args):
+    """The --config file; a --seed override is checked like the file's own seed."""
     cfg = load_config_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if args.seed is None:
+        return cfg
+    return validate_config({**cfg.to_json_dict(), "output_dir": cfg.output_dir, "seed": args.seed})
+
+
+def _cmd_train(args) -> int:
+    cfg = _load_config(args)
     prepared = prepare_data(cfg)
     model, trace = train_model(args.model, cfg, prepared, Rng(cfg.seed))
     hyper = MODELS[args.model].hyper(cfg, prepared.train_windows.X.shape[2])
@@ -140,10 +145,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.bundle)
-    frame = dataio.load_series(args.data)
-    if "fgi" in bundle.feature_columns and "fgi" not in frame.columns \
-            and "sentiment" in frame.columns and "trends" in frame.columns:
-        frame = dataio.add_fgi_column(frame)
+    frame = dataio.with_composed_fgi(dataio.load_series(args.data), bundle.compose_fgi,
+                                     bundle.fgi_weights)
     frame = frame.select(bundle.feature_columns)
     normalized = dataio.apply_minmax(frame, bundle.stats)
     ws = dataio.make_windows(normalized, bundle.window, bundle.target_column)
@@ -176,9 +179,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _load_config(args)
     if args.out:
         cfg.output_dir = args.out
     result = run_experiment(cfg)
@@ -256,17 +257,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config_path = os.path.join(args.run_dir, "config.resolved.json")
-    try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            resolved = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {config_path}: {exc}") from exc
-    data_path = resolved["data"]["path"]
-    frame = dataio.load_series(data_path)
-    if "fgi" not in frame.columns and "sentiment" in frame.columns \
-            and "trends" in frame.columns:
-        frame = dataio.add_fgi_column(frame)
+    # a missing data file stays a data error, raised by load_series
+    cfg = load_config_file(os.path.join(args.run_dir, "config.resolved.json"), check_files=False)
+    frame = dataio.with_composed_fgi(dataio.load_series(cfg.data.path), cfg.data.compose_fgi,
+                                     cfg.data.fgi_weights)
     fgi_by_date = {}
     if "fgi" in frame.columns:
         fgi = frame.column("fgi")

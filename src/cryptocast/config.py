@@ -1,147 +1,109 @@
 """Experiment configuration: JSON in, fully-defaulted validated config out.
 
-Unknown keys are rejected by name so typos fail loudly instead of being
-silently ignored. The resolved config is what gets echoed into run
-artifacts.
+`config.schema.json`, next to this module, names every key, type, bound and
+default once; `_resolve` executes it, so unknown keys and NaN/Infinity fail
+loudly. Code adds only the rules JSON Schema cannot state. The resolved
+config is what gets echoed into run artifacts.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass
 
-from .errors import ConfigError
+from .data import check_fgi_weights
+from .errors import ConfigError, DomainError
 from .hybrid import HybridConfig
-from .kernels import DEFAULT_SIGMA_GRID
 
-SCENARIOS = ("bitcoin", "ethereum", "custom")
-SCENARIO_FEATURES = {
-    "bitcoin": ["close", "volume", "fgi"],
-    "ethereum": ["close", "volume", "fgi", "btc_close"],
+with open(os.path.join(os.path.dirname(__file__), "config.schema.json"), encoding="utf-8") as _fh:
+    SCHEMA = json.load(_fh)
+
+# the features a scenario selects when data.feature_columns is absent
+_BITCOIN = ["close", "volume", "fgi"]
+SCENARIO_FEATURES = {"bitcoin": _BITCOIN, "ethereum": _BITCOIN + ["btc_close"], "custom": _BITCOIN}
+
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "integer": (int, float), "number": (int, float)}
+# keyword -> holds(value, keyword argument); checked after type and children
+_CHECKS = {
+    "enum": lambda v, allowed: v in allowed,
+    "minimum": operator.ge, "exclusiveMinimum": operator.gt, "exclusiveMaximum": operator.lt,
+    "minLength": lambda v, n: len(v) >= n, "minItems": lambda v, n: len(v) >= n,
+    "maxItems": lambda v, n: len(v) <= n,
+    "uniqueItems": lambda v, unique: not unique or len(set(v)) == len(v),
 }
-TEST_WINDOW_POLICIES = ("strict", "borrow")
 
 
-def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {key!r} in {where}")
+def _deref(schema: dict) -> dict:
+    """The schema a `{"$ref": "#/$defs/<name>"}` names, or `schema` itself."""
+    return SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]] if "$ref" in schema else schema
 
 
-def _get_number(section, key, default, where, low=None, high=None,
-                integer=False, low_open=False, high_open=False):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if integer:
-        if int(value) != value:
-            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-        value = int(value)
-    else:
-        value = float(value)
-    if low is not None and (value <= low if low_open else value < low):
-        raise ConfigError(f"{where}.{key}={value} is below its minimum")
-    if high is not None and (value >= high if high_open else value > high):
-        raise ConfigError(f"{where}.{key}={value} is above its maximum")
+def _typed(kind: str, value, name: str):
+    """`value` as JSON type `kind`; integers become int, numbers finite float.
+    The float bounds compare exactly with ints of any size and reject NaN."""
+    if (not isinstance(value, _TYPES[kind]) or isinstance(value, bool) and kind != "boolean"
+            or kind == "integer" and isinstance(value, float) and not value.is_integer()
+            or kind == "number" and not -sys.float_info.max <= value <= sys.float_info.max):
+        finite = "finite " if kind == "number" else ""
+        raise ConfigError(f"{name} must be a {finite}JSON {kind}, got {value!r}")
+    return int(value) if kind == "integer" else float(value) if kind == "number" else value
+
+
+def _resolve(schema: dict, value, where: str = ""):
+    """`value` checked against `schema`, numbers typed, defaults filled in."""
+    schema = _deref(schema)
+    name = where or "config"
+    if "type" in schema:
+        value = _typed(schema["type"], value, name)
+    if "properties" in schema:
+        props = schema["properties"]
+        for key in value:
+            if key not in props and schema.get("additionalProperties") is False:
+                raise ConfigError(f"unknown config key {key!r} in {name}")
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"{name} requires the key {key!r}")
+        value = {key: _resolve(sub, value[key] if key in value else _deref(sub)["default"],
+                               f"{where}.{key}" if where else key)
+                 for key, sub in props.items() if key in value or "default" in _deref(sub)}
+    if "items" in schema:
+        value = [_resolve(schema["items"], v, f"{name}[{i}]") for i, v in enumerate(value)]
+    for keyword, holds in _CHECKS.items():
+        if keyword in schema and not holds(value, schema[keyword]):
+            raise ConfigError(f"{name}={value!r} violates {keyword}: {schema[keyword]!r}")
     return value
 
 
 @dataclass
-class KernelModelConfig:
-    centers: int = 16
-    sigma_grid: tuple = DEFAULT_SIGMA_GRID
-
-
-@dataclass
-class RecurrentModelConfig:
-    hidden_size: int = 32
-    epochs: int = 200
-    lr: float = 1e-3
-    batch_size: int = 0
-
-
-@dataclass
-class HybridModelConfig:
-    d_model: int = 32
-    heads: int = 4
-    layers: int = 2
-    d_ffn: int = 64
-    d_gru: int = 32
-    epochs: int = 200
-    lr: float = 1e-3
-    batch_size: int = 0
+class DataConfig:
+    path: str
+    scenario: str
+    feature_columns: list[str]
+    target_column: str
+    compose_fgi: bool
+    fgi_weights: list[float]
 
 
 @dataclass
 class ExperimentConfig:
-    data_path: str
-    scenario: str = "custom"
-    feature_columns: list[str] = field(default_factory=list)
-    target_column: str = "close"
-    compose_fgi: bool = True
-    fgi_weights: tuple[float, float] = (0.5, 0.5)
-    split_ratio: float = 0.8
-    window: int = 30
-    test_windows: str = "strict"
-    seed: int = 1234
-    interval_level: float = 0.95
-    alpha: float = 0.05
-    output_dir: str = "out"
-    rbfn: KernelModelConfig = field(default_factory=KernelModelConfig)
-    grnn: KernelModelConfig = field(default_factory=KernelModelConfig)
-    bilstm: RecurrentModelConfig = field(default_factory=RecurrentModelConfig)
-    bigru: RecurrentModelConfig = field(default_factory=RecurrentModelConfig)
-    hybrid: HybridModelConfig = field(default_factory=HybridModelConfig)
+    data: DataConfig
+    split_ratio: float
+    window: int
+    test_windows: str
+    seed: int
+    interval_level: float
+    alpha: float
+    output_dir: str
+    models: dict[str, dict]  # kind -> resolved section of the schema
 
     def to_json_dict(self) -> dict:
-        # the output directory is deliberately left out: it names where
-        # artifacts land, not what the experiment is, and the resolved
-        # snapshot must be byte-identical across reruns to any destination
-        return {
-            "data": {
-                "path": self.data_path,
-                "scenario": self.scenario,
-                "feature_columns": list(self.feature_columns),
-                "target_column": self.target_column,
-                "compose_fgi": self.compose_fgi,
-                "fgi_weights": list(self.fgi_weights),
-            },
-            "split_ratio": self.split_ratio,
-            "window": self.window,
-            "test_windows": self.test_windows,
-            "seed": self.seed,
-            "interval_level": self.interval_level,
-            "alpha": self.alpha,
-            "models": {
-                "rbfn": {"centers": self.rbfn.centers},
-                "grnn": {"sigma_grid": list(self.grnn.sigma_grid)},
-                "bilstm": {
-                    "hidden_size": self.bilstm.hidden_size, "epochs": self.bilstm.epochs,
-                    "lr": self.bilstm.lr, "batch_size": self.bilstm.batch_size,
-                },
-                "bigru": {
-                    "hidden_size": self.bigru.hidden_size, "epochs": self.bigru.epochs,
-                    "lr": self.bigru.lr, "batch_size": self.bigru.batch_size,
-                },
-                "hybrid": {
-                    "d_model": self.hybrid.d_model, "heads": self.hybrid.heads,
-                    "layers": self.hybrid.layers, "d_ffn": self.hybrid.d_ffn,
-                    "d_gru": self.hybrid.d_gru, "epochs": self.hybrid.epochs,
-                    "lr": self.hybrid.lr, "batch_size": self.hybrid.batch_size,
-                },
-            },
-        }
-
-
-def _parse_recurrent(section: dict, where: str) -> RecurrentModelConfig:
-    _require_keys(section, {"hidden_size", "epochs", "lr", "batch_size"}, where)
-    return RecurrentModelConfig(
-        hidden_size=_get_number(section, "hidden_size", 32, where, low=1, integer=True),
-        epochs=_get_number(section, "epochs", 200, where, low=0, integer=True),
-        lr=_get_number(section, "lr", 1e-3, where, low=0.0, low_open=True),
-        batch_size=_get_number(section, "batch_size", 0, where, low=0, integer=True),
-    )
+        # the output directory names where artifacts land, not what the experiment
+        # is; the snapshot must be byte-identical across reruns to any destination
+        return {key: v for key, v in asdict(self).items() if key != "output_dir"}
 
 
 def validate_config(raw: dict | str, base_dir: str = ".",
@@ -151,113 +113,26 @@ def validate_config(raw: dict | str, base_dir: str = ".",
     if isinstance(raw, str):
         try:
             raw = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be an object, got {type(raw).__name__}")
-
-    _require_keys(raw, {"data", "split_ratio", "window", "test_windows", "seed",
-                        "interval_level", "alpha", "output_dir", "models"}, "config")
-
-    data = raw.get("data")
-    if not isinstance(data, dict):
-        raise ConfigError("config requires a 'data' object with at least a 'path'")
-    _require_keys(data, {"path", "scenario", "feature_columns", "target_column",
-                         "compose_fgi", "fgi_weights"}, "data")
-    path = data.get("path")
-    if not isinstance(path, str) or not path:
-        raise ConfigError("data.path must be a non-empty string")
-    if not os.path.isabs(path):
-        path = os.path.normpath(os.path.join(base_dir, path))
-    if check_files and not os.path.exists(path):
-        raise ConfigError(f"data.path {path!r} does not exist")
-
-    scenario = data.get("scenario", "custom")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"data.scenario must be one of {SCENARIOS}, got {scenario!r}")
-    features = data.get("feature_columns", None)
-    if features is None:
-        features = SCENARIO_FEATURES.get(scenario, ["close", "volume", "fgi"])
-    if (not isinstance(features, list) or not features
-            or not all(isinstance(c, str) for c in features)):
-        raise ConfigError("data.feature_columns must be a non-empty list of column names")
-    target = data.get("target_column", "close")
-    if target not in features:
-        raise ConfigError(f"target column {target!r} must be among the features {features}")
-    compose = data.get("compose_fgi", True)
-    if not isinstance(compose, bool):
-        raise ConfigError("data.compose_fgi must be a boolean")
-    weights = data.get("fgi_weights", [0.5, 0.5])
-    if (not isinstance(weights, (list, tuple)) or len(weights) != 2
-            or not all(isinstance(w, (int, float)) for w in weights)):
-        raise ConfigError("data.fgi_weights must be a pair of numbers")
-
-    models = raw.get("models", {})
-    if not isinstance(models, dict):
-        raise ConfigError("'models' must be an object")
-    _require_keys(models, {"rbfn", "grnn", "bilstm", "bigru", "hybrid"}, "models")
-
-    rbfn_raw = models.get("rbfn", {})
-    _require_keys(rbfn_raw, {"centers"}, "models.rbfn")
-    grnn_raw = models.get("grnn", {})
-    _require_keys(grnn_raw, {"sigma_grid"}, "models.grnn")
-    sigma_grid = grnn_raw.get("sigma_grid", list(DEFAULT_SIGMA_GRID))
-    if (not isinstance(sigma_grid, list) or not sigma_grid
-            or not all(isinstance(s, (int, float)) and s > 0 for s in sigma_grid)):
-        raise ConfigError("models.grnn.sigma_grid must be a non-empty list of positive numbers")
-
-    hybrid_raw = models.get("hybrid", {})
-    _require_keys(hybrid_raw, {"d_model", "heads", "layers", "d_ffn", "d_gru",
-                               "epochs", "lr", "batch_size"}, "models.hybrid")
-    hybrid_cfg = HybridModelConfig(
-        d_model=_get_number(hybrid_raw, "d_model", 32, "models.hybrid", low=2, integer=True),
-        heads=_get_number(hybrid_raw, "heads", 4, "models.hybrid", low=1, integer=True),
-        layers=_get_number(hybrid_raw, "layers", 2, "models.hybrid", low=1, integer=True),
-        d_ffn=_get_number(hybrid_raw, "d_ffn", 64, "models.hybrid", low=1, integer=True),
-        d_gru=_get_number(hybrid_raw, "d_gru", 32, "models.hybrid", low=1, integer=True),
-        epochs=_get_number(hybrid_raw, "epochs", 200, "models.hybrid", low=0, integer=True),
-        lr=_get_number(hybrid_raw, "lr", 1e-3, "models.hybrid", low=0.0, low_open=True),
-        batch_size=_get_number(hybrid_raw, "batch_size", 0, "models.hybrid", low=0, integer=True),
-    )
-    window = _get_number(raw, "window", 30, "config", low=1, integer=True)
+    doc = _resolve(SCHEMA, raw)
+    data = doc["data"]
+    # the rules JSON Schema cannot state
+    if not os.path.isabs(data["path"]):
+        data["path"] = os.path.normpath(os.path.join(base_dir, data["path"]))
+    if check_files and not os.path.exists(data["path"]):
+        raise ConfigError(f"data.path {data['path']!r} does not exist")
+    features = data.setdefault("feature_columns", list(SCENARIO_FEATURES[data["scenario"]]))
+    if data["target_column"] not in features:
+        raise ConfigError(f"target column {data['target_column']!r} must be among {features}")
+    try:
+        check_fgi_weights(*data["fgi_weights"])
+    except DomainError as exc:
+        raise ConfigError(f"data.fgi_weights: {exc}") from None
     # dimension chain checked up front so bad configs never reach training
-    HybridConfig(
-        window=window, input_size=len(features),
-        d_model=hybrid_cfg.d_model, heads=hybrid_cfg.heads, layers=hybrid_cfg.layers,
-        d_ffn=hybrid_cfg.d_ffn, d_gru=hybrid_cfg.d_gru,
-    ).validate()
-
-    test_windows = raw.get("test_windows", "strict")
-    if test_windows not in TEST_WINDOW_POLICIES:
-        raise ConfigError(
-            f"test_windows must be one of {TEST_WINDOW_POLICIES}, got {test_windows!r}"
-        )
-
-    return ExperimentConfig(
-        data_path=path,
-        scenario=scenario,
-        feature_columns=list(features),
-        target_column=target,
-        compose_fgi=compose,
-        fgi_weights=(float(weights[0]), float(weights[1])),
-        split_ratio=_get_number(raw, "split_ratio", 0.8, "config",
-                                low=0.0, high=1.0, low_open=True, high_open=True),
-        window=window,
-        test_windows=test_windows,
-        seed=_get_number(raw, "seed", 1234, "config", low=0, integer=True),
-        interval_level=_get_number(raw, "interval_level", 0.95, "config",
-                                   low=0.0, high=1.0, low_open=True, high_open=True),
-        alpha=_get_number(raw, "alpha", 0.05, "config",
-                          low=0.0, high=1.0, low_open=True, high_open=True),
-        output_dir=raw.get("output_dir", "out"),
-        rbfn=KernelModelConfig(
-            centers=_get_number(rbfn_raw, "centers", 16, "models.rbfn", low=1, integer=True)
-        ),
-        grnn=KernelModelConfig(sigma_grid=tuple(float(s) for s in sigma_grid)),
-        bilstm=_parse_recurrent(models.get("bilstm", {}), "models.bilstm"),
-        bigru=_parse_recurrent(models.get("bigru", {}), "models.bigru"),
-        hybrid=hybrid_cfg,
-    )
+    HybridConfig.from_hyperparameters(
+        {**doc["models"]["hybrid"], "window": doc["window"], "input_size": len(features)})
+    return ExperimentConfig(**{**doc, "data": DataConfig(**data)})
 
 
 def load_config_file(path: str, check_files: bool = True) -> ExperimentConfig:

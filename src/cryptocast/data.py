@@ -202,14 +202,19 @@ def write_series_csv(frame: SeriesFrame, path) -> None:
             writer.writerow([date.isoformat()] + [repr(float(v)) for v in frame.values[i]])
 
 
+def check_fgi_weights(w1: float, w2: float) -> None:
+    """The one rule on the (sentiment, trends) weights: nonnegative, summing to 1."""
+    if not (w1 >= 0.0 and w2 >= 0.0 and abs(w1 + w2 - 1.0) <= 1e-9):
+        raise DomainError(f"fgi weights must be nonnegative and sum to 1, got {w1}, {w2}")
+
+
 def compose_fgi(sentiment, trends, w1: float = 0.5, w2: float = 0.5):
     """Blend a [-1, 1] sentiment score and a [0, 100] search-interest score
     into a 0-100 fear/greed value: w1 * ((sentiment+1)/2 * 100) + w2 * trends.
     """
     sentiment = np.asarray(sentiment, dtype=np.float64)
     trends = np.asarray(trends, dtype=np.float64)
-    if w1 < 0.0 or w2 < 0.0 or abs(w1 + w2 - 1.0) > 1e-9:
-        raise DomainError(f"weights must be nonnegative and sum to 1, got {w1}, {w2}")
+    check_fgi_weights(w1, w2)
     if np.any(sentiment < -1.0) or np.any(sentiment > 1.0):
         raise DomainError("sentiment scores must lie in [-1, 1]")
     if np.any(trends < 0.0) or np.any(trends > 100.0):
@@ -241,6 +246,15 @@ def add_fgi_column(frame: SeriesFrame, sentiment_column: str = "sentiment",
                    w2: float = 0.5) -> SeriesFrame:
     fgi = compose_fgi(frame.column(sentiment_column), frame.column(trends_column), w1, w2)
     return frame.with_column("fgi", fgi)
+
+
+def with_composed_fgi(frame: SeriesFrame, compose: bool = True,
+                      weights=(0.5, 0.5)) -> SeriesFrame:
+    """`frame` plus an fgi column composed from its sentiment and trends columns when
+    `compose` is on and it has both but no fgi; run, predict and report all use this."""
+    if compose and "fgi" not in frame.columns and {"sentiment", "trends"} <= set(frame.columns):
+        return add_fgi_column(frame, w1=weights[0], w2=weights[1])
+    return frame
 
 
 @dataclass

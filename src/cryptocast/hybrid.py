@@ -12,7 +12,7 @@ there is no autodiff here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +61,11 @@ class HybridConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.heads
+
+    @classmethod
+    def from_hyperparameters(cls, hyper: dict) -> "HybridConfig":
+        """The validated config a hyperparameter map names; other keys are ignored."""
+        return cls(**{f.name: int(hyper[f.name]) for f in fields(cls)}).validate()
 
 
 @dataclass

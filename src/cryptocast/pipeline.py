@@ -4,7 +4,6 @@ evaluate, compare, and emit deterministic artifacts.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -43,17 +42,12 @@ def _train_config(hyper: dict, seed: int) -> TrainConfig:
                        batch_size=hyper["batch_size"])
 
 
-def _hybrid_config(hyper: dict) -> HybridConfig:
-    return HybridConfig(**{f.name: int(hyper[f.name])
-                           for f in dataclasses.fields(HybridConfig)}).validate()
-
-
-def _recurrent(cell: str, section: str) -> ModelKind:
+def _recurrent(cell: str, kind: str) -> ModelKind:
     def sizes(h):
         return int(h["input_size"]), int(h["hidden_size"])
 
     return ModelKind(
-        hyper=lambda cfg, k: {**dataclasses.asdict(getattr(cfg, section)), "input_size": k},
+        hyper=lambda cfg, k: {**cfg.models[kind], "input_size": k},
         fit=lambda h, ws, seed: birnn_train(
             init_birnn(cell, *sizes(h), seed), ws, _train_config(h, seed)),
         predict=lambda model, ws: birnn_forward_batch(model, ws.X),
@@ -66,7 +60,7 @@ def _recurrent(cell: str, section: str) -> ModelKind:
 # but must agree between its two stored arrays.
 MODELS = {
     "rbfn": ModelKind(
-        hyper=lambda cfg, k: {"centers": cfg.rbfn.centers},
+        hyper=lambda cfg, k: dict(cfg.models["rbfn"]),
         fit=lambda h, ws, seed: (rbfn_fit(ws.flatten(), ws.y, h["centers"], seed), None),
         predict=lambda model, ws: rbfn_predict_batch(model, ws.flatten()),
         shapes=lambda h, width: {"centers": (h["centers"], width), "spreads": (h["centers"],),
@@ -74,7 +68,7 @@ MODELS = {
         rebuild=lambda h, a: from_arrays(RbfnModel, a),
     ),
     "grnn": ModelKind(
-        hyper=lambda cfg, k: {"sigma_grid": list(cfg.grnn.sigma_grid)},
+        hyper=lambda cfg, k: dict(cfg.models["grnn"]),
         fit=lambda h, ws, seed: (grnn_fit(ws.flatten(), ws.y, h["sigma_grid"]), None),
         predict=lambda model, ws: grnn_predict_batch(model, ws.flatten()),
         shapes=lambda h, width: {"stored_inputs": ("rows", width),
@@ -84,13 +78,12 @@ MODELS = {
     "bilstm": _recurrent("lstm", "bilstm"),
     "bigru": _recurrent("gru", "bigru"),
     "hybrid": ModelKind(
-        hyper=lambda cfg, k: {**dataclasses.asdict(cfg.hybrid), "window": cfg.window,
-                              "input_size": k},
+        hyper=lambda cfg, k: {**cfg.models["hybrid"], "window": cfg.window, "input_size": k},
         fit=lambda h, ws, seed: hybrid_train(
-            init_hybrid(_hybrid_config(h), seed), ws, _train_config(h, seed)),
+            init_hybrid(HybridConfig.from_hyperparameters(h), seed), ws, _train_config(h, seed)),
         predict=lambda model, ws: hybrid_forward_batch(model, ws.X),
-        shapes=lambda h, width: hybrid_shapes(_hybrid_config(h)),
-        rebuild=lambda h, a: hybrid_from_arrays(_hybrid_config(h), a),
+        shapes=lambda h, width: hybrid_shapes(HybridConfig.from_hyperparameters(h)),
+        rebuild=lambda h, a: hybrid_from_arrays(HybridConfig.from_hyperparameters(h), a),
     ),
 }
 MODEL_ORDER = tuple(MODELS)
@@ -139,11 +132,9 @@ class RunResult:
 
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     with _stage("ingest"):
-        frame = dataio.load_series(cfg.data_path)
-        if (cfg.compose_fgi and "fgi" not in frame.columns
-                and "sentiment" in frame.columns and "trends" in frame.columns):
-            frame = dataio.add_fgi_column(frame, w1=cfg.fgi_weights[0], w2=cfg.fgi_weights[1])
-        frame = frame.select(cfg.feature_columns)
+        frame = dataio.load_series(cfg.data.path)
+        frame = dataio.with_composed_fgi(frame, cfg.data.compose_fgi, cfg.data.fgi_weights)
+        frame = frame.select(cfg.data.feature_columns)
     with _stage("split"):
         train, test = dataio.chronological_split(frame, cfg.split_ratio)
     with _stage("normalize"):
@@ -151,9 +142,9 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
         train_norm = dataio.apply_minmax(train, stats)
         test_norm = dataio.apply_minmax(test, stats)
     with _stage("window"):
-        train_windows = dataio.make_windows(train_norm, cfg.window, cfg.target_column)
+        train_windows = dataio.make_windows(train_norm, cfg.window, cfg.data.target_column)
         test_windows = dataio.build_eval_windows(
-            train_norm, test_norm, cfg.window, cfg.target_column, cfg.test_windows
+            train_norm, test_norm, cfg.window, cfg.data.target_column, cfg.test_windows
         )
     return PreparedData(frame=frame, train=train, test=test, stats=stats,
                         train_windows=train_windows, test_windows=test_windows)
@@ -175,7 +166,7 @@ def predict_windows(kind: str, model, ws: dataio.WindowSet) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     prepared = prepare_data(cfg)
     master = Rng(cfg.seed)
-    target = cfg.target_column
+    target = cfg.data.target_column
     stats = prepared.stats
 
     train_actual = dataio.invert_minmax(prepared.train_windows.y, target, stats)

@@ -32,7 +32,8 @@ HYPER = {
 def wrap(kind, model, hyper):
     return bundleio.ModelBundle(
         kind=kind, model=model, hyperparameters=hyper, window=4,
-        feature_columns=["close", "volume"], target_column="close", stats=STATS,
+        feature_columns=["close", "volume"], target_column="close", compose_fgi=True,
+        fgi_weights=[0.5, 0.5], stats=STATS,
     )
 
 
@@ -146,10 +147,30 @@ class TestBundleErrors:
         with pytest.raises(DataError, match="model-bundle/1"):
             bundleio.load_bundle(path)
 
+    def test_version_2_rejected(self, tmp_path):
+        # /2 bundles do not record how their fgi column was composed
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["format"] = "model-bundle/2"
+        del doc["compose_fgi"], doc["fgi_weights"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="model-bundle/2"):
+            bundleio.load_bundle(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("compose_fgi", 1), ("fgi_weights", [0.3, 0.3]), ("fgi_weights", [0.5]),
+        ("fgi_weights", "ab"),
+    ])
+    def test_malformed_fgi_envelope_named(self, tmp_path, field, value):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed envelope"):
+            bundleio.load_bundle(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad2.json"
         path.write_text(
-            '{"format": "model-bundle/2", "model": "perceptron",'
+            '{"format": "model-bundle/3", "model": "perceptron",'
             ' "hyperparameters": {}, "parameters": {}, "window": 1,'
             ' "feature_columns": [], "target_column": "close",'
             ' "normalization": {}}'

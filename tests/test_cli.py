@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from cryptocast import cli
@@ -116,12 +117,115 @@ class TestRun:
         path.write_text(json.dumps(small_config_doc))
         assert run_cli("run", "--config", str(path)) == 3
 
+    def test_seed_override_is_checked_like_the_config(self, small_config_file, tmp_path, capsys):
+        # a negative seed would write a snapshot that report then rejects
+        out_dir = tmp_path / "neg"
+        assert run_cli("run", "--config", small_config_file, "--out", str(out_dir),
+                       "--seed", "-1") == 2
+        assert "config error: seed" in capsys.readouterr().err
+        assert run_cli("train", "--config", small_config_file, "--model", "rbfn",
+                       "--out", str(tmp_path / "b.json"), "--seed", "-1") == 2
+
+    def test_seed_override_lands_in_the_snapshot(self, small_config_doc, tmp_path):
+        small_config_doc["output_dir"] = str(tmp_path / "from_file")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(small_config_doc))
+        assert run_cli("run", "--config", str(config), "--seed", "5") == 0
+        snapshot = json.loads((tmp_path / "from_file" / "config.resolved.json").read_text())
+        assert snapshot["seed"] == 5
+
     def test_numerical_divergence_exits_4(self, small_config_file, monkeypatch):
         def explode(cfg):
             raise NumericalError("non-finite loss at epoch 3")
 
         monkeypatch.setattr(cli, "run_experiment", explode)
         assert run_cli("run", "--config", small_config_file) == 4
+
+
+NAN = float("nan")
+
+
+class TestMalformedConfigExits2:
+    # each of these once ran, reached a later stage or raised a raw TypeError
+    @pytest.mark.parametrize("path, value", [
+        (("alpha",), NAN),
+        (("split_ratio",), NAN),
+        (("interval_level",), NAN),
+        (("models", "rbfn"), 5),
+        (("models", "bilstm"), []),
+        (("models", "grnn", "sigma_grid"), [True]),
+        (("data", "fgi_weights"), [True, False]),
+        (("data", "fgi_weights"), [-0.5, 1.5]),
+        (("data", "fgi_weights"), [0.3, 0.3]),
+        (("data", "feature_columns"), ["close", "close", "volume"]),
+        (("data", "path"), ""),
+        (("output_dir",), 5),
+    ], ids=lambda v: str(v))
+    def test_config_error_without_traceback(self, small_config_doc, tmp_path, capsys,
+                                            path, value):
+        section = small_config_doc
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(small_config_doc))
+        out_dir = tmp_path / "never"
+        assert run_cli("run", "--config", str(config), "--out", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out_dir.exists()
+
+
+class TestFgiWeights:
+    @pytest.fixture()
+    def ingredients(self, small_config_doc, small_csv, tmp_path):
+        """The shared fixture with fgi replaced by sentiment and trends columns
+        whose composition depends strongly on the weights."""
+        base = dataio.load_series(small_csv)
+        fgi = base.column("fgi")
+        raw = dataio.SeriesFrame.build(
+            base.dates, ["close", "volume", "sentiment", "trends"],
+            np.column_stack([base.column("close"), base.column("volume"),
+                             fgi / 50.0 - 1.0, 100.0 - fgi]))
+        data_path = tmp_path / "ingredients.csv"
+        dataio.write_series_csv(raw, data_path)
+        small_config_doc["data"].update(path=str(data_path), fgi_weights=[0.9, 0.1])
+        config = tmp_path / "weighted.json"
+        config.write_text(json.dumps(small_config_doc))
+        return str(config), str(data_path), raw
+
+    def test_run_predict_and_report_compose_alike(self, ingredients, tmp_path):
+        config, data_path, raw = ingredients
+        out_dir = tmp_path / "run"
+        assert run_cli("run", "--config", config, "--out", str(out_dir), "--save-models") == 0
+        served_path = tmp_path / "served.csv"
+        assert run_cli("predict", "--bundle", str(out_dir / "model_grnn.json"),
+                       "--data", data_path, "--out", str(served_path)) == 0
+        with open(out_dir / "predictions_grnn.csv") as fh:
+            ran = {r["date"]: float(r["predicted"]) for r in csv.DictReader(fh)}
+        with open(served_path) as fh:
+            served = {r["date"]: float(r["predicted"]) for r in csv.DictReader(fh)}
+        assert ran and set(ran) <= set(served)
+        for date, value in ran.items():
+            assert served[date] == pytest.approx(value, rel=1e-9, abs=0.0)
+
+        plot_path = tmp_path / "plot.csv"
+        assert run_cli("report", "--run-dir", str(out_dir), "--out", str(plot_path)) == 0
+        composed = dataio.compose_fgi(raw.column("sentiment"), raw.column("trends"), 0.9, 0.1)
+        band = {d.isoformat(): dataio.classify_fgi(float(v)) for d, v in zip(raw.dates, composed)}
+        with open(plot_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(r["fgi_category"] == band[r["date"]] for r in rows)
+
+    @pytest.mark.parametrize("snapshot", [
+        "{not json", '{"data": {}}', '{"data": {"path": 5}}',
+        '{"data": {"path": "x.csv"}, "alpha": NaN}',
+    ])
+    def test_malformed_snapshot_is_a_config_error(self, tmp_path, capsys, snapshot):
+        (tmp_path / "config.resolved.json").write_text(snapshot)
+        assert run_cli("report", "--run-dir", str(tmp_path), "--out", str(tmp_path / "p.csv")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
 class TestTrainPredictEvaluate:

@@ -49,13 +49,13 @@ class TestPrepareData:
     def test_stage_annotation_on_bad_data(self, small_config, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,close,volume,fgi\n2021-01-01,oops,1,50\n")
-        small_config.data_path = str(bad)
+        small_config.data.path = str(bad)
         with pytest.raises(ParseError, match=r"stage: ingest"):
             pipeline.prepare_data(small_config)
 
     def test_fgi_composed_from_sentiment_and_trends(self, small_config, tmp_path):
         # a file without an fgi column but with its two ingredients
-        base = dataio.load_series(small_config.data_path)
+        base = dataio.load_series(small_config.data.path)
         raw = dataio.SeriesFrame.build(
             base.dates, ["close", "volume", "sentiment", "trends"],
             np.column_stack([
@@ -66,7 +66,7 @@ class TestPrepareData:
         )
         path = tmp_path / "ingredients.csv"
         dataio.write_series_csv(raw, path)
-        small_config.data_path = str(path)
+        small_config.data.path = str(path)
         prepared = pipeline.prepare_data(small_config)
         assert "fgi" in prepared.frame.columns
         expected = 0.5 * ((raw.column("sentiment") + 1) / 2 * 100) \
@@ -77,9 +77,9 @@ class TestPrepareData:
         # window = 1 is the one-step-lag special case; the whole pipeline
         # must run on it (attention over a single timestep, one GRU step)
         small_config.window = 1
-        small_config.bilstm.epochs = 3
-        small_config.bigru.epochs = 3
-        small_config.hybrid.epochs = 3
+        small_config.models["bilstm"]["epochs"] = 3
+        small_config.models["bigru"]["epochs"] = 3
+        small_config.models["hybrid"]["epochs"] = 3
         result = pipeline.run_experiment(small_config)
         assert len(result.test_dates) == 59
         for kind in pipeline.MODEL_ORDER:
@@ -87,13 +87,13 @@ class TestPrepareData:
 
     def test_four_feature_scenario(self, small_config, tmp_path):
         # auxiliary price column alongside close/volume/fgi
-        base = dataio.load_series(small_config.data_path)
+        base = dataio.load_series(small_config.data.path)
         enriched = base.with_column("btc_close", base.column("close") * 13.7)
         path = tmp_path / "aux.csv"
         dataio.write_series_csv(enriched, path)
-        small_config.data_path = str(path)
-        small_config.scenario = "ethereum"
-        small_config.feature_columns = ["close", "volume", "fgi", "btc_close"]
+        small_config.data.path = str(path)
+        small_config.data.scenario = "ethereum"
+        small_config.data.feature_columns = ["close", "volume", "fgi", "btc_close"]
         prepared = pipeline.prepare_data(small_config)
         assert prepared.train_windows.X.shape[2] == 4
         result = pipeline.run_experiment(small_config)
@@ -127,7 +127,8 @@ class TestModelTable:
     }
 
     def test_every_kind_reaches_the_patched_module_globals(self, small_config, monkeypatch):
-        small_config.bilstm.epochs = small_config.bigru.epochs = small_config.hybrid.epochs = 2
+        for kind in ("bilstm", "bigru", "hybrid"):
+            small_config.models[kind]["epochs"] = 2
         calls = []
 
         def counting(name, fn):
