@@ -10,10 +10,8 @@ __version__ = "0.1.0"
 
 from .config import ExperimentConfig, load_config_file, validate_config
 from .data import (
-    Forecast,
     NormStats,
     SeriesFrame,
-    SplitSpec,
     SynthParams,
     WindowSet,
     apply_minmax,
@@ -42,7 +40,7 @@ from .errors import (
     SizeError,
 )
 from .gradcheck import grad_check
-from .hybrid import HybridConfig, HybridModel, hybrid_forward_batch, hybrid_train, init_hybrid, predict_series
+from .hybrid import HybridConfig, HybridModel, hybrid_forward_batch, hybrid_train, init_hybrid
 from .kernels import GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit, rbfn_predict_batch
 from .optim import AdamState, TrainConfig, adam_step
 from .pipeline import run_experiment
@@ -52,9 +50,7 @@ from .recurrent import (
     LstmCellParams,
     birnn_forward_batch,
     birnn_train,
-    gru_cell_step,
     init_birnn,
-    lstm_cell_step,
 )
 from .rng import Rng
 from .stats import (
@@ -85,7 +81,6 @@ __all__ = [
     "DivergenceError",
     "DomainError",
     "ExperimentConfig",
-    "Forecast",
     "FriedmanResult",
     "GrnnModel",
     "GruCellParams",
@@ -103,7 +98,6 @@ __all__ = [
     "SchemaError",
     "SeriesFrame",
     "SizeError",
-    "SplitSpec",
     "SynthParams",
     "TrainConfig",
     "WilcoxonResult",
@@ -123,7 +117,6 @@ __all__ = [
     "grad_check",
     "grnn_fit",
     "grnn_predict_batch",
-    "gru_cell_step",
     "hybrid_forward_batch",
     "hybrid_train",
     "init_birnn",
@@ -131,10 +124,8 @@ __all__ = [
     "invert_minmax",
     "load_config_file",
     "load_series",
-    "lstm_cell_step",
     "make_windows",
     "prediction_interval",
-    "predict_series",
     "rank_blocks",
     "rbfn_fit",
     "rbfn_predict_batch",

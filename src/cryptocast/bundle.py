@@ -100,8 +100,8 @@ def load_bundle(path) -> ModelBundle:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot open bundle {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bundle {path} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"bundle {path} is not valid UTF-8 JSON: {exc}") from exc
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != BUNDLE_FORMAT:
         raise DataError(f"bundle {path} has format {found!r}, expected {BUNDLE_FORMAT!r}")

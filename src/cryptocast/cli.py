@@ -8,8 +8,6 @@ report. Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
-import datetime as dt
 import os
 import sys
 
@@ -49,28 +47,13 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _read_predictions_csv(path):
-    """Load a predictions CSV; returns (dates, {column: array})."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot open predictions file {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "date" not in reader.fieldnames:
-            raise SchemaError(f"{path} has no 'date' column")
-        names = [c for c in reader.fieldnames if c != "date"]
-        dates, rows = [], []
-        for row_number, row in enumerate(reader, start=2):
-            try:
-                dates.append(dt.date.fromisoformat(row["date"]))
-                rows.append([float(row[c]) for c in names])
-            except (ValueError, TypeError):
-                raise DataError(f"{path} row {row_number}: unparseable cell") from None
-    if not rows:
-        raise DataError(f"{path} contains no prediction rows")
-    matrix = np.array(rows, dtype=np.float64)
-    return dates, {c: matrix[:, j] for j, c in enumerate(names)}
+def _load_predictions(path) -> dataio.SeriesFrame:
+    """A predictions CSV, read under the data-CSV rules; it must carry the
+    actual and predicted columns."""
+    frame = dataio.load_series(path)
+    if not {"actual", "predicted"} <= set(frame.columns):
+        raise SchemaError(f"{path} needs 'actual' and 'predicted' columns, has {frame.columns}")
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +96,7 @@ def _cmd_fgi(args) -> int:
     enriched = dataio.add_fgi_column(frame, args.sentiment_column, args.trends_column,
                                      args.w1, args.w2)
     dataio.write_series_csv(enriched, args.out)
-    bands = dataio.classify_fgi_array(enriched.column("fgi"))
+    bands = [dataio.classify_fgi(float(v)) for v in enriched.column("fgi")]
     counts = {band: bands.count(band) for band in dataio.FGI_BANDS}
     print(f"wrote {args.out}; band counts: " +
           ", ".join(f"{b}={c}" for b, c in counts.items()))
@@ -162,10 +145,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _, columns = _read_predictions_csv(args.predictions)
-    if "actual" not in columns or "predicted" not in columns:
-        raise SchemaError(f"{args.predictions} needs 'actual' and 'predicted' columns")
-    m = compute_metrics(columns["actual"], columns["predicted"])
+    frame = _load_predictions(args.predictions)
+    m = compute_metrics(frame.column("actual"), frame.column("predicted"))
     doc = {"mse": m.mse, "rmse": m.rmse, "mae": m.mae,
            "mape_percent": m.mape_percent, "n": m.n}
     text = dumps_canonical(doc)
@@ -214,27 +195,20 @@ def cmd_compare(paths: list[str], names: list[str] | None = None, alpha: float =
         raise ConfigError("--names must list one name per input file")
     if len(set(names)) != len(names):
         raise ConfigError(f"model names must be unique, got {names}")
-    loaded = []
-    for path in paths:
-        dates, columns = _read_predictions_csv(path)
-        if "actual" not in columns or "predicted" not in columns:
-            raise SchemaError(f"{path} needs 'actual' and 'predicted' columns")
-        loaded.append((dates, columns))
-    ref_dates = loaded[0][0]
-    for path, (dates, _) in zip(paths[1:], loaded[1:]):
-        if dates != ref_dates:
+    frames = [_load_predictions(path) for path in paths]
+    ref_dates = frames[0].dates
+    for path, frame in zip(paths[1:], frames[1:]):
+        if frame.dates != ref_dates:
             first_bad = next(
                 (f"{a.isoformat()} vs {b.isoformat()}"
-                 for a, b in zip(ref_dates, dates) if a != b),
-                f"lengths {len(ref_dates)} vs {len(dates)}",
+                 for a, b in zip(ref_dates, frame.dates) if a != b),
+                f"lengths {len(ref_dates)} vs {len(frame.dates)}",
             )
             raise AlignmentError(
                 f"{path} dates do not align with {paths[0]}: first mismatch {first_bad}"
             )
-    abs_errors = {
-        name: np.abs(columns["actual"] - columns["predicted"])
-        for name, (_, columns) in zip(names, loaded)
-    }
+    abs_errors = {name: np.abs(frame.column("actual") - frame.column("predicted"))
+                  for name, frame in zip(names, frames)}
     try:
         return compare_models(abs_errors, alpha=alpha)
     except DomainError as exc:
@@ -273,16 +247,15 @@ def _cmd_report(args) -> int:
         path = os.path.join(args.run_dir, f"predictions_{kind}.csv")
         if not os.path.exists(path):
             continue
-        dates, columns = _read_predictions_csv(path)
+        predictions = _load_predictions(path)
+        dates = predictions.dates
         if not wrote_actual:
-            for i, date in enumerate(dates):
-                rows.append((date, "actual", columns["actual"][i], "", "",
-                             fgi_by_date.get(date, "")))
+            for date, actual in zip(dates, predictions.column("actual")):
+                rows.append((date, "actual", actual, "", "", fgi_by_date.get(date, "")))
             wrote_actual = True
-        for i, date in enumerate(dates):
-            rows.append((date, kind, columns["predicted"][i],
-                         repr(float(columns["lower"][i])),
-                         repr(float(columns["upper"][i])),
+        for date, value, lo, hi in zip(dates, predictions.column("predicted"),
+                                       predictions.column("lower"), predictions.column("upper")):
+            rows.append((date, kind, value, repr(float(lo)), repr(float(hi)),
                          fgi_by_date.get(date, "")))
     if not rows:
         raise DataError(f"no predictions_*.csv files found in {args.run_dir}")

@@ -139,7 +139,7 @@ def load_config_file(path: str, check_files: bool = True) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return validate_config(text, base_dir=os.path.dirname(os.path.abspath(path)),
                            check_files=check_files)

@@ -104,91 +104,68 @@ class SeriesFrame:
         }
 
 
-def concat_frames(first: SeriesFrame, second: SeriesFrame) -> SeriesFrame:
-    """Stack two frames in time order. Only structural invariants are
-    checked: the parts may hold normalized values, where original-unit
-    domain rules (like the fgi range) no longer apply."""
-    if first.columns != second.columns:
-        raise SchemaError(
-            f"cannot concatenate frames with columns {first.columns} and {second.columns}"
-        )
-    if first.dates and second.dates and second.dates[0] <= first.dates[-1]:
-        raise OrderingError(
-            f"second frame starts {second.dates[0]}, not after {first.dates[-1]}"
-        )
-    return SeriesFrame(
-        first.dates + second.dates,
-        list(first.columns),
-        np.vstack([first.values, second.values]),
-    )
+def load_series(path) -> SeriesFrame:
+    """Read a UTF-8 CSV of ISO-dated float columns into a SeriesFrame.
 
-
-def load_series(path, schema: dict[str, str] | None = None) -> SeriesFrame:
-    """Read a CSV of ISO-dated float columns into a SeriesFrame.
-
-    The file must carry a header; the date column is `date` unless the
-    schema mapping says otherwise. With no schema, every non-date header
-    becomes a float column under its own name. With a schema, each
-    (frame column -> csv header) entry is required to exist and only the
-    mapped columns are ingested.
+    The file must carry a header with a `date` column; every other header
+    becomes a float column under its own name. Data files and predictions
+    CSVs alike go through here, so every cell must be finite and the dates
+    strictly increasing. Any malformed file raises a DataError subclass.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open data file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        repeated = [h for i, h in enumerate(header) if h in header[:i]]
-        if repeated:
-            raise SchemaError(f"{path} header repeats column {repeated[0]!r}")
-        if schema is None:
-            mapping = {"date": "date"}
-            mapping.update({h: h for h in header if h != "date"})
-        else:
-            mapping = dict(schema)
-            mapping.setdefault("date", "date")
-        col_index: dict[str, int] = {}
-        for name, csv_name in mapping.items():
-            if csv_name not in header:
-                raise SchemaError(f"column {csv_name!r} not found in {path} header {header}")
-            col_index[name] = header.index(csv_name)
+    try:
+        with fh:
+            return _read_series(path, csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path} is not a readable UTF-8 CSV: {exc}") from None
 
-        feature_names = [n for n in mapping if n != "date"]
-        if not feature_names:
-            raise SchemaError(f"{path} declares no value columns")
-        dates: list[dt.date] = []
-        rows: list[list[float]] = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+
+def _read_series(path, reader) -> SeriesFrame:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise SchemaError(f"{path} header repeats column {repeated[0]!r}")
+    if "date" not in header:
+        raise SchemaError(f"column 'date' not found in {path} header {header}")
+    date_index = header.index("date")
+    feature_names = [h for h in header if h != "date"]
+    if not feature_names:
+        raise SchemaError(f"{path} declares no value columns")
+    col_index = [header.index(name) for name in feature_names]
+    dates: list[dt.date] = []
+    rows: list[list[float]] = []
+    for row_number, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            date = dt.date.fromisoformat(row[date_index].strip())
+        except (ValueError, IndexError):
+            raise ParseError(
+                f"{path} row {row_number}: unparseable date "
+                f"{row[date_index] if len(row) > date_index else '<missing>'!r}"
+            ) from None
+        parsed: list[float] = []
+        for name, j in zip(feature_names, col_index):
             try:
-                date = dt.date.fromisoformat(row[col_index["date"]].strip())
+                value = float(row[j])
             except (ValueError, IndexError):
                 raise ParseError(
-                    f"{path} row {row_number}: unparseable date "
-                    f"{row[col_index['date']] if len(row) > col_index['date'] else '<missing>'!r}"
+                    f"{path} row {row_number}: non-numeric value for column {name!r}"
                 ) from None
-            parsed: list[float] = []
-            for name in feature_names:
-                j = col_index[name]
-                try:
-                    value = float(row[j])
-                except (ValueError, IndexError):
-                    raise ParseError(
-                        f"{path} row {row_number}: non-numeric value for column {name!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path} row {row_number}: non-finite value for column {name!r}"
-                    )
-                parsed.append(value)
-            dates.append(date)
-            rows.append(parsed)
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path} row {row_number}: non-finite value for column {name!r}"
+                )
+            parsed.append(value)
+        dates.append(date)
+        rows.append(parsed)
     if not rows:
         raise SizeError(f"{path} contains no data rows")
     return SeriesFrame.build(dates, feature_names, np.array(rows, dtype=np.float64))
@@ -237,10 +214,6 @@ def classify_fgi(score: float) -> str:
     return FGI_BANDS[-1]
 
 
-def classify_fgi_array(scores: np.ndarray) -> list[str]:
-    return [classify_fgi(float(s)) for s in np.asarray(scores, dtype=np.float64)]
-
-
 def add_fgi_column(frame: SeriesFrame, sentiment_column: str = "sentiment",
                    trends_column: str = "trends", w1: float = 0.5,
                    w2: float = 0.5) -> SeriesFrame:
@@ -257,26 +230,16 @@ def with_composed_fgi(frame: SeriesFrame, compose: bool = True,
     return frame
 
 
-@dataclass
-class SplitSpec:
-    """Chronological split: first floor(ratio * n) rows train, rest test."""
-
-    ratio: float = 0.8
-
-    def __post_init__(self):
-        if not 0.0 < self.ratio < 1.0:
-            raise DomainError(f"split ratio must lie in (0, 1), got {self.ratio}")
-
-
-def chronological_split(frame: SeriesFrame, spec: SplitSpec | float = 0.8):
-    if isinstance(spec, (int, float)):
-        spec = SplitSpec(float(spec))
+def chronological_split(frame: SeriesFrame, ratio: float = 0.8):
+    """First floor(ratio * n) rows train, the rest test."""
+    if not 0.0 < ratio < 1.0:
+        raise DomainError(f"split ratio must lie in (0, 1), got {ratio}")
     n = len(frame)
     if n < 5:
         raise SizeError(f"need at least 5 rows to split, got {n}")
-    n_train = int(math.floor(spec.ratio * n))
+    n_train = int(math.floor(ratio * n))
     if n_train < 1 or n_train >= n:
-        raise SizeError(f"ratio {spec.ratio} leaves an empty train or test part for n={n}")
+        raise SizeError(f"ratio {ratio} leaves an empty train or test part for n={n}")
     return frame.slice_rows(0, n_train), frame.slice_rows(n_train, n)
 
 
@@ -394,39 +357,26 @@ def make_windows(frame: SeriesFrame, window: int, target_column: str) -> WindowS
     )
 
 
-def build_eval_windows(train_norm: SeriesFrame, test_norm: SeriesFrame,
-                       window: int, target_column: str,
-                       policy: str = "strict") -> WindowSet:
-    """Windows whose targets are the test rows.
+def build_eval_windows(normalized: SeriesFrame, train_rows: int, window: int,
+                       target_column: str, policy: str = "strict") -> WindowSet:
+    """Windows whose targets are the rows of `normalized` from `train_rows` on.
 
-    policy='strict': inputs come from test rows only, so the first
+    policy='strict': inputs come from those test rows only, so the first
     `window` test rows serve as inputs and are never predicted.
-    policy='borrow': the last `window` training rows are prepended so
-    every test row gets a prediction.
+    policy='borrow': inputs start `window` rows earlier, in the training
+    rows, so every test row gets a prediction.
     """
     if policy == "strict":
-        return make_windows(test_norm, window, target_column)
-    if policy == "borrow":
-        n_train = len(train_norm)
-        if n_train < window:
+        start = train_rows
+    elif policy == "borrow":
+        start = train_rows - window
+        if start < 0:
             raise SizeError(
-                f"borrow policy needs {window} trailing training rows, have {n_train}"
+                f"borrow policy needs {window} trailing training rows, have {train_rows}"
             )
-        stitched = concat_frames(train_norm.slice_rows(n_train - window, n_train), test_norm)
-        return make_windows(stitched, window, target_column)
-    raise DomainError(f"unknown test window policy {policy!r}")
-
-
-@dataclass
-class Forecast:
-    """Per-date point predictions on the original price scale, with
-    optional interval bounds once a band has been attached."""
-
-    dates: list[dt.date]
-    predicted: np.ndarray
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    level: float | None = None
+    else:
+        raise DomainError(f"unknown test window policy {policy!r}")
+    return make_windows(normalized.slice_rows(start, len(normalized)), window, target_column)
 
 
 @dataclass

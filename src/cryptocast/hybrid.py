@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import Forecast, NormStats, SeriesFrame, WindowSet, apply_minmax, invert_minmax, make_windows
+from .data import WindowSet
 from .errors import ConfigError, DimensionError, SizeError
 from .ops import (Buffers, blocks, layer_norm_backward, layer_norm_with_cache, softmax_backward,
                   softmax_rows, sum_leading, xavier)
@@ -317,30 +317,6 @@ def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_window(m: HybridModel, window: np.ndarray, add_positional: bool = True) -> np.ndarray:
-    """Encoder output (T x d) for one window; positional encoding optional
-    so order-sensitivity can be probed."""
-    window = np.asarray(window, dtype=np.float64)[None]
-    H = _embed(window, m.W_e, m.b_e)
-    if add_positional:
-        H = H + positional_encoding(window.shape[1], m.config.d_model)
-    for layer in m.encoder_layers:
-        H, _ = _encoder_layer_forward(H, layer)
-    return H[0]
-
-
-def attention_maps(m: HybridModel, window: np.ndarray) -> list[np.ndarray]:
-    """Per-layer attention probabilities, each (heads, T, T)."""
-    window = np.asarray(window, dtype=np.float64)[None]
-    H = _embed(window, m.W_e, m.b_e) + positional_encoding(window.shape[1], m.config.d_model)
-    maps = []
-    for layer in m.encoder_layers:
-        _, (_, _, head_caches, _) = _mha_forward(H, layer)
-        maps.append(np.stack([probs[0] for (_, _, _, probs) in head_caches]))
-        H, _ = _encoder_layer_forward(H, layer)
-    return maps
-
-
 def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
                           buffers: Buffers | None = None):
     """Mean squared error and its analytic gradient for every parameter,
@@ -391,16 +367,3 @@ def hybrid_train(m: HybridModel, data: WindowSet, cfg: TrainConfig):
     params, trace = run_adam_training(named_arrays(m), loss_grad, len(data), cfg)
     return with_arrays(m, params), trace
 
-
-def predict_series(m: HybridModel, frame: SeriesFrame, stats: NormStats,
-                   window: int) -> Forecast:
-    """Point forecasts on the original price scale for every window the
-    frame supports; dates align with each window's target row."""
-    if len(frame) <= window:
-        raise SizeError(f"frame has {len(frame)} rows; need more than window={window}")
-    normalized = apply_minmax(frame, stats)
-    ws = make_windows(normalized, window, "close")
-    raw = hybrid_forward_batch(m, ws.X)
-    predicted = invert_minmax(raw, "close", stats)
-    return Forecast(dates=list(ws.target_dates), predicted=np.asarray(predicted),
-                    lower=None, upper=None, level=None)

@@ -102,19 +102,12 @@ def mean_last(x) -> np.ndarray:
     return _sum_last(x) / x.shape[-1]
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift.
-
-    Uses the population variance of each row. `eps` keeps the division
-    defined on constant rows (their normalized value is exactly zero).
-    """
-    out, _ = layer_norm_with_cache(x, gamma, beta, eps)
-    return out
-
-
 def layer_norm_with_cache(x, gamma, beta, eps: float = 1e-5, buffers=None, name=""):
-    """Layer norm plus the (xhat, inv_std, gamma) cache its backward needs;
-    the output, xhat and inv_std go into `buffers` under `name` when given."""
+    """Normalize the last axis to zero mean and unit population variance,
+    then scale-shift; `eps` keeps constant rows defined (they map to
+    `beta`). Returns the output and the (xhat, inv_std, gamma) cache the
+    backward needs; the output, xhat and inv_std go into `buffers` under
+    `name` when given."""
     x = np.asarray(x, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)

@@ -10,28 +10,25 @@ from .errors import DimensionError, DivergenceError, SizeError
 from .rng import Rng
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus hyperparameters."""
+    """First/second moment accumulators, step count and learning rate."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr: float = 1e-3
 
     @classmethod
-    def init(cls, params, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0, beta1=beta1, beta2=beta2, eps=eps, lr=lr,
-        )
+    def init(cls, params, lr: float = 1e-3) -> "AdamState":
+        return cls(m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params], t=0, lr=lr)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -47,22 +44,18 @@ def adam_step(params, grads, state: AdamState):
                 f"gradient shape {g.shape} does not match parameter {p.shape}"
             )
     t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
         m_hat = m / bc1
         v_hat = v / bc2
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + EPS))
         new_m.append(m)
         new_v.append(v)
-    return new_params, AdamState(
-        m=new_m, v=new_v, t=t,
-        beta1=b1, beta2=b2, eps=state.eps, lr=state.lr,
-    )
+    return new_params, AdamState(m=new_m, v=new_v, t=t, lr=state.lr)
 
 
 @dataclass
@@ -71,9 +64,6 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     batch_size: int = 0  # 0 = full batch
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 0:
@@ -99,8 +89,7 @@ def run_adam_training(params: dict, loss_grad, n_samples: int, cfg: TrainConfig)
         raise SizeError("training requires at least one sample")
     names = list(params)
     values = list(params.values())
-    state = AdamState.init(values, lr=cfg.lr, beta1=cfg.beta1,
-                           beta2=cfg.beta2, eps=cfg.eps)
+    state = AdamState.init(values, lr=cfg.lr)
     rng = Rng(cfg.seed)
     full_batch = cfg.batch_size == 0 or cfg.batch_size >= n_samples
     trace: list[float] = []

@@ -17,7 +17,8 @@ from .errors import CryptocastError, SizeError
 from .hybrid import (HybridConfig, hybrid_forward_batch, hybrid_from_arrays, hybrid_shapes,
                      hybrid_train, init_hybrid)
 from .jsonio import dumps_canonical, sha256_hex
-from .kernels import GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit, rbfn_predict_batch
+from .kernels import (GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, grnn_shapes, rbfn_fit,
+                      rbfn_predict_batch, rbfn_shapes)
 from .optim import TrainConfig
 from .params import from_arrays
 from .recurrent import birnn_forward_batch, birnn_from_arrays, birnn_shapes, birnn_train, init_birnn
@@ -56,23 +57,19 @@ def _recurrent(cell: str, kind: str) -> ModelKind:
     )
 
 
-# A GRNN stores every training window, so its row count is free ("rows")
-# but must agree between its two stored arrays.
 MODELS = {
     "rbfn": ModelKind(
         hyper=lambda cfg, k: dict(cfg.models["rbfn"]),
         fit=lambda h, ws, seed: (rbfn_fit(ws.flatten(), ws.y, h["centers"], seed), None),
         predict=lambda model, ws: rbfn_predict_batch(model, ws.flatten()),
-        shapes=lambda h, width: {"centers": (h["centers"], width), "spreads": (h["centers"],),
-                                 "weights": (h["centers"],), "bias": ()},
+        shapes=lambda h, width: rbfn_shapes(h["centers"], width),
         rebuild=lambda h, a: from_arrays(RbfnModel, a),
     ),
     "grnn": ModelKind(
         hyper=lambda cfg, k: dict(cfg.models["grnn"]),
         fit=lambda h, ws, seed: (grnn_fit(ws.flatten(), ws.y, h["sigma_grid"]), None),
         predict=lambda model, ws: grnn_predict_batch(model, ws.flatten()),
-        shapes=lambda h, width: {"stored_inputs": ("rows", width),
-                                 "stored_targets": ("rows",), "sigma": ()},
+        shapes=lambda h, width: grnn_shapes(width),
         rebuild=lambda h, a: from_arrays(GrnnModel, a),
     ),
     "bilstm": _recurrent("lstm", "bilstm"),
@@ -139,13 +136,12 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
         train, test = dataio.chronological_split(frame, cfg.split_ratio)
     with _stage("normalize"):
         stats = dataio.fit_minmax(train)
-        train_norm = dataio.apply_minmax(train, stats)
-        test_norm = dataio.apply_minmax(test, stats)
+        normalized = dataio.apply_minmax(frame, stats)
     with _stage("window"):
-        train_windows = dataio.make_windows(train_norm, cfg.window, cfg.data.target_column)
-        test_windows = dataio.build_eval_windows(
-            train_norm, test_norm, cfg.window, cfg.data.target_column, cfg.test_windows
-        )
+        target = cfg.data.target_column
+        train_windows = dataio.make_windows(normalized.slice_rows(0, len(train)), cfg.window, target)
+        test_windows = dataio.build_eval_windows(normalized, len(train), cfg.window, target,
+                                                 cfg.test_windows)
     return PreparedData(frame=frame, train=train, test=test, stats=stats,
                         train_windows=train_windows, test_windows=test_windows)
 

@@ -62,14 +62,6 @@ class LstmCellParams:
     W_oh: np.ndarray
     b_o: np.ndarray
 
-    @property
-    def input_size(self) -> int:
-        return self.W_fx.shape[0]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_fx.shape[1]
-
 
 @dataclass
 class GruCellParams:
@@ -82,14 +74,6 @@ class GruCellParams:
     W_x: np.ndarray
     W_h: np.ndarray
     b: np.ndarray
-
-    @property
-    def input_size(self) -> int:
-        return self.W_rx.shape[0]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W_rx.shape[1]
 
 
 def cell_shapes(cls, input_size: int, hidden_size: int) -> dict[str, tuple]:
@@ -258,16 +242,15 @@ def sequence_backward(cell: Cell, cache, dh: np.ndarray, need_dx: bool = False):
     return cell.params(**grads), dX
 
 
-def run_states(cell: Cell, p, X: np.ndarray, initial: dict | None = None) -> dict:
+def run_states(cell: Cell, p, X: np.ndarray) -> dict:
     """Inference pass of one cell over an (N, T, k) batch: only the running
     state is kept, each step's input is projected on its own, and samples go
     through in blocks of `ops.FORWARD_CHUNK`. Returns the final carried state
-    arrays (d, N) by name, zero-started unless `initial` gives them."""
+    arrays (d, N) by name, zero-started."""
     Ux, Uh, b = _stack(cell, p)
     n, T, _ = X.shape
     d = Uh.shape[1]
-    final = {name: np.zeros((d, n)) if initial is None else np.array(initial[name], dtype=np.float64)
-             for name, carried in cell.state if carried}
+    final = {name: np.zeros((d, n)) for name, carried in cell.state if carried}
     for cols in blocks(n):
         width = cols.stop - cols.start
         g = np.empty((Ux.shape[0], width))
@@ -278,33 +261,6 @@ def run_states(cell: Cell, p, X: np.ndarray, initial: dict | None = None) -> dic
             g += b[:, None]
             cell.forward(Uh, g, *views)
     return final
-
-
-# ---------------------------------------------------------------------------
-# single-step public wrappers (1-D vectors in, 1-D vectors out)
-# ---------------------------------------------------------------------------
-
-def _check_vec(name, v, size):
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (size,):
-        raise DimensionError(f"{name} has shape {v.shape}, expected ({size},)")
-    return v
-
-
-def lstm_cell_step(p: LstmCellParams, x_t, h_prev, c_prev):
-    """One LSTM step on vectors; returns (h_t, c_t)."""
-    x_t = _check_vec("x_t", x_t, p.input_size)
-    h_prev = _check_vec("h_prev", h_prev, p.hidden_size)
-    c_prev = _check_vec("c_prev", c_prev, p.hidden_size)
-    state = run_states(CELLS["lstm"], p, x_t[None, None], {"h": h_prev[:, None], "c": c_prev[:, None]})
-    return state["h"][:, 0], state["c"][:, 0]
-
-
-def gru_cell_step(p: GruCellParams, x_t, h_prev):
-    """One GRU step on vectors; returns h_t."""
-    x_t = _check_vec("x_t", x_t, p.input_size)
-    h_prev = _check_vec("h_prev", h_prev, p.hidden_size)
-    return run_states(CELLS["gru"], p, x_t[None, None], {"h": h_prev[:, None]})["h"][:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaincc
 
 from .errors import DomainError, SizeError
 
@@ -202,7 +201,9 @@ def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
         _, tie_counts = np.unique(np.abs(d), return_counts=True)
         var -= float((tie_counts.astype(np.float64)**3 - tie_counts).sum()) / 48.0
         z = (r_stat - mu + 0.5) / math.sqrt(var)
-        p = 2.0 * (1.0 - standard_normal_tail(z))
+        # 2 P(Z <= z) as an upper tail, which keeps tiny p-values from
+        # cancelling to 0; z > 0 only when r_stat sits at mu, where p caps at 1
+        p = 2.0 * standard_normal_tail(-z)
     return WilcoxonResult(
         r_plus=r_plus, r_minus=r_minus, r_stat=r_stat,
         n_effective=n, p_value=min(1.0, p),
@@ -227,18 +228,29 @@ def bonferroni_adjust(p_values, m: int) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def chi_square_tail(x: float, df: int) -> float:
-    """Upper tail of the chi-square distribution via the regularized upper
-    incomplete gamma function."""
+    """Upper tail of the chi-square distribution with integer df, in closed
+    form with h = x/2: for even df, exp(-h) * sum_{i < df/2} h^i / i!; for
+    odd df, erfc(sqrt(h)) + exp(-h) * sum_{1 <= i <= df//2} h^(i-1/2) / G(i+1/2).
+    The sum enters through its logarithm, so exp(-h) cannot underflow first."""
     if df < 1:
         raise DomainError(f"degrees of freedom must be >= 1, got {df}")
     if x <= 0.0:
         return 1.0
-    return float(gammaincc(df / 2.0, x / 2.0))
+    h = x / 2.0
+    if df % 2 == 0:
+        head, term, first = 0.0, 1.0, 1.0
+    else:
+        head, term, first = math.erfc(math.sqrt(h)), 2.0 * math.sqrt(h / math.pi), 1.5
+    total = 0.0
+    for i in range(df // 2):
+        total += term
+        term *= h / (first + i)
+    return head + (math.exp(math.log(total) - h) if total > 0.0 else 0.0)
 
 
 def standard_normal_tail(x: float) -> float:
     """P(Z > x) for standard normal Z, via the complementary error function."""
-    return float(0.5 * erfc(x / math.sqrt(2.0)))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -339,3 +339,77 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli("--help")
         assert exc.value.code == 0
+
+
+class TestUnreadableInputs:
+    """Undecodable bytes and oversized CSV fields get a typed exit code,
+    never a raw UnicodeDecodeError or csv.Error."""
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"data": {"path": "x\xff.csv"}}')
+        assert run_cli("run", "--config", str(config)) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_undecodable_bundle_exits_3(self, small_csv, tmp_path, capsys):
+        bundle = tmp_path / "b.json"
+        bundle.write_bytes(b'{"format": "model-bundle/3\xff"}')
+        assert run_cli("predict", "--bundle", str(bundle), "--data", small_csv,
+                       "--out", str(tmp_path / "p.csv")) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
+    @pytest.mark.parametrize("command, flag", [("ingest", "--data"),
+                                               ("evaluate", "--predictions")])
+    def test_undecodable_csv_exits_3(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"date,actual,predicted\n2021-01-01,1\xff,2\n")
+        assert run_cli(command, flag, str(path)) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    def test_oversized_field_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("date,close\n2021-01-01," + "1" * 200_000 + "\n")
+        assert run_cli("ingest", "--data", str(path)) == 3
+        assert "data error:" in capsys.readouterr().err
+
+
+class TestPredictionsReader:
+    """evaluate, compare and report read predictions CSVs with the data-CSV
+    reader: finite cells and strictly increasing dates, or exit 3."""
+
+    @staticmethod
+    def write(path, cell=None, dates=None):
+        dates = dates or [f"2021-01-{d:02d}" for d in range(1, 9)]
+        rows = [f"{d},{100.0 + i},{101.0 + i * 1.5}" for i, d in enumerate(dates)]
+        if cell is not None:
+            rows[2] = f"{dates[2]},{cell},{103.0}"
+        path.write_text("date,actual,predicted\n" + "\n".join(rows) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_evaluate_non_finite_cell_exits_3(self, tmp_path, capsys, cell):
+        path = self.write(tmp_path / "p.csv", cell)
+        assert run_cli("evaluate", "--predictions", path) == 3
+        assert "row 4: non-finite value for column 'actual'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_compare_non_finite_cell_exits_3(self, tmp_path, capsys, cell):
+        good = self.write(tmp_path / "a.csv")
+        bad = self.write(tmp_path / "b.csv", cell)
+        assert run_cli("compare", "--inputs", good, bad, "--out", str(tmp_path / "r.json")) == 3
+        err = capsys.readouterr().err
+        assert "non-finite value" in err and "b.csv" in err
+
+    def test_out_of_order_dates_exit_3(self, tmp_path):
+        dates = [f"2021-01-{d:02d}" for d in (1, 2, 4, 3, 5, 6, 7, 8)]
+        path = self.write(tmp_path / "p.csv", dates=dates)
+        assert run_cli("evaluate", "--predictions", path) == 3
+
+    def test_missing_predicted_column_exits_3(self, tmp_path, capsys):
+        good = self.write(tmp_path / "a.csv")
+        path = tmp_path / "b.csv"
+        path.write_text("date,actual\n2021-01-01,1\n2021-01-02,2\n")
+        assert run_cli("evaluate", "--predictions", str(path)) == 3
+        assert run_cli("compare", "--inputs", good, str(path), "--out", str(tmp_path / "r")) == 3
+        err = capsys.readouterr().err
+        assert err.count("b.csv needs 'actual' and 'predicted' columns") == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cryptocast import data as dataio
 from cryptocast.errors import (
+    CryptocastError,
     DegenerateScaleError,
     DomainError,
     OrderingError,
@@ -59,7 +60,7 @@ class TestLoadSeries:
         path = tmp_path / "missing.csv"
         path.write_text("date,close\n2021-01-01,1\n")
         with pytest.raises(SchemaError, match="volume"):
-            dataio.load_series(path, schema={"close": "close", "volume": "volume"})
+            dataio.load_series(path).select(["close", "volume"])
 
     def test_duplicate_header_is_schema_error(self, tmp_path):
         path = tmp_path / "duplicate.csv"
@@ -72,15 +73,6 @@ class TestLoadSeries:
         path.write_text("date,close\n2021-01-01,1\n2021-01-02,oops\n")
         with pytest.raises(ParseError, match="row 3"):
             dataio.load_series(path)
-
-    def test_schema_renames_columns(self, tmp_path):
-        path = tmp_path / "renamed.csv"
-        path.write_text("Date Stamp,Close Price\n2021-01-01,42\n2021-01-02,43\n")
-        frame = dataio.load_series(
-            path, schema={"date": "Date Stamp", "close": "Close Price"}
-        )
-        assert frame.columns == ["close"]
-        assert frame.column("close").tolist() == [42.0, 43.0]
 
     def test_csv_round_trip(self, tmp_path):
         frame = make_frame(12)
@@ -105,6 +97,54 @@ class TestLoadSeries:
         frame = dataio.load_series(path)
         assert len(frame) == 3818
         assert frame.dates[0] == start and frame.dates[-1] == end
+
+
+# CSV-shaped text: a header and rows built from cells near the valid ones
+_CELLS = st.one_of(
+    st.sampled_from(["date", "close", "fgi", "volume", " date ", "", "2021-01-01",
+                     "2021-01-02", "2021-02-30", "20210103", "1", "-2.5e3", "1e400", "nan",
+                     "inf", "150", "1_0", '"1,5"', '"a""b"', "\x00", "\r"]),
+    st.dates().map(dt.date.isoformat),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+_NOISY_ROWS = st.lists(st.lists(_CELLS, max_size=5).map(",".join), max_size=8)
+# well-formed rows: increasing dates, one or two values in the fgi range
+_ROWS = st.lists(st.tuples(st.dates(), st.lists(st.floats(0, 100), min_size=1, max_size=2)),
+                 min_size=1, max_size=6, unique_by=lambda row: row[0]).map(
+    lambda rows: [",".join([d.isoformat(), *map(repr, v)]) for d, v in sorted(rows)])
+_CSV_TEXT = st.one_of(_NOISY_ROWS, _ROWS, st.tuples(_ROWS, _NOISY_ROWS).map(lambda parts: parts[0] + parts[1])).map("\n".join)
+
+
+class TestLoadSeriesFuzz:
+    """Whatever a file holds, load_series returns a valid frame or raises a
+    CryptocastError; evaluate, compare, report and predict all read through it."""
+
+    @staticmethod
+    def check(path):
+        try:
+            frame = dataio.load_series(path)
+        except CryptocastError:
+            return
+        assert isinstance(frame, dataio.SeriesFrame)
+        assert len(frame) >= 1 and frame.values.shape == (len(frame), len(frame.columns))
+        assert np.all(np.isfinite(frame.values))
+        assert all(a < b for a, b in zip(frame.dates, frame.dates[1:]))
+        assert "date" not in frame.columns and len(set(frame.columns)) == len(frame.columns)
+
+    @given(st.binary(max_size=400))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "bytes.csv"
+        path.write_bytes(raw)
+        self.check(path)
+
+    @given(st.sampled_from(["date,close", "date,close,fgi", "close,date", "date"]), _CSV_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_csv_shaped_text(self, tmp_path_factory, header, body):
+        path = tmp_path_factory.mktemp("fuzz") / "text.csv"
+        path.write_bytes((header + "\n" + body).encode("utf-8", "surrogatepass"))
+        self.check(path)
 
 
 class TestComposeFgi:
@@ -195,7 +235,7 @@ class TestSplit:
 
     def test_bad_ratio(self):
         with pytest.raises(DomainError):
-            dataio.SplitSpec(1.0)
+            dataio.chronological_split(make_frame(10), 1.0)
 
 
 class TestMinMax:
@@ -297,38 +337,25 @@ class TestWindows:
     def test_strict_policy_drops_first_test_targets(self):
         frame = make_frame(50)
         train, test = dataio.chronological_split(frame, 0.8)
-        stats = dataio.fit_minmax(train)
-        train_n = dataio.apply_minmax(train, stats)
-        test_n = dataio.apply_minmax(test, stats)
-        strict = dataio.build_eval_windows(train_n, test_n, 3, "close", "strict")
+        normalized = dataio.apply_minmax(frame, dataio.fit_minmax(train))
+        strict = dataio.build_eval_windows(normalized, len(train), 3, "close", "strict")
         assert len(strict) == len(test) - 3
         assert strict.target_dates[0] == test.dates[3]
 
     def test_borrow_policy_predicts_every_test_row(self):
         frame = make_frame(50)
         train, test = dataio.chronological_split(frame, 0.8)
-        stats = dataio.fit_minmax(train)
-        train_n = dataio.apply_minmax(train, stats)
-        test_n = dataio.apply_minmax(test, stats)
-        borrowed = dataio.build_eval_windows(train_n, test_n, 3, "close", "borrow")
+        normalized = dataio.apply_minmax(frame, dataio.fit_minmax(train))
+        borrowed = dataio.build_eval_windows(normalized, len(train), 3, "close", "borrow")
         assert len(borrowed) == len(test)
         assert borrowed.target_dates[0] == test.dates[0]
-
-    def test_concat_requires_time_order(self):
-        first = make_frame(5)
-        second = make_frame(5)  # same start date: overlaps
-        with pytest.raises(OrderingError):
-            dataio.concat_frames(first, second)
 
     def test_unknown_policy(self):
         frame = make_frame(50)
         train, test = dataio.chronological_split(frame, 0.8)
-        stats = dataio.fit_minmax(train)
+        normalized = dataio.apply_minmax(frame, dataio.fit_minmax(train))
         with pytest.raises(DomainError):
-            dataio.build_eval_windows(
-                dataio.apply_minmax(train, stats), dataio.apply_minmax(test, stats),
-                3, "close", "lenient",
-            )
+            dataio.build_eval_windows(normalized, len(train), 3, "close", "lenient")
 
 
 class TestSynthesize:

@@ -5,11 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cryptocast import hybrid
-from cryptocast.data import NormStats, SeriesFrame, WindowSet
+from cryptocast import cli, hybrid
+from cryptocast.bundle import ModelBundle, save_bundle
+from cryptocast.data import (NormStats, SeriesFrame, WindowSet, apply_minmax, load_series,
+                             make_windows, write_series_csv)
 from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
 from cryptocast.ops import FORWARD_CHUNK as B
+from cryptocast.ops import layer_norm_with_cache
 from cryptocast.optim import TrainConfig
 from cryptocast.params import named_arrays, with_arrays
 from cryptocast.rng import Rng
@@ -36,6 +39,24 @@ def zero_model(config=SMALL, head_bias=0.0):
     m.W_p = np.zeros_like(m.W_p)
     m.b_p = np.array([head_bias])
     return m
+
+
+def attention_probs(m, window):
+    """Per-layer attention probabilities (heads, T, T) of one window, read
+    from the `_mha_forward` caches the batched encoder keeps for backward."""
+    _, layer_caches = hybrid._encode(m, window[None])
+    return [np.stack([probs[0] for *_, probs in head_caches])
+            for (_, _, head_caches, _), *_ in layer_caches]
+
+
+def encode(m, window, positional):
+    """Encoder output (T, d) of one window, with or without positions."""
+    H = hybrid._embed(window[None], m.W_e, m.b_e)
+    if positional:
+        H = H + hybrid.positional_encoding(window.shape[0], m.config.d_model)
+    for layer in m.encoder_layers:
+        H, _ = hybrid._encoder_layer_forward(H, layer)
+    return H[0]
 
 
 def make_window_set(n, T, k, seed=0):
@@ -103,7 +124,7 @@ class TestPositionalEncoding:
 class TestAttention:
     def test_single_timestep_weight_is_one(self):
         m = hybrid.init_hybrid(SMALL, seed=4)
-        maps = hybrid.attention_maps(m, Rng(5).uniform(0, 1, (1, 2)))
+        maps = attention_probs(m, Rng(5).uniform(0, 1, (1, 2)))
         for layer_map in maps:
             assert np.allclose(layer_map, 1.0)
 
@@ -146,7 +167,7 @@ class TestAttention:
         cfg = hybrid.HybridConfig(window=6, input_size=3, d_model=8, heads=4,
                                   layers=3, d_ffn=16, d_gru=8)
         m = hybrid.init_hybrid(cfg, seed=8)
-        maps = hybrid.attention_maps(m, Rng(9).uniform(0, 1, (6, 3)))
+        maps = attention_probs(m, Rng(9).uniform(0, 1, (6, 3)))
         assert len(maps) == 3
         for layer_map in maps:
             assert layer_map.shape == (4, 6, 6)
@@ -168,13 +189,12 @@ class TestEncoderLayer:
         layer.b_1 = np.zeros_like(layer.b_1)
         layer.W_2 = np.zeros_like(layer.W_2)
         layer.b_2 = np.zeros_like(layer.b_2)
-        from cryptocast.ops import layer_norm
         H = Rng(13).uniform(-1, 1, (3, 4))
         attn = hybrid._mha_forward(H[None], layer)[0][0]
-        h_attn = layer_norm(H + attn, layer.ln1_gamma, layer.ln1_beta,
-                            hybrid.LAYER_NORM_EPS)
-        expected = layer_norm(h_attn, layer.ln2_gamma, layer.ln2_beta,
-                              hybrid.LAYER_NORM_EPS)
+        h_attn, _ = layer_norm_with_cache(H + attn, layer.ln1_gamma, layer.ln1_beta,
+                                          hybrid.LAYER_NORM_EPS)
+        expected, _ = layer_norm_with_cache(h_attn, layer.ln2_gamma, layer.ln2_beta,
+                                            hybrid.LAYER_NORM_EPS)
         out = hybrid._encoder_layer_forward(H[None], layer)[0][0]
         assert np.allclose(out, expected, atol=1e-14)
 
@@ -260,8 +280,8 @@ class TestHybridForward:
         m = hybrid.init_hybrid(SMALL, seed=21)
         window = Rng(22).uniform(0, 1, (3, 2))
         perm = [2, 0, 1]
-        enc = hybrid.encode_window(m, window, add_positional=False)
-        enc_perm = hybrid.encode_window(m, window[perm], add_positional=False)
+        enc = encode(m, window, positional=False)
+        enc_perm = encode(m, window[perm], positional=False)
         assert np.allclose(enc[perm], enc_perm, atol=1e-12)
         assert np.allclose(enc.mean(axis=0), enc_perm.mean(axis=0), atol=1e-12)
 
@@ -269,8 +289,8 @@ class TestHybridForward:
         m = hybrid.init_hybrid(SMALL, seed=23)
         window = Rng(24).uniform(0, 1, (3, 2))
         perm = [1, 2, 0]
-        with_pe = hybrid.encode_window(m, window, add_positional=True)
-        with_pe_perm = hybrid.encode_window(m, window[perm], add_positional=True)
+        with_pe = encode(m, window, positional=True)
+        with_pe_perm = encode(m, window[perm], positional=True)
         # with positions added, equivariance breaks generically
         assert not np.allclose(with_pe[perm], with_pe_perm, atol=1e-9)
 
@@ -403,6 +423,9 @@ class TestHybridTraining:
 
 
 class TestPredictSeries:
+    """`cli predict` over a saved hybrid bundle: forecasts on the original
+    price scale for every window a raw series supports."""
+
     def _frame_and_stats(self, n=10):
         dates = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(n)]
         rng = Rng(35)
@@ -415,37 +438,48 @@ class TestPredictSeries:
                           np.array([10_000.0, 1e6]), np.array([70_000.0, 2e6]))
         return frame, stats
 
-    def test_denormalization_endpoints(self):
+    def _predict(self, tmp_path, m, frame, stats):
+        """Exit code and, on success, the predictions CSV as a frame."""
+        bundle_path, data_path, out_path = (tmp_path / f for f in ("b.json", "s.csv", "p.csv"))
+        save_bundle(ModelBundle(
+            kind="hybrid", model=m, hyperparameters=dataclasses.asdict(m.config),
+            window=m.config.window, feature_columns=["close", "volume"], target_column="close",
+            compose_fgi=False, fgi_weights=[0.5, 0.5], stats=stats), bundle_path)
+        write_series_csv(frame, data_path)
+        code = cli.main(["predict", "--bundle", str(bundle_path), "--data", str(data_path),
+                         "--out", str(out_path)])
+        return code, load_series(out_path) if code == 0 else None
+
+    def test_denormalization_endpoints(self, tmp_path):
         frame, stats = self._frame_and_stats()
         m = zero_model(hybrid.HybridConfig(window=3, input_size=2, d_model=4,
                                            heads=2, layers=1, d_ffn=8, d_gru=4),
                        head_bias=0.0)
-        forecast = hybrid.predict_series(m, frame, stats, window=3)
-        assert np.allclose(forecast.predicted, 10_000.0)  # normalized 0 -> min
+        _, forecast = self._predict(tmp_path, m, frame, stats)
+        assert np.allclose(forecast.column("predicted"), 10_000.0)  # normalized 0 -> min
         m.b_p = np.array([1.0])
-        forecast = hybrid.predict_series(m, frame, stats, window=3)
-        assert np.allclose(forecast.predicted, 70_000.0)  # normalized 1 -> max
+        _, forecast = self._predict(tmp_path, m, frame, stats)
+        assert np.allclose(forecast.column("predicted"), 70_000.0)  # normalized 1 -> max
 
-    def test_window_enumeration_count(self):
+    def test_window_enumeration_count(self, tmp_path):
         frame, stats = self._frame_and_stats(n=6)  # T + 3 rows
         m = hybrid.init_hybrid(SMALL, seed=36)
-        forecast = hybrid.predict_series(m, frame, stats, window=3)
-        assert len(forecast.predicted) == 3
+        _, forecast = self._predict(tmp_path, m, frame, stats)
+        assert len(forecast.column("predicted")) == 3
         assert forecast.dates == frame.dates[3:]
 
-    def test_round_trip_normalization(self):
+    def test_round_trip_normalization(self, tmp_path):
         frame, stats = self._frame_and_stats()
         m = hybrid.init_hybrid(SMALL, seed=37)
-        forecast = hybrid.predict_series(m, frame, stats, window=3)
+        _, forecast = self._predict(tmp_path, m, frame, stats)
         lo, hi = stats.for_column("close")
-        renormalized = (forecast.predicted - lo) / (hi - lo)
-        from cryptocast.data import apply_minmax, make_windows
+        renormalized = (forecast.column("predicted") - lo) / (hi - lo)
         ws = make_windows(apply_minmax(frame, stats), 3, "close")
         raw = hybrid.hybrid_forward_batch(m, ws.X)
         assert np.all(np.abs(renormalized - raw) < 1e-10)
 
-    def test_frame_too_short(self):
+    def test_frame_too_short(self, tmp_path):
         frame, stats = self._frame_and_stats(n=3)
         m = hybrid.init_hybrid(SMALL, seed=38)
-        with pytest.raises(SizeError):
-            hybrid.predict_series(m, frame, stats, window=3)
+        code, _ = self._predict(tmp_path, m, frame, stats)
+        assert code == 3

@@ -75,22 +75,22 @@ class TestSoftmax:
 
 class TestLayerNorm:
     def test_constant_row_maps_to_beta(self):
-        out = ops.layer_norm(np.array([4.0, 4.0, 4.0]), np.ones(3), np.zeros(3))
+        out, _ = ops.layer_norm_with_cache(np.array([4.0, 4.0, 4.0]), np.ones(3), np.zeros(3))
         assert np.allclose(out, 0.0)
 
     def test_two_point_row(self):
         # mean 2, population variance 1 -> normalized [-1, 1]
-        out = ops.layer_norm(np.array([1.0, 3.0]), np.ones(2), np.zeros(2), eps=1e-15)
+        out, _ = ops.layer_norm_with_cache(np.array([1.0, 3.0]), np.ones(2), np.zeros(2), eps=1e-15)
         assert np.allclose(out, [-1.0, 1.0], atol=1e-7)
 
     def test_zero_gamma_gives_beta(self):
         beta = np.array([2.0, -1.0, 0.5])
-        out = ops.layer_norm(np.array([9.0, -3.0, 14.0]), np.zeros(3), beta)
+        out, _ = ops.layer_norm_with_cache(np.array([9.0, -3.0, 14.0]), np.zeros(3), beta)
         assert np.array_equal(out, beta)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            ops.layer_norm(np.zeros(3), np.ones(2), np.zeros(3))
+            ops.layer_norm_with_cache(np.zeros(3), np.ones(2), np.zeros(3))
 
     @given(arrays(np.float64, st.integers(2, 8),
                   elements=st.floats(-100, 100, allow_nan=False)))
@@ -98,7 +98,7 @@ class TestLayerNorm:
     def test_normalized_statistics(self, row):
         if np.ptp(row) < 1e-3:
             return  # (near-)constant rows are the eps-guarded case
-        out = ops.layer_norm(row, np.ones(row.size), np.zeros(row.size), eps=1e-15)
+        out, _ = ops.layer_norm_with_cache(row, np.ones(row.size), np.zeros(row.size), eps=1e-15)
         assert abs(out.mean()) < 1e-10
         assert abs((out**2).mean() - 1.0) < 1e-8
 

@@ -48,7 +48,7 @@ def test_bias_correction_against_hand_formula():
     g = 0.5
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
     params = [np.array([0.0])]
-    state = AdamState.init(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = AdamState.init(params, lr=lr)
     w = 0.0
     m = v = 0.0
     for t in (1, 2):

@@ -22,6 +22,22 @@ def zeroed(cell):
     return cell
 
 
+def step(kind, cell, x, h_prev, c_prev=None):
+    """One cell update on vectors through the sequence kernel's own step,
+    `CELLS[kind].forward`, on the `_stack`ed weights; state as (d, 1) columns.
+    Returns h (GRU) or (h, c) (LSTM)."""
+    spec = recurrent.CELLS[kind]
+    Ux, Uh, b = recurrent._stack(spec, cell)
+    g = Ux @ np.asarray(x, dtype=float)[:, None] + b[:, None]
+    d = Uh.shape[1]
+    h, c, scratch = np.empty((d, 1)), np.empty((d, 1)), np.empty((d, 1))
+    if kind == "gru":
+        spec.forward(Uh, g, h_prev[:, None], h, scratch)
+        return h[:, 0]
+    spec.forward(Uh, g, h_prev[:, None], h, c_prev[:, None], c, scratch)
+    return h[:, 0], c[:, 0]
+
+
 def make_window_set(n, T, k, seed=0):
     rng = Rng(seed)
     start = dt.date(2021, 1, 1)
@@ -43,7 +59,7 @@ class TestLstmCell:
         c = np.array([0.3, -1.2, 2.5])
         h = np.zeros(3)
         for _ in range(200):
-            h, c_new = recurrent.lstm_cell_step(cell, np.array([0.4, -0.7]), h, c)
+            h, c_new = step("lstm", cell, np.array([0.4, -0.7]), h, c)
             c = c_new
         assert np.allclose(c, [0.3, -1.2, 2.5], atol=1e-12)
 
@@ -52,19 +68,14 @@ class TestLstmCell:
         # c_t = 0.5*c_prev, h_t = 0.5*tanh(0.5*c_prev)
         cell = zeroed(recurrent.init_cell(recurrent.LstmCellParams, 2, 3, Rng(1)))
         c_prev = np.array([1.0, -2.0, 0.5])
-        h, c = recurrent.lstm_cell_step(cell, np.zeros(2), np.zeros(3), c_prev)
+        h, c = step("lstm", cell, np.zeros(2), np.zeros(3), c_prev)
         assert np.allclose(c, 0.5 * c_prev)
         assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev))
 
     def test_zero_everything_gives_zero_state(self):
         cell = zeroed(recurrent.init_cell(recurrent.LstmCellParams, 2, 4, Rng(1)))
-        h, c = recurrent.lstm_cell_step(cell, np.zeros(2), np.zeros(4), np.zeros(4))
+        h, c = step("lstm", cell, np.zeros(2), np.zeros(4), np.zeros(4))
         assert np.all(h == 0.0) and np.all(c == 0.0)
-
-    def test_dimension_mismatch(self):
-        cell = recurrent.init_cell(recurrent.LstmCellParams, 2, 3, Rng(1))
-        with pytest.raises(DimensionError):
-            recurrent.lstm_cell_step(cell, np.zeros(3), np.zeros(3), np.zeros(3))
 
 
 class TestGruCell:
@@ -72,20 +83,20 @@ class TestGruCell:
         cell = zeroed(recurrent.init_cell(recurrent.GruCellParams, 2, 3, Rng(1)))
         cell.b_z += -60.0  # z = 0 -> h_t = h_prev
         h_prev = np.array([0.9, -0.4, 0.1])
-        h = recurrent.gru_cell_step(cell, np.array([5.0, -3.0]), h_prev)
+        h = step("gru", cell, np.array([5.0, -3.0]), h_prev)
         assert np.allclose(h, h_prev, atol=1e-12)
 
     def test_full_update_with_zero_candidate_gives_zero(self):
         cell = zeroed(recurrent.init_cell(recurrent.GruCellParams, 2, 3, Rng(1)))
         cell.b_z += 60.0  # z = 1 -> h_t = candidate = tanh(0) = 0
-        h = recurrent.gru_cell_step(cell, np.zeros(2), np.array([0.9, -0.4, 0.1]))
+        h = step("gru", cell, np.zeros(2), np.array([0.9, -0.4, 0.1]))
         assert np.allclose(h, 0.0, atol=1e-12)
 
     def test_all_zero_params_hand_evaluation(self):
         # r = z = 0.5, candidate tanh(0) = 0, h = 0.5*0 + 0.5*h_prev
         cell = zeroed(recurrent.init_cell(recurrent.GruCellParams, 2, 3, Rng(1)))
         h_prev = np.array([1.0, 2.0, 3.0])
-        h = recurrent.gru_cell_step(cell, np.zeros(2), h_prev)
+        h = step("gru", cell, np.zeros(2), h_prev)
         assert np.allclose(h, 0.5 * h_prev)
 
     @given(st.integers(0, 10_000))
@@ -95,10 +106,10 @@ class TestGruCell:
         cell = recurrent.init_cell(recurrent.GruCellParams, 3, 4, rng)
         x = rng.uniform(-2, 2, (3,))
         h_prev = rng.uniform(-1, 1, (4,))
-        h = recurrent.gru_cell_step(cell, x, h_prev)
+        h = step("gru", cell, x, h_prev)
         # the update gate does not enter the candidate: pinning it open
         # returns the candidate itself
-        hc = recurrent.gru_cell_step(dataclasses.replace(cell, b_z=cell.b_z + 60.0), x, h_prev)
+        hc = step("gru", dataclasses.replace(cell, b_z=cell.b_z + 60.0), x, h_prev)
         lo = np.minimum(hc, h_prev)
         hi = np.maximum(hc, h_prev)
         assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
@@ -233,10 +244,10 @@ class TestReferenceEquations:
         x, h, c = rng.uniform(-2, 2, (3,)), rng.uniform(-1, 1, (4,)), rng.uniform(-1, 1, (4,))
         h_ref, c_ref = REFERENCE_STEPS[kind](cell, x[None], h[None], c[None])
         if kind == "lstm":
-            h_new, c_new = recurrent.lstm_cell_step(cell, x, h, c)
+            h_new, c_new = step("lstm", cell, x, h, c)
             assert np.allclose(c_new, c_ref[0], rtol=0.0, atol=1e-12)
         else:
-            h_new = recurrent.gru_cell_step(cell, x, h)
+            h_new = step("gru", cell, x, h)
         assert np.allclose(h_new, h_ref[0], rtol=0.0, atol=1e-12)
 
 

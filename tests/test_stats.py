@@ -257,6 +257,27 @@ class TestWilcoxon:
         ref = scipy.stats.wilcoxon(a, b, correction=True, mode="approx")
         assert res.p_value == pytest.approx(ref.pvalue, abs=5e-3)
 
+    @pytest.mark.parametrize("n, negatives", [(110, 0), (110, 3), (300, 20)])
+    def test_tiny_normal_route_p_matches_scipy(self, n, negatives):
+        # |z| > 8: p is below 1e-15, where 1 - P(Z > z) used to cancel to 0
+        rng = Rng(n + negatives)
+        a = rng.uniform(0, 1, (n,))
+        d = rng.uniform(0.1, 1.0, (n,))
+        d[:negatives] *= -1.0
+        res = stats.wilcoxon_signed_rank(a, a - d)
+        ref = scipy.stats.wilcoxon(a, a - d, correction=True, mode="approx")
+        assert 0.0 < ref.pvalue < 1e-15
+        assert res.p_value == pytest.approx(ref.pvalue, rel=1e-10, abs=0.0)
+
+    def test_balanced_normal_route_p_is_one(self):
+        # r_plus == r_minus puts r_stat at its mean: z = +0.5 / sigma, p = 1
+        d = np.repeat(np.arange(1.0, 16.0), 2) * np.tile([1.0, -1.0], 15)
+        res = stats.wilcoxon_signed_rank(d, np.zeros(30))
+        assert res.r_plus == res.r_minus and res.n_effective == 30
+        assert res.p_value == 1.0
+        assert scipy.stats.wilcoxon(d, np.zeros(30), correction=True,
+                                    mode="approx").pvalue == pytest.approx(1.0)
+
 
 class TestBonferroni:
     def test_reference_value_scaled_by_ten(self):
@@ -306,10 +327,11 @@ class TestTails:
             1.0 - stats.standard_normal_tail(1.0), abs=1e-14)
 
     def test_chi_square_against_scipy(self):
-        for df in (1, 2, 4, 9):
-            for x in (0.5, 3.0, 12.5):
-                assert stats.chi_square_tail(x, df) == pytest.approx(
-                    scipy.stats.chi2.sf(x, df), abs=1e-10)
+        # the closed form over df 1-20 and x up to 600, where the tail is 1e-120
+        for df in range(1, 21):
+            for x in np.concatenate([np.geomspace(1e-6, 600.0, 60), [0.5, 3.0, 12.5]]):
+                assert stats.chi_square_tail(float(x), df) == pytest.approx(
+                    scipy.stats.chi2.sf(x, df), rel=1e-12, abs=0.0)
 
     def test_invalid_df(self):
         with pytest.raises(DomainError):
