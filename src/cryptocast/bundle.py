@@ -3,13 +3,18 @@
 A bundle is a JSON document carrying the model kind, its hyperparameters,
 the fgi composition, normalization stats and windowing needed to run it
 on raw data, and one flat map from dotted parameter name (`forward.W_fx`,
-`encoder_layers.0.W_Q`) to array. Every model kind round-trips exactly;
-loading checks each array's name, shape and finiteness.
+`encoder_layers.0.W_Q`) to array. Each array is stored as its shape and the
+base64 of its little-endian float64 bytes, so saving and loading a GRNN's
+whole training set costs a base64 pass, not a JSON number per value. Every
+model kind round-trips bit-exactly; loading checks the envelope against
+itself and each array's name, payload, shape and finiteness.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +26,8 @@ from .jsonio import dumps_canonical
 from .params import named_arrays
 from .pipeline import MODELS
 
-BUNDLE_FORMAT = "model-bundle/3"
+BUNDLE_FORMAT = "model-bundle/4"
+F8LE = np.dtype("<f8")
 
 
 @dataclass
@@ -46,6 +52,13 @@ def model_bundle(cfg: ExperimentConfig, stats: NormStats, kind: str, model,
     )
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    """The `parameters` entry of one array: its shape and the base64 of its
+    little-endian float64 bytes in C order."""
+    a = np.asarray(a, dtype=F8LE)
+    return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes("C")).decode("ascii")}
+
+
 def bundle_to_json(b: ModelBundle) -> str:
     return dumps_canonical({
         "format": BUNDLE_FORMAT,
@@ -57,13 +70,40 @@ def bundle_to_json(b: ModelBundle) -> str:
         "compose_fgi": b.compose_fgi,
         "fgi_weights": b.fgi_weights,
         "normalization": b.stats.to_json_dict(),
-        "parameters": named_arrays(b.model),
+        "parameters": {name: _encode_array(a) for name, a in named_arrays(b.model).items()},
     })
 
 
 def save_bundle(b: ModelBundle, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(bundle_to_json(b) + "\n")
+
+
+def _declared_shape(path, name: str, entry) -> tuple[int, ...]:
+    """The shape a `parameters` entry declares, once the entry is an object
+    with exactly `shape` and `f8le` and every dimension a non-negative int."""
+    if not isinstance(entry, dict) or entry.keys() != {"shape", "f8le"}:
+        raise DataError(f"bundle {path}: parameter {name} must be an object with exactly "
+                        f"the keys 'shape' and 'f8le'")
+    shape = entry["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise DataError(f"bundle {path}: parameter {name} has shape {shape!r}, "
+                        f"expected a list of non-negative integers")
+    return tuple(shape)
+
+
+def _decode_array(path, name: str, payload, shape: tuple[int, ...]) -> np.ndarray:
+    """The owned, writable, C-contiguous float64 array `payload` encodes."""
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bundle {path}: parameter {name} has an invalid f8le payload: "
+                        f"{exc}") from None
+    need = F8LE.itemsize * math.prod(shape)
+    if len(raw) != need:
+        raise DataError(f"bundle {path}: parameter {name} holds {len(raw)} bytes, "
+                        f"shape {shape} needs {need}")
+    return np.frombuffer(raw, dtype=F8LE).reshape(shape).astype(np.float64)
 
 
 def _parameter_arrays(path, expected: dict, params: dict) -> dict[str, np.ndarray]:
@@ -78,30 +118,38 @@ def _parameter_arrays(path, expected: dict, params: dict) -> dict[str, np.ndarra
     free: dict[str, int] = {}
     arrays = {}
     for name, shape in expected.items():
-        try:
-            a = np.array(params[name], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"bundle {path}: parameter {name} is not numeric: {exc}") from None
-        if a.ndim == len(shape):
+        declared = _declared_shape(path, name, params[name])
+        if len(declared) == len(shape):
             shape = tuple(free.setdefault(d, n) if isinstance(d, str) else d
-                          for d, n in zip(shape, a.shape))
-        if a.shape != shape:
-            raise DataError(f"bundle {path}: parameter {name} has shape {a.shape}, "
+                          for d, n in zip(shape, declared))
+        if declared != shape:
+            raise DataError(f"bundle {path}: parameter {name} has shape {declared}, "
                             f"expected {shape}")
+        a = _decode_array(path, name, params[name]["f8le"], declared)
         if not np.all(np.isfinite(a)):
             raise DataError(f"bundle {path}: parameter {name} has non-finite values")
         arrays[name] = a
     return arrays
 
 
+def _finite(token: str) -> float:
+    """A JSON number or NaN/Infinity constant as a float; non-finite is invalid."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load_bundle(path) -> ModelBundle:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open bundle {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"bundle {path} is not valid UTF-8 JSON: {exc}") from exc
+    try:
+        doc = json.loads(text.decode("utf-8"), parse_float=_finite, parse_constant=_finite)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"bundle {path} is not valid UTF-8 JSON: {exc}") from None
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != BUNDLE_FORMAT:
         raise DataError(f"bundle {path} has format {found!r}, expected {BUNDLE_FORMAT!r}")
@@ -111,20 +159,41 @@ def load_bundle(path) -> ModelBundle:
     spec = MODELS[kind]
     try:
         hyper = doc["hyperparameters"]
-        window = int(doc["window"])
-        feature_columns = list(doc["feature_columns"])
+        if not isinstance(hyper, dict):
+            raise TypeError(f"hyperparameters must be an object, got {hyper!r}")
+        window = doc["window"]
+        if type(window) is not int or window < 1:
+            raise TypeError(f"window must be an integer >= 1, got {window!r}")
+        feature_columns = doc["feature_columns"]
+        if (not isinstance(feature_columns, list)
+                or not all(isinstance(c, str) for c in feature_columns)
+                or len(set(feature_columns)) != len(feature_columns)):
+            raise TypeError(f"feature_columns must be a list of distinct strings, "
+                            f"got {feature_columns!r}")
         target_column = doc["target_column"]
+        if target_column not in feature_columns:
+            raise ValueError(f"target_column {target_column!r} is not among {feature_columns}")
+        # the hyperparameters the kind derives from the envelope must match it
+        for key, value in (("window", window), ("input_size", len(feature_columns))):
+            if key in hyper and (type(hyper[key]) is not int or hyper[key] != value):
+                raise ValueError(f"hyperparameters.{key} is {hyper[key]!r} but the "
+                                 f"envelope implies {value}")
         compose_fgi = doc["compose_fgi"]
         if not isinstance(compose_fgi, bool):
             raise TypeError(f"compose_fgi must be a boolean, got {compose_fgi!r}")
         fgi_weights = [float(w) for w in doc["fgi_weights"]]
         check_fgi_weights(*fgi_weights)
         stats = NormStats.from_json_dict(doc["normalization"])
-        params = dict(doc["parameters"])
+        missing = [c for c in feature_columns if c not in stats.columns]
+        if missing:
+            raise ValueError(f"normalization lacks feature columns {missing}")
+        params = doc["parameters"]
+        if not isinstance(params, dict):
+            raise TypeError(f"parameters must be an object, got {type(params).__name__}")
         expected = spec.shapes(hyper, window * len(feature_columns))
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None
-    except (TypeError, ValueError, ConfigError, DomainError) as exc:
+    except (TypeError, ValueError, OverflowError, ConfigError, DomainError) as exc:
         raise DataError(f"bundle {path} has a malformed envelope: {exc}") from None
     arrays = _parameter_arrays(path, expected, params)
     try:

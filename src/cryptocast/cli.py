@@ -15,7 +15,7 @@ import numpy as np
 
 from . import data as dataio
 from .bundle import load_bundle, model_bundle, save_bundle
-from .config import load_config_file, validate_config
+from .config import check_setting, load_config_file, validate_config
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -188,6 +188,7 @@ def _infer_name(path: str) -> str:
 
 def cmd_compare(paths: list[str], names: list[str] | None = None, alpha: float = 0.05):
     """Build a comparison report from >= 2 aligned prediction files."""
+    alpha = check_setting("alpha", alpha, "--alpha")
     if len(paths) < 2:
         raise ConfigError(f"compare needs at least 2 prediction files, got {len(paths)}")
     names = names or [_infer_name(p) for p in paths]

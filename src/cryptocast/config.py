@@ -78,6 +78,12 @@ def _resolve(schema: dict, value, where: str = ""):
     return value
 
 
+def check_setting(key: str, value, name: str):
+    """`value` checked against the schema of the top-level config key `key`,
+    for a command-line flag that sets the same thing; `name` labels errors."""
+    return _resolve(SCHEMA["properties"][key], value, name)
+
+
 @dataclass
 class DataConfig:
     path: str
@@ -113,7 +119,7 @@ def validate_config(raw: dict | str, base_dir: str = ".",
     if isinstance(raw, str):
         try:
             raw = json.loads(raw)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     doc = _resolve(SCHEMA, raw)
     data = doc["data"]

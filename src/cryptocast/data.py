@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import (
     SizeError,
 )
 from .rng import Rng
+
+_FLOAT_MAX = sys.float_info.max  # compares exactly with ints of any size; NaN fails
 
 FGI_BANDS = ("extreme_fear", "fear", "greed", "extreme_greed")
 _FGI_THRESHOLDS = (25.0, 50.0, 75.0)
@@ -264,6 +267,17 @@ class NormStats:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NormStats":
+        """Inverse of to_json_dict: each column maps to [min, max], two finite
+        numbers with min < max, as fit_minmax produces them."""
+        if not isinstance(d, dict):
+            raise DomainError(f"normalization must map columns to [min, max], got {d!r}")
+        for c, pair in d.items():
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
+                            for v in pair)
+                    and pair[0] < pair[1]):
+                raise DomainError(f"normalization of column {c!r} must be [min, max] with "
+                                  f"finite min < max, got {pair!r}")
         cols = list(d.keys())
         mins = np.array([d[c][0] for c in cols], dtype=np.float64)
         maxs = np.array([d[c][1] for c in cols], dtype=np.float64)

@@ -46,6 +46,8 @@ class HybridConfig:
             raise ConfigError(f"input_size must be >= 1, got {self.input_size}")
         if self.layers < 1:
             raise ConfigError(f"need at least one encoder layer, got {self.layers}")
+        if self.heads < 1:
+            raise ConfigError(f"need at least one attention head, got {self.heads}")
         if self.d_model % 2 != 0:
             raise ConfigError(
                 f"d_model must be even for the sin/cos interleave, got {self.d_model}"

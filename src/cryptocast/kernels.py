@@ -192,6 +192,8 @@ class GrnnModel:
     def __post_init__(self):
         if self.sigma <= 0.0:
             raise NumericalError("grnn sigma must be positive")
+        if len(self.stored_targets) == 0:
+            raise NumericalError("grnn stores no training rows")
 
 
 def _grnn_weights(sq: np.ndarray, sigma: float) -> np.ndarray:

@@ -1,13 +1,16 @@
+import base64
 import datetime as dt
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptocast import bundle as bundleio
 from cryptocast.cli import main as cli_main
 from cryptocast.data import NormStats, WindowSet
-from cryptocast.errors import DataError
+from cryptocast.errors import CryptocastError, DataError
 from cryptocast.hybrid import HybridConfig, init_hybrid
 from cryptocast.params import named_arrays
 from cryptocast.pipeline import MODELS, predict_windows
@@ -59,6 +62,28 @@ def saved_doc(tmp_path, kind, model=None):
     path = tmp_path / f"{kind}.json"
     bundleio.save_bundle(wrap(kind, model or fitted(kind), HYPER[kind]), path)
     return path, json.loads(path.read_text())
+
+
+# The /4 payload, decoded and encoded here independently of the bundle module,
+# so these helpers also pin the on-disk layout.
+def decode_entry(entry):
+    return np.frombuffer(base64.b64decode(entry["f8le"]), dtype="<f8").reshape(entry["shape"])
+
+
+def encode_entry(value):
+    a = np.array(value, dtype="<f8")
+    return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def as_lists(doc):
+    """doc's parameters as nested number lists, the pre-/4 layout tests edit."""
+    return {name: decode_entry(entry).tolist() for name, entry in doc["parameters"].items()}
+
+
+def write_lists(path, doc, params):
+    """Write doc with its parameters re-encoded from nested lists."""
+    doc["parameters"] = {name: encode_entry(value) for name, value in params.items()}
+    path.write_text(json.dumps(doc))
 
 
 class TestRoundTrips:
@@ -122,7 +147,7 @@ class TestParameterNaming:
         path = tmp_path / "layers.json"
         hyper = dict(HYPER["hybrid"], layers=3)
         bundleio.save_bundle(wrap("hybrid", init_hybrid(cfg, seed=6), hyper), path)
-        params = json.loads(path.read_text())["parameters"]
+        params = as_lists(json.loads(path.read_text()))
         for i in range(3):
             layer = {name.split(".", 2)[2] for name in params
                      if name.startswith(f"encoder_layers.{i}.")}
@@ -158,7 +183,7 @@ class TestBundleErrors:
 
     @pytest.mark.parametrize("field, value", [
         ("compose_fgi", 1), ("fgi_weights", [0.3, 0.3]), ("fgi_weights", [0.5]),
-        ("fgi_weights", "ab"),
+        ("fgi_weights", "ab"), ("fgi_weights", [10**400, 0]),
     ])
     def test_malformed_fgi_envelope_named(self, tmp_path, field, value):
         path, doc = saved_doc(tmp_path, "rbfn")
@@ -170,7 +195,7 @@ class TestBundleErrors:
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad2.json"
         path.write_text(
-            '{"format": "model-bundle/3", "model": "perceptron",'
+            '{"format": "model-bundle/4", "model": "perceptron",'
             ' "hyperparameters": {}, "parameters": {}, "window": 1,'
             ' "feature_columns": [], "target_column": "close",'
             ' "normalization": {}}'
@@ -207,15 +232,17 @@ class TestBundleErrors:
 
     def test_extra_parameter_named(self, tmp_path):
         path, doc = saved_doc(tmp_path, "hybrid")
-        doc["parameters"]["encoder_layers.2.W_Q"] = doc["parameters"]["encoder_layers.1.W_Q"]
-        path.write_text(json.dumps(doc))
+        params = as_lists(doc)
+        params["encoder_layers.2.W_Q"] = params["encoder_layers.1.W_Q"]
+        write_lists(path, doc, params)
         with pytest.raises(DataError, match=r"unexpected parameter encoder_layers\.2\.W_Q"):
             bundleio.load_bundle(path)
 
     def test_wrong_shape_named(self, tmp_path):
         path, doc = saved_doc(tmp_path, "hybrid")
-        doc["parameters"]["encoder_layers.0.W_K"] = doc["parameters"]["encoder_layers.0.W_K"][:1]
-        path.write_text(json.dumps(doc))
+        params = as_lists(doc)
+        params["encoder_layers.0.W_K"] = params["encoder_layers.0.W_K"][:1]
+        write_lists(path, doc, params)
         with pytest.raises(DataError, match=r"encoder_layers\.0\.W_K has shape \(1, 4, 2\)"):
             bundleio.load_bundle(path)
 
@@ -228,15 +255,27 @@ class TestBundleErrors:
 
     def test_grnn_stored_rows_must_agree(self, tmp_path):
         path, doc = saved_doc(tmp_path, "grnn")
-        doc["parameters"]["stored_targets"] = doc["parameters"]["stored_targets"][:-1]
-        path.write_text(json.dumps(doc))
+        params = as_lists(doc)
+        params["stored_targets"] = params["stored_targets"][:-1]
+        write_lists(path, doc, params)
         with pytest.raises(DataError, match=r"stored_targets has shape \(19,\), expected \(20,\)"):
+            bundleio.load_bundle(path)
+
+    def test_grnn_without_stored_rows_rejected(self, tmp_path):
+        # it would load, then fail in predict on an empty kernel row
+        path, doc = saved_doc(tmp_path, "grnn")
+        params = as_lists(doc)
+        params["stored_inputs"] = np.zeros((0, WIDTH))
+        params["stored_targets"] = []
+        write_lists(path, doc, params)
+        with pytest.raises(DataError, match="grnn stores no training rows"):
             bundleio.load_bundle(path)
 
     def test_non_finite_parameter_named(self, tmp_path, small_csv, capsys):
         path, doc = saved_doc(tmp_path, "bigru")
-        doc["parameters"]["W_head"][0][0] = float("nan")
-        path.write_text(json.dumps(doc))
+        params = as_lists(doc)
+        params["W_head"][0][0] = float("nan")
+        write_lists(path, doc, params)
         with pytest.raises(DataError, match="W_head has non-finite values"):
             bundleio.load_bundle(path)
         out = tmp_path / "pred.csv"
@@ -244,3 +283,313 @@ class TestBundleErrors:
                          "--out", str(out)]) == 3
         assert "W_head has non-finite values" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_version_3_rejected(self, tmp_path):
+        # /3 bundles store parameters as JSON number lists
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["format"] = "model-bundle/3"
+        doc["parameters"] = as_lists(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="model-bundle/3"):
+            bundleio.load_bundle(path)
+
+    def test_deeply_nested_json_is_a_data_error(self, tmp_path, small_csv, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(DataError, match="not valid UTF-8 JSON"):
+            bundleio.load_bundle(path)
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+
+
+class TestPayload:
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_layout_is_shape_and_little_endian_float64(self, tmp_path, kind):
+        model = fitted(kind)
+        _, doc = saved_doc(tmp_path, kind, model)
+        arrays = named_arrays(model)
+        assert doc["format"] == "model-bundle/4"
+        assert doc["parameters"].keys() == arrays.keys()
+        for name, entry in doc["parameters"].items():
+            assert entry.keys() == {"shape", "f8le"}
+            assert entry["shape"] == list(arrays[name].shape)
+            assert decode_entry(entry).tobytes() == arrays[name].astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_saves_are_byte_identical(self, tmp_path, kind):
+        model = fitted(kind)
+        first, second, again = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
+        bundleio.save_bundle(wrap(kind, model, HYPER[kind]), first)
+        bundleio.save_bundle(wrap(kind, model, HYPER[kind]), second)
+        assert first.read_bytes() == second.read_bytes()
+        # a loaded bundle saves back to the same bytes
+        bundleio.save_bundle(bundleio.load_bundle(first), again)
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_loaded_arrays_are_owned_writable_native(self, tmp_path, kind):
+        path, _ = saved_doc(tmp_path, kind)
+        for name, a in named_arrays(bundleio.load_bundle(path).model).items():
+            assert a.dtype == np.float64 and a.dtype.isnative, name
+            assert a.flags.owndata and a.flags.writeable and a.flags.c_contiguous, name
+
+    def test_extreme_values_are_bit_exact(self, tmp_path):
+        extremes = np.array([-0.0, 5e-324, 2.2250738585072009e-308, 1e-310,
+                             1.7976931348623157e308, -1.7976931348623157e308])
+        model = fitted("rbfn", centers=6)
+        model.weights = extremes.copy()
+        model.bias = np.array(-0.0)
+        path = tmp_path / "extremes.json"
+        bundleio.save_bundle(wrap("rbfn", model, {"centers": 6}), path)
+        loaded = bundleio.load_bundle(path).model
+        assert loaded.weights.tobytes() == extremes.tobytes()
+        assert loaded.bias.tobytes() == np.array(-0.0).tobytes()
+        assert np.signbit(loaded.weights[0]) and np.signbit(loaded.bias)
+
+
+def _set_entry(key, value):
+    def edit(entry):
+        entry[key] = value
+    return edit
+
+
+def _truncate_payload(entry):
+    # valid base64 of one float64 fewer than the shape needs
+    entry["f8le"] = base64.b64encode(base64.b64decode(entry["f8le"])[:-8]).decode("ascii")
+
+
+class TestPayloadErrors:
+    """Each malformed `centers` entry is a data error that names it."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda e: e.pop("f8le"), "exactly the keys 'shape' and 'f8le'"),
+        (_set_entry("dtype", "<f8"), "exactly the keys 'shape' and 'f8le'"),
+        (_set_entry("shape", [True, 8]), r"has shape \[True, 8\], expected a list"),
+        (_set_entry("shape", [-1, 8]), r"has shape \[-1, 8\], expected a list"),
+        (_set_entry("shape", [5.0, 8]), "expected a list of non-negative integers"),
+        (_set_entry("shape", "5x8"), "expected a list of non-negative integers"),
+        (_set_entry("shape", [8, 5]), r"has shape \(8, 5\), expected \(5, 8\)"),
+        (_set_entry("f8le", "!!!!"), "invalid f8le payload"),
+        (_set_entry("f8le", "AAAAAAAAAAA"), "invalid f8le payload"),
+        (_set_entry("f8le", "AAAA AAAAAAA="), "invalid f8le payload"),
+        (_set_entry("f8le", "AAAAAAAAAAA=é"), "invalid f8le payload"),
+        (_set_entry("f8le", 12), "invalid f8le payload"),
+        (_truncate_payload, r"holds 312 bytes, shape \(5, 8\) needs 320"),
+    ])
+    def test_malformed_entry_named(self, tmp_path, edit, message):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        edit(doc["parameters"]["centers"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="parameter centers .*" + message):
+            bundleio.load_bundle(path)
+
+    def test_entry_as_number_lists_named(self, tmp_path, small_csv, capsys):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["parameters"]["centers"] = as_lists(doc)["centers"]
+        path.write_text(json.dumps(doc))
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        assert "parameter centers must be an object" in capsys.readouterr().err
+
+
+class TestEnvelopeChecks:
+    """Envelope fields that would make a bundle predict something else."""
+
+    @staticmethod
+    def rejects(path, doc, message):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=message):
+            bundleio.load_bundle(path)
+
+    @pytest.mark.parametrize("window", [True, 2.5, "10", 0, -3, None])
+    def test_window_must_be_a_positive_int(self, tmp_path, window):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["window"] = window
+        self.rejects(path, doc, "window must be an integer >= 1")
+
+    def test_hybrid_window_must_match_envelope(self, tmp_path):
+        path, doc = saved_doc(tmp_path, "hybrid")
+        doc["window"] = 5
+        self.rejects(path, doc, "hyperparameters.window is 4 but the envelope implies 5")
+
+    @pytest.mark.parametrize("kind", ["bilstm", "bigru", "hybrid"])
+    @pytest.mark.parametrize("input_size", [3, "2", 2.0, True])
+    def test_input_size_must_match_feature_columns(self, tmp_path, kind, input_size):
+        path, doc = saved_doc(tmp_path, kind)
+        doc["hyperparameters"]["input_size"] = input_size
+        self.rejects(path, doc, "hyperparameters.input_size is .* envelope implies 2")
+
+    def test_recurrent_input_size_follows_feature_columns(self, tmp_path):
+        path, doc = saved_doc(tmp_path, "bilstm")
+        doc["feature_columns"].append("fgi")
+        doc["normalization"]["fgi"] = [0.0, 100.0]
+        self.rejects(path, doc, "hyperparameters.input_size is 2 but the envelope implies 3")
+
+    def test_hybrid_without_heads_is_a_data_error(self, tmp_path):
+        path, doc = saved_doc(tmp_path, "hybrid")
+        doc["hyperparameters"]["heads"] = 0
+        self.rejects(path, doc, "need at least one attention head, got 0")
+
+    @pytest.mark.parametrize("columns", [["close", "close"], ["close", 3], "close"])
+    def test_feature_columns_must_be_distinct_strings(self, tmp_path, columns):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["feature_columns"] = columns
+        self.rejects(path, doc, "feature_columns must be a list of distinct strings")
+
+    def test_target_must_be_a_feature(self, tmp_path):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["target_column"] = "btc_close"
+        self.rejects(path, doc, "target_column 'btc_close' is not among")
+
+    def test_normalization_must_cover_features(self, tmp_path):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        del doc["normalization"]["volume"]
+        self.rejects(path, doc, r"normalization lacks feature columns \['volume'\]")
+
+    @pytest.mark.parametrize("normalization", [
+        [], {"close": [1.0]}, {"close": [2.0, 1.0]}, {"close": [1.0, 1.0]},
+        {"close": [True, 2.0]}, {"close": "1,2"}, {"close": [0, 1e400]},
+    ])
+    def test_normalization_pairs_must_be_ordered_finite(self, tmp_path, normalization):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["normalization"] = normalization
+        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        with pytest.raises(DataError, match="normalization"):
+            bundleio.load_bundle(path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_are_invalid_json(self, tmp_path, literal):
+        path, doc = saved_doc(tmp_path, "hybrid")
+        text = json.dumps(doc).replace('"lr": 0.01', f'"lr": {literal}')
+        assert literal in text
+        path.write_text(text)
+        with pytest.raises(DataError, match="not valid UTF-8 JSON: non-finite number"):
+            bundleio.load_bundle(path)
+
+
+# --- fuzzing -----------------------------------------------------------------
+
+_BASE_TEXT = {}
+
+
+def base_text(kind):
+    """A saved /4 bundle of `kind`, made once per session."""
+    if kind not in _BASE_TEXT:
+        _BASE_TEXT[kind] = bundleio.bundle_to_json(wrap(kind, fitted(kind), HYPER[kind]))
+    return _BASE_TEXT[kind]
+
+
+_ENVELOPE_KEYS = ["format", "model", "hyperparameters", "window", "feature_columns",
+                  "target_column", "compose_fgi", "fgi_weights", "normalization", "parameters"]
+_HYPER_KEYS = sorted({key for hyper in HYPER.values() for key in hyper})
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
+_DIM = st.integers(-2, 40) | st.booleans() | st.floats(-2, 40) | st.text(max_size=2)
+_EDGE_FLOATS = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                                 1.7976931348623157e308])
+_PICK = st.integers(0, 99)  # index of a parameter, modulo how many there are
+_MUTATION = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_ENVELOPE_KEYS)),
+    st.tuples(st.just("set"), st.sampled_from(_ENVELOPE_KEYS), _JSON),
+    st.tuples(st.just("hyper"), st.sampled_from(_HYPER_KEYS) | st.text(max_size=6), _JSON),
+    st.tuples(st.just("drop_param"), _PICK),
+    st.tuples(st.just("drop_key"), _PICK, st.sampled_from(["shape", "f8le"])),
+    st.tuples(st.just("set_key"), _PICK, st.sampled_from(["shape", "f8le", "dtype"]), _JSON),
+    st.tuples(st.just("truncate"), _PICK, st.integers(0, 400)),
+    st.tuples(st.just("corrupt"), _PICK, st.integers(0, 400), st.characters()),
+    st.tuples(st.just("shape"), _PICK, st.lists(_DIM, max_size=4)),
+    st.tuples(st.just("payload"), _PICK, st.binary(max_size=80)),
+    st.tuples(st.just("values"), _PICK,
+              st.lists(_EDGE_FLOATS | st.floats(), min_size=1, max_size=4)),
+)
+
+
+def mutate(doc, op, *args):
+    """Apply one mutation; a no-op where an earlier one removed its target."""
+    if op == "drop":
+        doc.pop(args[0], None)
+    elif op == "set":
+        doc[args[0]] = args[1]
+    elif op == "hyper":
+        if isinstance(doc.get("hyperparameters"), dict):
+            doc["hyperparameters"][args[0]] = args[1]
+    elif isinstance(doc.get("parameters"), dict) and doc["parameters"]:
+        params = doc["parameters"]
+        name = sorted(params)[args[0] % len(params)]
+        entry = params[name]
+        if op == "drop_param":
+            del params[name]
+        elif not isinstance(entry, dict):
+            return
+        elif op == "drop_key":
+            entry.pop(args[1], None)
+        elif op == "set_key":
+            entry[args[1]] = args[2]
+        elif op == "shape":
+            entry["shape"] = args[1]
+        elif op == "payload":
+            entry["f8le"] = base64.b64encode(args[1]).decode("ascii")
+        elif op == "values":
+            # as many values as the declared shape holds, cycling through args[1]
+            try:
+                count = int(np.prod(entry["shape"]))
+            except (KeyError, TypeError, ValueError, OverflowError):
+                return
+            if 0 <= count <= 4096:
+                entry["f8le"] = encode_entry(np.resize(args[1], count))["f8le"]
+        elif isinstance(entry.get("f8le"), str):
+            text = entry["f8le"]
+            cut = args[1] % (len(text) + 1)
+            tail = "" if op == "truncate" else args[2] + text[cut + 1:]
+            entry["f8le"] = text[:cut] + tail
+
+
+class TestLoadBundleFuzz:
+    """Whatever a bundle file holds, load_bundle returns a bundle whose every
+    array is finite and of its expected shape, or raises a CryptocastError."""
+
+    @staticmethod
+    def check(path):
+        try:
+            b = bundleio.load_bundle(path)
+        except CryptocastError:
+            return
+        assert b.kind in MODELS
+        assert type(b.window) is int and b.window >= 1
+        assert len(set(b.feature_columns)) == len(b.feature_columns)
+        assert b.target_column in b.feature_columns
+        assert set(b.feature_columns) <= set(b.stats.columns)
+        assert np.all(np.isfinite(b.stats.mins)) and np.all(np.isfinite(b.stats.maxs))
+        assert np.all(b.stats.mins < b.stats.maxs)
+        arrays = named_arrays(b.model)
+        expected = MODELS[b.kind].shapes(b.hyperparameters, b.window * len(b.feature_columns))
+        assert arrays.keys() == expected.keys()
+        free = {}
+        for name, shape in expected.items():
+            a = arrays[name]
+            assert a.dtype == np.float64 and a.flags.writeable and a.flags.c_contiguous
+            assert np.all(np.isfinite(a))
+            assert a.ndim == len(shape)
+            assert a.shape == tuple(free.setdefault(d, n) if isinstance(d, str) else d
+                                    for d, n in zip(shape, a.shape))
+
+    @given(st.sampled_from(list(MODELS)), st.lists(_MUTATION, min_size=1, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_documents(self, tmp_path_factory, kind, mutations):
+        doc = json.loads(base_text(kind))
+        for mutation in mutations:
+            mutate(doc, *mutation)
+        path = tmp_path_factory.mktemp("fuzz") / "bundle.json"
+        path.write_text(json.dumps(doc))
+        self.check(path)
+
+    @given(st.binary(max_size=400))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("fuzz") / "bytes.json"
+        path.write_bytes(raw)
+        self.check(path)

@@ -366,6 +366,12 @@ class TestUnreadableInputs:
         assert run_cli(command, flag, str(path)) == 3
         assert "UTF-8" in capsys.readouterr().err
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "nested.json"
+        config.write_text("[" * 200_000)
+        assert run_cli("run", "--config", str(config)) == 2
+        assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
+
     def test_oversized_field_exits_3(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         path.write_text("date,close\n2021-01-01," + "1" * 200_000 + "\n")
@@ -413,3 +419,30 @@ class TestPredictionsReader:
         assert run_cli("compare", "--inputs", good, str(path), "--out", str(tmp_path / "r")) == 3
         err = capsys.readouterr().err
         assert err.count("b.csv needs 'actual' and 'predicted' columns") == 2
+
+
+class TestCompareAlpha:
+    """--alpha follows the config's rule for alpha: a finite 0 < alpha < 1."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        paths = []
+        for name, slope in (("a", 0.5), ("b", 1.5)):
+            rows = [f"2021-01-{d:02d},{100.0 + d},{100.0 + d + slope * (d % 3)}"
+                    for d in range(1, 13)]
+            path = tmp_path / f"{name}.csv"
+            path.write_text("date,actual,predicted\n" + "\n".join(rows) + "\n")
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "7"])
+    def test_out_of_range_alpha_exits_2(self, inputs, tmp_path, capsys, alpha):
+        out = tmp_path / "r.json"
+        assert run_cli("compare", "--inputs", *inputs, "--out", str(out), "--alpha", alpha) == 2
+        assert capsys.readouterr().err.startswith("config error: --alpha")
+        assert not out.exists()
+
+    def test_valid_alpha_is_reported(self, inputs, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli("compare", "--inputs", *inputs, "--out", str(out), "--alpha", "0.1") == 0
+        assert json.loads(out.read_text())["alpha"] == 0.1
