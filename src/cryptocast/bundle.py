@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_setting
 from .data import NormStats, check_fgi_weights
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .jsonio import dumps_canonical
@@ -191,6 +191,12 @@ def load_bundle(path) -> ModelBundle:
         if not isinstance(params, dict):
             raise TypeError(f"parameters must be an object, got {type(params).__name__}")
         expected = spec.shapes(hyper, window * len(feature_columns))
+        # then the schema's types, bounds and keys for everything but the two
+        # values the envelope fixes; the kind's own checks above name their rule
+        fixed = {key: hyper[key] for key in ("window", "input_size") if key in hyper}
+        hyper = {**check_setting(f"models.{kind}",
+                                 {k: v for k, v in hyper.items() if k not in fixed},
+                                 "hyperparameters"), **fixed}
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None
     except (TypeError, ValueError, OverflowError, ConfigError, DomainError) as exc:

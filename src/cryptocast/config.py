@@ -63,7 +63,7 @@ def _resolve(schema: dict, value, where: str = ""):
         props = schema["properties"]
         for key in value:
             if key not in props and schema.get("additionalProperties") is False:
-                raise ConfigError(f"unknown config key {key!r} in {name}")
+                raise ConfigError(f"unknown key {key!r} in {name}")
         for key in schema.get("required", ()):
             if key not in value:
                 raise ConfigError(f"{name} requires the key {key!r}")
@@ -78,10 +78,15 @@ def _resolve(schema: dict, value, where: str = ""):
     return value
 
 
-def check_setting(key: str, value, name: str):
-    """`value` checked against the schema of the top-level config key `key`,
-    for a command-line flag that sets the same thing; `name` labels errors."""
-    return _resolve(SCHEMA["properties"][key], value, name)
+def check_setting(path: str, value, name: str):
+    """`value` checked, typed and defaulted against the schema of the config
+    key at the dotted `path` (`"alpha"`, `"models.rbfn"`), for a value that
+    arrives outside a config file: a command-line flag or a bundle's
+    hyperparameters. `name` labels errors."""
+    schema = SCHEMA
+    for key in path.split("."):
+        schema = _deref(schema)["properties"][key]
+    return _resolve(schema, value, name)
 
 
 @dataclass

@@ -18,8 +18,8 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import ConfigError, DimensionError, SizeError
-from .ops import (Buffers, blocks, layer_norm_backward, layer_norm_with_cache, softmax_backward,
-                  softmax_rows, sum_leading, xavier)
+from .ops import (FORWARD_CHUNK, Buffers, blocks, layer_norm_backward, layer_norm_with_cache,
+                  softmax_backward, softmax_rows, sum_leading, xavier)
 from .optim import TrainConfig, run_adam_training
 from .params import from_arrays, named_arrays, with_arrays, zeros_like
 from .recurrent import (CELLS, GruCellParams, cell_shapes, init_cell, run_states, sequence_backward,
@@ -27,6 +27,10 @@ from .recurrent import (CELLS, GruCellParams, cell_shapes, init_cell, run_states
 from .rng import Rng
 
 LAYER_NORM_EPS = 1e-5
+# attention probabilities one inference block holds, in doubles (heads·T² per
+# window): 1.8 MB, so a block's score arrays stay in a 2 MB per-core L2 cache
+# (64 windows at 4 heads and T=30)
+BLOCK_ATTENTION_DOUBLES = 64 * 4 * 30 * 30
 
 
 @dataclass
@@ -184,57 +188,71 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
     return pe
 
 
+def _stack_qkv(layer: EncoderLayerParams) -> np.ndarray:
+    """The (d, 3·heads·d_head) projection whose columns are every head's
+    queries, then every head's keys, then every head's values."""
+    return np.concatenate([W.transpose(1, 0, 2).reshape(W.shape[1], -1)
+                           for W in (layer.W_Q, layer.W_K, layer.W_V)], axis=1)
+
+
+def _split_heads(qkv: np.ndarray, heads: int):
+    """Q, K and V of every head as (N, heads, T, d_head) views of the
+    (N, T, 3·heads·d_head) projection."""
+    n, T, width = qkv.shape
+    return qkv.reshape(n, T, 3, heads, width // (3 * heads)).transpose(2, 0, 3, 1, 4)
+
+
 def _mha_forward(H: np.ndarray, layer: EncoderLayerParams, buffers: Buffers | None = None,
                  name: str = ""):
-    """Batched multi-head self-attention; H is (N, T, d). The arrays the
+    """Batched multi-head self-attention; H is (N, T, d). Q, K and V of all
+    heads come from one projection into an (N, T, 3·heads·d_head) array;
+    its per-head views feed one batched score product into an (N, heads,
+    T, T) probability array and one batched P·V product. The arrays the
     backward pass reads go into `buffers` under `name` when given."""
     buffers = Buffers() if buffers is None else buffers
     heads, _, dk = layer.W_Q.shape
     n, T, _ = H.shape
     scale = 1.0 / np.sqrt(dk)
+    W_qkv = _stack_qkv(layer)
+    qkv = np.matmul(H, W_qkv, out=buffers.empty(name + "qkv", (n, T, W_qkv.shape[1])))
+    Q, K, V = _split_heads(qkv, heads)
+    probs = np.matmul(Q, K.transpose(0, 1, 3, 2),
+                      out=buffers.empty(name + "probs", (n, heads, T, T)))
+    probs *= scale
+    softmax_rows(probs, out=probs)
     concat = buffers.empty(name + "concat", (n, T, heads * dk))
-    head_caches = []
-    for m in range(heads):
-        Q, K, V = (np.matmul(H, W[m], out=buffers.empty(f"{name}{key}{m}", (n, T, dk)))
-                   for key, W in (("Q", layer.W_Q), ("K", layer.W_K), ("V", layer.W_V)))
-        probs = np.matmul(Q, K.transpose(0, 2, 1), out=buffers.empty(f"{name}probs{m}", (n, T, T)))
-        probs *= scale
-        softmax_rows(probs, out=probs)
-        np.matmul(probs, V, out=concat[..., m * dk:(m + 1) * dk])
-        head_caches.append((Q, K, V, probs))
+    np.matmul(probs, V, out=concat.reshape(n, T, heads, dk).transpose(0, 2, 1, 3))
     out = np.matmul(concat, layer.W_O, out=buffers.empty(name + "attn", H.shape))
-    return out, (H, concat, head_caches, scale)
-
-
-def _head_backward(d_head_out: np.ndarray, head_cache, scale: float):
-    """Gradients w.r.t. one head's Q, K and V, written over them."""
-    Q, K, V, probs = head_cache
-    dprobs = d_head_out @ V.transpose(0, 2, 1)
-    dV = np.matmul(probs.transpose(0, 2, 1), d_head_out, out=V)
-    dscores = softmax_backward(dprobs, probs, out=dprobs)
-    dQ = dscores @ K
-    dK = np.matmul(dscores.transpose(0, 2, 1), Q, out=K)
-    dK *= scale
-    dQ = np.multiply(dQ, scale, out=Q)
-    return dQ, dK, dV
+    return out, (H, W_qkv, qkv, concat, probs, scale)
 
 
 def _mha_backward(dout: np.ndarray, cache, layer: EncoderLayerParams, grads: "EncoderLayerParams",
                   dH: np.ndarray):
     """Adds the attention's gradient w.r.t. its input H into `dH`, which may
-    be `dout` itself. Each gradient overwrites the cached activation it
-    replaces once that is no longer read."""
-    H, concat, head_caches, scale = cache
-    d = H.shape[-1]
+    be `dout` itself. dQ, dK and dV are written over Q, K and V in the
+    projection array, so the stacked weight gradient and the input gradient
+    are one product each. Every gradient overwrites the cached activation
+    it replaces once that is no longer read."""
+    H, W_qkv, qkv, concat, probs, scale = cache
+    n, T, d = H.shape
     heads, _, dk = layer.W_Q.shape
     grads.W_O += concat.reshape(-1, heads * dk).T @ dout.reshape(-1, d)
     dconcat = np.matmul(dout, layer.W_O.T, out=concat)
-    H_flat = H.reshape(-1, d)
-    for m in range(heads):
-        d_qkv = _head_backward(dconcat[..., m * dk:(m + 1) * dk], head_caches[m], scale)
-        for W, dW, g in zip((layer.W_Q, layer.W_K, layer.W_V), (grads.W_Q, grads.W_K, grads.W_V), d_qkv):
-            dW[m] += H_flat.T @ g.reshape(-1, dk)
-            dH += g @ W[m].T
+    d_heads = dconcat.reshape(n, T, heads, dk).transpose(0, 2, 1, 3)
+    Q, K, V = _split_heads(qkv, heads)
+    dprobs = d_heads @ V.transpose(0, 1, 3, 2)
+    np.matmul(probs.transpose(0, 1, 3, 2), d_heads, out=V)
+    # dconcat is read for the last time above; its array holds dQ, then dH's term
+    dscores = softmax_backward(dprobs, probs, out=dprobs)
+    dQ = np.matmul(dscores, K, out=d_heads)
+    np.matmul(dscores.transpose(0, 1, 3, 2), Q, out=K)
+    K *= scale
+    np.multiply(dQ, scale, out=Q)
+    dW = (H.reshape(-1, d).T @ qkv.reshape(n * T, -1)).reshape(d, 3, heads, dk)
+    grads.W_Q += dW[:, 0].transpose(1, 0, 2)
+    grads.W_K += dW[:, 1].transpose(1, 0, 2)
+    grads.W_V += dW[:, 2].transpose(1, 0, 2)
+    dH += np.matmul(qkv, W_qkv.T, out=concat)
     return dH
 
 
@@ -305,17 +323,28 @@ def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None, slots
     return H, layer_caches
 
 
+def block_rows(heads: int, window: int) -> int:
+    """Windows per inference block: as many as BLOCK_ATTENTION_DOUBLES of
+    attention probabilities allow, at least one and at most `ops.FORWARD_CHUNK`."""
+    return min(FORWARD_CHUNK, max(1, BLOCK_ATTENTION_DOUBLES // (heads * window * window)))
+
+
 def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
-    """Predictions for an (N, T, k) batch, computed in blocks of
-    `ops.FORWARD_CHUNK` windows through one block-sized set of buffers, so
-    the working set does not grow with N."""
+    """Predictions for an (N, T, k) batch. The GRU read-out runs in blocks
+    of `ops.FORWARD_CHUNK` windows, the encoder in sub-blocks of
+    `block_rows`, all through one block-sized set of buffers, so the
+    working set does not grow with N."""
     X = np.asarray(X, dtype=np.float64)
     _check_features(X, m.W_e)
     out = np.empty(X.shape[0])
     buffers = Buffers()
-    for rows in blocks(len(X)):
-        H, _ = _encode(m, X[rows], buffers, slots=2)
-        out[rows] = m.W_p[0] @ run_states(CELLS["gru"], m.gru, H)["h"] + m.b_p[0]
+    rows = block_rows(m.config.heads, X.shape[1])
+    for chunk in blocks(len(X)):
+        Xc = X[chunk]
+        H = buffers.empty("encoded", Xc.shape[:2] + m.b_e.shape)
+        for sub in blocks(len(Xc), rows):
+            H[sub] = _encode(m, Xc[sub], buffers, slots=2)[0]
+        out[chunk] = m.W_p[0] @ run_states(CELLS["gru"], m.gru, H)["h"] + m.b_p[0]
     return out
 
 

@@ -5,7 +5,7 @@ Matrices are row-major 64-bit numpy arrays throughout; every exported
 operation keeps results finite for finite inputs. `Buffers` holds the
 activation arrays that a training run reuses from call to call and an
 inference pass from block to block; `FORWARD_CHUNK` is the block size of
-every inference pass.
+every inference pass, or its cap where a model sizes its own blocks.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .rng import Rng
 FORWARD_CHUNK = 256
 
 
-def blocks(n: int):
-    """Consecutive slices of at most FORWARD_CHUNK covering range(n)."""
-    return [slice(start, min(start + FORWARD_CHUNK, n)) for start in range(0, n, FORWARD_CHUNK)]
+def blocks(n: int, rows: int = FORWARD_CHUNK):
+    """Consecutive slices of at most `rows` covering range(n)."""
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 class Buffers:
@@ -56,11 +56,22 @@ def sigmoid(x, out=None):
     return out
 
 
+# entry spread below which softmax_rows shifts every row by one scalar: each
+# row's maximum then lands at most this far below 0, so its exp and those of
+# all entries within ~400 of it stay normal doubles
+SOFTMAX_SHIFT_SPREAD = 300.0
+
+
 def softmax_rows(x, out=None) -> np.ndarray:
-    """Row-wise softmax over the last axis, with max subtraction; `out`
-    may be `x` itself."""
+    """Row-wise softmax over the last axis; `out` may be `x` itself. The
+    rows are shifted by the largest entry of the whole array when all
+    entries lie within SOFTMAX_SHIFT_SPREAD of each other, and each by its
+    own maximum otherwise; softmax is the same under any shift, and one
+    scalar costs two whole-array reductions instead of a pass per column."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.subtract(x, _max_last(x), out=out)
+    top = x.max(initial=-np.inf)
+    shift = top if top - x.min(initial=np.inf) < SOFTMAX_SHIFT_SPREAD else _max_last(x)
+    out = np.subtract(x, shift, out=out)
     np.exp(out, out=out)
     out /= _sum_last(out)
     return out
@@ -86,8 +97,10 @@ def _max_last(x) -> np.ndarray:
 
 
 def _sum_last(x) -> np.ndarray:
-    """Sum over the last axis, kept as a length-1 axis, as one GEMV."""
-    return (x @ np.ones(x.shape[-1]))[..., None]
+    """Sum over the last axis, kept as a length-1 axis, as one GEMV over the
+    rows of all leading axes at once (a batched GEMV makes one call per row
+    block)."""
+    return (x.reshape(-1, x.shape[-1]) @ np.ones(x.shape[-1])).reshape(x.shape[:-1] + (1,))
 
 
 def sum_leading(x) -> np.ndarray:

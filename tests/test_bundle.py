@@ -1,6 +1,7 @@
 import base64
 import datetime as dt
 import json
+import re
 
 import numpy as np
 import pytest
@@ -466,6 +467,25 @@ class TestEnvelopeChecks:
         path.write_text(text)
         with pytest.raises(DataError, match="not valid UTF-8 JSON: non-finite number"):
             bundleio.load_bundle(path)
+
+    @pytest.mark.parametrize("kind, key, value, message", [
+        # a string once passed the shape rule as a free dimension
+        ("rbfn", "centers", "5", "hyperparameters.centers must be a JSON integer, got '5'"),
+        ("hybrid", "heads", 2.5, "hyperparameters.heads must be a JSON integer, got 2.5"),
+        ("rbfn", "spread", 1.0, "unknown key 'spread' in hyperparameters"),
+        ("bigru", "epochs", -1, r"hyperparameters.epochs=-1 violates minimum: 0"),
+    ], ids=["string-centers", "fractional-heads", "unknown-key", "negative-epochs"])
+    def test_hyperparameters_follow_the_config_schema(self, tmp_path, small_csv, capsys,
+                                                      kind, key, value, message):
+        path, doc = saved_doc(tmp_path, kind)
+        doc["hyperparameters"][key] = value
+        path.write_text(json.dumps(doc))
+        code = cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "p.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("data error:") and re.search(message, err)
+        assert "Traceback" not in err
 
 
 # --- fuzzing -----------------------------------------------------------------

@@ -262,6 +262,33 @@ class TestTrainPredictEvaluate:
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
 
 
+class TestPredictReproducesRun:
+    """`cli predict` over exactly a run's test rows builds the run's test
+    windows and works through them in the same blocks, so every kind's
+    predictions come back bit for bit."""
+
+    def test_test_rows_reproduce_every_kind(self, small_config_doc, small_config_file,
+                                            small_csv, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("run", "--config", small_config_file, "--out", str(out),
+                       "--save-models") == 0
+        _, test = dataio.chronological_split(dataio.load_series(small_csv),
+                                             small_config_doc["split_ratio"])
+        test_csv = tmp_path / "test_rows.csv"
+        dataio.write_series_csv(test, test_csv)
+        for kind in ("rbfn", "grnn", "bilstm", "bigru", "hybrid"):
+            pred = tmp_path / f"{kind}.csv"
+            assert run_cli("predict", "--bundle", str(out / f"model_{kind}.json"),
+                           "--data", str(test_csv), "--out", str(pred)) == 0
+            with open(out / f"predictions_{kind}.csv") as fh:
+                expected = list(csv.DictReader(fh))
+            with open(pred) as fh:
+                got = list(csv.DictReader(fh))
+            assert [row["date"] for row in got] == [row["date"] for row in expected]
+            assert [float(row["predicted"]) for row in got] == \
+                [float(row["predicted"]) for row in expected], kind
+
+
 class TestCompare:
     @pytest.fixture()
     def run_dir(self, small_config_file, tmp_path):

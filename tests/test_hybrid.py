@@ -45,8 +45,7 @@ def attention_probs(m, window):
     """Per-layer attention probabilities (heads, T, T) of one window, read
     from the `_mha_forward` caches the batched encoder keeps for backward."""
     _, layer_caches = hybrid._encode(m, window[None])
-    return [np.stack([probs[0] for *_, probs in head_caches])
-            for (_, _, head_caches, _), *_ in layer_caches]
+    return [probs[0] for (*_, probs, _), *_ in layer_caches]
 
 
 def encode(m, window, positional):
@@ -57,6 +56,46 @@ def encode(m, window, positional):
     for layer in m.encoder_layers:
         H, _ = hybrid._encoder_layer_forward(H, layer)
     return H[0]
+
+
+# four heads of width 2 over two layers, with d_ffn != d_model: a head or
+# column mix-up in the stacked Q/K/V projection shows at these sizes
+MULTI = hybrid.HybridConfig(window=3, input_size=2, d_model=8, heads=4,
+                            layers=2, d_ffn=6, d_gru=3)
+
+
+def textbook_encode(m, X):
+    """Encoder output of every window in X, written out from the definitions:
+    a loop over windows and heads, exp-softmax and two-pass LayerNorm."""
+    cfg = m.config
+    T, d = X.shape[1], cfg.d_model
+    pe = np.zeros((T, d))
+    for pos in range(T):
+        for j in range(d // 2):
+            angle = pos / 10000.0 ** (2 * j / d)
+            pe[pos, 2 * j], pe[pos, 2 * j + 1] = np.sin(angle), np.cos(angle)
+
+    def norm(v, gamma, beta):
+        mu = v.sum(axis=1, keepdims=True) / d
+        var = ((v - mu) ** 2).sum(axis=1, keepdims=True) / d
+        return gamma * (v - mu) / np.sqrt(var + hybrid.LAYER_NORM_EPS) + beta
+
+    out = []
+    for x in X:
+        H = x @ m.W_e.T + m.b_e + pe
+        for layer in m.encoder_layers:
+            heads = []
+            for h in range(cfg.heads):
+                Q, K, V = H @ layer.W_Q[h], H @ layer.W_K[h], H @ layer.W_V[h]
+                scores = Q @ K.T / np.sqrt(cfg.d_head)
+                weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+                weights /= weights.sum(axis=1, keepdims=True)
+                heads.append(weights @ V)
+            H = norm(H + np.hstack(heads) @ layer.W_O, layer.ln1_gamma, layer.ln1_beta)
+            ffn = np.maximum(H @ layer.W_1 + layer.b_1, 0.0) @ layer.W_2 + layer.b_2
+            H = norm(H + ffn, layer.ln2_gamma, layer.ln2_beta)
+        out.append(H)
+    return np.array(out)
 
 
 def make_window_set(n, T, k, seed=0):
@@ -134,8 +173,8 @@ class TestAttention:
                                 layers=1, d_ffn=8, d_gru=4), seed=6)
         layer = m.encoder_layers[0]
         H = np.tile(Rng(7).uniform(-1, 1, (1, 4)), (3, 1))
-        _, (_, _, head_caches, _) = hybrid._mha_forward(H[None], layer)
-        for (_, _, _, probs) in head_caches:
+        _, (*_, head_probs, _) = hybrid._mha_forward(H[None], layer)
+        for probs in head_probs[0]:
             assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_single_head_hand_oracle(self):
@@ -172,6 +211,14 @@ class TestAttention:
         for layer_map in maps:
             assert layer_map.shape == (4, 6, 6)
             assert np.all(np.abs(layer_map.sum(axis=-1) - 1.0) < 1e-12)
+
+
+class TestMultiHead:
+    def test_encode_matches_textbook_forward(self):
+        m = hybrid.init_hybrid(MULTI, seed=40)
+        X = Rng(41).uniform(-1, 1, (5, 3, 2))
+        H, _ = hybrid._encode(m, X)
+        assert np.allclose(H, textbook_encode(m, X), rtol=0.0, atol=1e-12)
 
 
 class TestEncoderLayer:
@@ -295,19 +342,40 @@ class TestHybridForward:
         assert not np.allclose(with_pe[perm], with_pe_perm, atol=1e-9)
 
 
+# four heads over 30 steps: encoder blocks of 64 windows inside read-out
+# blocks of FORWARD_CHUNK
+LONG = hybrid.HybridConfig(window=30, input_size=2, d_model=8, heads=4,
+                           layers=2, d_ffn=6, d_gru=3)
+BE = hybrid.block_rows(LONG.heads, LONG.window)
+
+
 class TestBlockedInference:
-    """Inference runs in blocks of FORWARD_CHUNK windows through one reused
-    set of buffers; no window may see another's block or a stale layer."""
+    """Inference runs the GRU read-out in blocks of FORWARD_CHUNK windows and
+    the encoder in blocks of `block_rows`, through one reused set of buffers;
+    no window may see another's block or a stale layer."""
 
     DEEP = hybrid.HybridConfig(window=5, input_size=2, d_model=4, heads=2,
                                layers=3, d_ffn=6, d_gru=3)
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
-    def test_blocks_equal_single_window_calls(self, n):
-        m = hybrid.init_hybrid(self.DEEP, seed=30)
-        X = Rng(n).uniform(-1, 1, (n, 5, 2))
+    def test_block_rule(self):
+        assert BE == 64
+        assert hybrid.block_rows(self.DEEP.heads, self.DEEP.window) == B
+        assert hybrid.block_rows(64, 1000) == 1
+
+    @staticmethod
+    def assert_blocks_equal_single_window_calls(config, n, seed):
+        m = hybrid.init_hybrid(config, seed=seed)
+        X = Rng(n).uniform(-1, 1, (n, config.window, config.input_size))
         single = np.array([hybrid.hybrid_forward_batch(m, X[i:i + 1])[0] for i in range(n)])
         assert np.allclose(hybrid.hybrid_forward_batch(m, X), single, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_equal_single_window_calls(self, n):
+        self.assert_blocks_equal_single_window_calls(self.DEEP, n, seed=30)
+
+    @pytest.mark.parametrize("n", [1, BE - 1, BE, BE + 1, 2 * BE + 3, B + 1])
+    def test_encoder_blocks_equal_single_window_calls(self, n):
+        self.assert_blocks_equal_single_window_calls(LONG, n, seed=37)
 
     def test_layers_sharing_a_slot_match_the_training_pass(self):
         # three layers over two inference slots, so the third writes over
@@ -368,6 +436,18 @@ class TestHybridGradients:
         X = rng.uniform(0, 1, (3, 2, 2))
         y = rng.uniform(0, 1, (3,))
         m = hybrid.init_hybrid(cfg, seed=28)
+
+        def lg(params):
+            return hybrid.hybrid_loss_and_grads(with_arrays(m, params), X, y)
+
+        err = grad_check(lg, named_arrays(m), h=1e-5)
+        assert err < 1e-4
+
+    def test_multi_head_two_layer_gradient_check(self):
+        rng = Rng(44)
+        X = rng.uniform(0, 1, (3, 3, 2))
+        y = rng.uniform(0, 1, (3,))
+        m = hybrid.init_hybrid(MULTI, seed=45)
 
         def lg(params):
             return hybrid.hybrid_loss_and_grads(with_arrays(m, params), X, y)

@@ -66,6 +66,15 @@ class TestSoftmax:
         out = ops.softmax_rows(np.array([[1e4, 1e4 + 1.0]]))
         assert np.all(np.isfinite(out))
 
+    @pytest.mark.parametrize("offset", [-250.0, 250.0, -1000.0, 1000.0, -1e6])
+    def test_rows_far_apart_match_their_own_oracle(self, offset):
+        # within SOFTMAX_SHIFT_SPREAD one scalar shifts both rows, beyond it
+        # each row is shifted by its own maximum; both give every row's softmax
+        row = np.array([1.0, 2.0, 3.0])
+        expected = np.exp(row) / np.exp(row).sum()
+        out = ops.softmax_rows(np.array([row, row + offset]))
+        assert np.allclose(out, [expected, expected], rtol=1e-13, atol=0.0)
+
     @given(finite_matrices)
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one(self, x):
