@@ -46,8 +46,7 @@ from .optim import AdamState, TrainConfig, adam_step
 from .pipeline import run_experiment
 from .recurrent import (
     BiRnnModel,
-    GruCellParams,
-    LstmCellParams,
+    CellParams,
     birnn_forward_batch,
     birnn_train,
     init_birnn,
@@ -72,6 +71,7 @@ __all__ = [
     "AdamState",
     "AlignmentError",
     "BiRnnModel",
+    "CellParams",
     "ComparisonReport",
     "ConfigError",
     "CryptocastError",
@@ -83,11 +83,9 @@ __all__ = [
     "ExperimentConfig",
     "FriedmanResult",
     "GrnnModel",
-    "GruCellParams",
     "HybridConfig",
     "HybridModel",
     "IntervalBand",
-    "LstmCellParams",
     "MetricReport",
     "NormStats",
     "NumericalError",

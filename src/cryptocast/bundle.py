@@ -2,12 +2,15 @@
 
 A bundle is a JSON document carrying the model kind, its hyperparameters,
 the fgi composition, normalization stats and windowing needed to run it
-on raw data, and one flat map from dotted parameter name (`forward.W_fx`,
-`encoder_layers.0.W_Q`) to array. Each array is stored as its shape and the
-base64 of its little-endian float64 bytes, so saving and loading a GRNN's
-whole training set costs a base64 pass, not a JSON number per value. Every
-model kind round-trips bit-exactly; loading checks the envelope against
-itself and each array's name, payload, shape and finiteness.
+on raw data, and one flat map from dotted parameter name (`forward.W_x`,
+`encoder_layers.0.W_QKV`) to array. Arrays are stored in the layout the
+kernels compute with: a recurrent cell's gates side by side in W_x, W_h and
+b, an encoder layer's Q/K/V projections of all heads in one W_QKV. Each
+array is stored as its shape and the base64 of its little-endian float64
+bytes, so saving and loading a GRNN's whole training set costs a base64
+pass, not a JSON number per value. Every model kind round-trips bit-exactly;
+loading checks the envelope against itself, the hyperparameters against the
+config schema, and each array's name, payload, shape and finiteness.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .jsonio import dumps_canonical
 from .params import named_arrays
 from .pipeline import MODELS
 
-BUNDLE_FORMAT = "model-bundle/4"
+BUNDLE_FORMAT = "model-bundle/5"
 F8LE = np.dtype("<f8")
 
 
@@ -190,13 +193,13 @@ def load_bundle(path) -> ModelBundle:
         params = doc["parameters"]
         if not isinstance(params, dict):
             raise TypeError(f"parameters must be an object, got {type(params).__name__}")
-        expected = spec.shapes(hyper, window * len(feature_columns))
-        # then the schema's types, bounds and keys for everything but the two
-        # values the envelope fixes; the kind's own checks above name their rule
+        # the schema's types, bounds and keys for everything but the two
+        # values the envelope fixes, so the shape rule sees typed values
         fixed = {key: hyper[key] for key in ("window", "input_size") if key in hyper}
         hyper = {**check_setting(f"models.{kind}",
                                  {k: v for k, v in hyper.items() if k not in fixed},
                                  "hyperparameters"), **fixed}
+        expected = spec.shapes(hyper, window * len(feature_columns))
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None
     except (TypeError, ValueError, OverflowError, ConfigError, DomainError) as exc:

@@ -22,7 +22,7 @@ from .ops import (FORWARD_CHUNK, Buffers, blocks, layer_norm_backward, layer_nor
                   softmax_backward, softmax_rows, sum_leading, xavier)
 from .optim import TrainConfig, run_adam_training
 from .params import from_arrays, named_arrays, with_arrays, zeros_like
-from .recurrent import (CELLS, GruCellParams, cell_shapes, init_cell, run_states, sequence_backward,
+from .recurrent import (CELLS, CellParams, cell_shapes, init_cell, run_states, sequence_backward,
                         sequence_forward)
 from .rng import Rng
 
@@ -76,9 +76,12 @@ class HybridConfig:
 
 @dataclass
 class EncoderLayerParams:
-    W_Q: np.ndarray        # (heads, d_model, d_head)
-    W_K: np.ndarray
-    W_V: np.ndarray
+    """One encoder layer's weights. W_QKV projects a token onto the queries,
+    keys and values of every head at once: its columns are each head's
+    d_head query columns, head by head, then each head's keys, then each
+    head's values. The head count comes from the model's config."""
+
+    W_QKV: np.ndarray      # (d_model, 3 * heads * d_head)
     W_O: np.ndarray        # (heads * d_head, d_model)
     W_1: np.ndarray        # (d_model, d_ffn)
     b_1: np.ndarray
@@ -96,7 +99,7 @@ class HybridModel:
     W_e: np.ndarray  # (d_model, input_size)
     b_e: np.ndarray  # (d_model,)
     encoder_layers: list[EncoderLayerParams]
-    gru: GruCellParams
+    gru: CellParams
     W_p: np.ndarray  # (1, d_gru)
     b_p: np.ndarray  # (1,)
 
@@ -109,9 +112,8 @@ def init_hybrid(config: HybridConfig, seed: int) -> HybridModel:
     for ell in range(config.layers):
         lr = rng.derive(f"encoder{ell}")
         layers.append(EncoderLayerParams(
-            W_Q=np.stack([xavier(lr.derive(f"q{m}"), d, dk) for m in range(config.heads)]),
-            W_K=np.stack([xavier(lr.derive(f"k{m}"), d, dk) for m in range(config.heads)]),
-            W_V=np.stack([xavier(lr.derive(f"v{m}"), d, dk) for m in range(config.heads)]),
+            W_QKV=np.concatenate([xavier(lr.derive(f"{w}{m}"), d, dk)
+                                  for w in "qkv" for m in range(config.heads)], axis=1),
             W_O=xavier(lr.derive("o"), config.heads * dk, d),
             W_1=xavier(lr.derive("ffn1"), d, config.d_ffn),
             b_1=np.zeros(config.d_ffn),
@@ -125,7 +127,7 @@ def init_hybrid(config: HybridConfig, seed: int) -> HybridModel:
         W_e=xavier(rng.derive("embed"), d, config.input_size),
         b_e=np.zeros(d),
         encoder_layers=layers,
-        gru=init_cell(GruCellParams, d, config.d_gru, rng.derive("gru")),
+        gru=init_cell(CELLS["gru"], d, config.d_gru, rng.derive("gru")),
         W_p=xavier(rng.derive("head"), 1, config.d_gru),
         b_p=np.zeros(1),
     )
@@ -134,10 +136,10 @@ def init_hybrid(config: HybridConfig, seed: int) -> HybridModel:
 def hybrid_shapes(config: HybridConfig) -> dict[str, tuple]:
     """Parameter shapes of a hybrid model, by dotted name."""
     d, h, dk, f = config.d_model, config.heads, config.d_head, config.d_ffn
-    layer = {"W_Q": (h, d, dk), "W_K": (h, d, dk), "W_V": (h, d, dk), "W_O": (h * dk, d),
+    layer = {"W_QKV": (d, 3 * h * dk), "W_O": (h * dk, d),
              "W_1": (d, f), "b_1": (f,), "W_2": (f, d), "b_2": (d,),
              "ln1_gamma": (d,), "ln1_beta": (d,), "ln2_gamma": (d,), "ln2_beta": (d,)}
-    gru = cell_shapes(GruCellParams, d, config.d_gru)
+    gru = cell_shapes(CELLS["gru"], d, config.d_gru)
     return {"W_e": (d, config.input_size), "b_e": (d,),
             **{f"encoder_layers.{i}.{name}": shape
                for i in range(config.layers) for name, shape in layer.items()},
@@ -150,7 +152,7 @@ def hybrid_from_arrays(config: HybridConfig, arrays: dict[str, np.ndarray]) -> H
         config=config, W_e=arrays["W_e"], b_e=arrays["b_e"],
         encoder_layers=[from_arrays(EncoderLayerParams, arrays, f"encoder_layers.{i}.")
                         for i in range(config.layers)],
-        gru=from_arrays(GruCellParams, arrays, "gru."),
+        gru=from_arrays(CellParams, arrays, "gru."),
         W_p=arrays["W_p"], b_p=arrays["b_p"],
     )
 
@@ -188,13 +190,6 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def _stack_qkv(layer: EncoderLayerParams) -> np.ndarray:
-    """The (d, 3·heads·d_head) projection whose columns are every head's
-    queries, then every head's keys, then every head's values."""
-    return np.concatenate([W.transpose(1, 0, 2).reshape(W.shape[1], -1)
-                           for W in (layer.W_Q, layer.W_K, layer.W_V)], axis=1)
-
-
 def _split_heads(qkv: np.ndarray, heads: int):
     """Q, K and V of every head as (N, heads, T, d_head) views of the
     (N, T, 3·heads·d_head) projection."""
@@ -202,19 +197,18 @@ def _split_heads(qkv: np.ndarray, heads: int):
     return qkv.reshape(n, T, 3, heads, width // (3 * heads)).transpose(2, 0, 3, 1, 4)
 
 
-def _mha_forward(H: np.ndarray, layer: EncoderLayerParams, buffers: Buffers | None = None,
-                 name: str = ""):
+def _mha_forward(H: np.ndarray, layer: EncoderLayerParams, heads: int,
+                 buffers: Buffers | None = None, name: str = ""):
     """Batched multi-head self-attention; H is (N, T, d). Q, K and V of all
     heads come from one projection into an (N, T, 3·heads·d_head) array;
     its per-head views feed one batched score product into an (N, heads,
     T, T) probability array and one batched P·V product. The arrays the
     backward pass reads go into `buffers` under `name` when given."""
     buffers = Buffers() if buffers is None else buffers
-    heads, _, dk = layer.W_Q.shape
+    dk = layer.W_O.shape[0] // heads
     n, T, _ = H.shape
     scale = 1.0 / np.sqrt(dk)
-    W_qkv = _stack_qkv(layer)
-    qkv = np.matmul(H, W_qkv, out=buffers.empty(name + "qkv", (n, T, W_qkv.shape[1])))
+    qkv = np.matmul(H, layer.W_QKV, out=buffers.empty(name + "qkv", (n, T, layer.W_QKV.shape[1])))
     Q, K, V = _split_heads(qkv, heads)
     probs = np.matmul(Q, K.transpose(0, 1, 3, 2),
                       out=buffers.empty(name + "probs", (n, heads, T, T)))
@@ -223,19 +217,19 @@ def _mha_forward(H: np.ndarray, layer: EncoderLayerParams, buffers: Buffers | No
     concat = buffers.empty(name + "concat", (n, T, heads * dk))
     np.matmul(probs, V, out=concat.reshape(n, T, heads, dk).transpose(0, 2, 1, 3))
     out = np.matmul(concat, layer.W_O, out=buffers.empty(name + "attn", H.shape))
-    return out, (H, W_qkv, qkv, concat, probs, scale)
+    return out, (H, heads, qkv, concat, probs, scale)
 
 
 def _mha_backward(dout: np.ndarray, cache, layer: EncoderLayerParams, grads: "EncoderLayerParams",
                   dH: np.ndarray):
     """Adds the attention's gradient w.r.t. its input H into `dH`, which may
     be `dout` itself. dQ, dK and dV are written over Q, K and V in the
-    projection array, so the stacked weight gradient and the input gradient
-    are one product each. Every gradient overwrites the cached activation
-    it replaces once that is no longer read."""
-    H, W_qkv, qkv, concat, probs, scale = cache
+    projection array, so the W_QKV gradient and the input gradient are one
+    product each. Every gradient overwrites the cached activation it
+    replaces once that is no longer read."""
+    H, heads, qkv, concat, probs, scale = cache
     n, T, d = H.shape
-    heads, _, dk = layer.W_Q.shape
+    dk = layer.W_O.shape[0] // heads
     grads.W_O += concat.reshape(-1, heads * dk).T @ dout.reshape(-1, d)
     dconcat = np.matmul(dout, layer.W_O.T, out=concat)
     d_heads = dconcat.reshape(n, T, heads, dk).transpose(0, 2, 1, 3)
@@ -248,18 +242,15 @@ def _mha_backward(dout: np.ndarray, cache, layer: EncoderLayerParams, grads: "En
     np.matmul(dscores.transpose(0, 1, 3, 2), Q, out=K)
     K *= scale
     np.multiply(dQ, scale, out=Q)
-    dW = (H.reshape(-1, d).T @ qkv.reshape(n * T, -1)).reshape(d, 3, heads, dk)
-    grads.W_Q += dW[:, 0].transpose(1, 0, 2)
-    grads.W_K += dW[:, 1].transpose(1, 0, 2)
-    grads.W_V += dW[:, 2].transpose(1, 0, 2)
-    dH += np.matmul(qkv, W_qkv.T, out=concat)
+    grads.W_QKV += H.reshape(-1, d).T @ qkv.reshape(n * T, -1)
+    dH += np.matmul(qkv, layer.W_QKV.T, out=concat)
     return dH
 
 
-def _encoder_layer_forward(H_in: np.ndarray, layer: EncoderLayerParams,
+def _encoder_layer_forward(H_in: np.ndarray, layer: EncoderLayerParams, heads: int,
                            buffers: Buffers | None = None, name: str = ""):
     buffers = Buffers() if buffers is None else buffers
-    res1, mha_cache = _mha_forward(H_in, layer, buffers, name)
+    res1, mha_cache = _mha_forward(H_in, layer, heads, buffers, name)
     res1 += H_in
     H_attn, ln1_cache = layer_norm_with_cache(res1, layer.ln1_gamma, layer.ln1_beta, LAYER_NORM_EPS,
                                               buffers, name + "ln1.")
@@ -318,7 +309,8 @@ def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None, slots
     H += positional_encoding(X.shape[1], m.config.d_model)
     layer_caches = []
     for idx, layer in enumerate(m.encoder_layers):
-        H, cache = _encoder_layer_forward(H, layer, buffers, f"encoder_layers.{idx % slots}.")
+        H, cache = _encoder_layer_forward(H, layer, m.config.heads, buffers,
+                                          f"encoder_layers.{idx % slots}.")
         layer_caches.append(cache)
     return H, layer_caches
 

@@ -207,7 +207,7 @@ def _grnn_weights(sq: np.ndarray, sigma: float) -> np.ndarray:
     return w
 
 
-def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid=None) -> GrnnModel:
+def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid) -> GrnnModel:
     """Memorize (X, y) and pick sigma by chronological holdout: predict the
     last 20% of rows from the first 80% and keep the grid value with the
     smallest holdout MSE (earliest wins ties)."""
@@ -216,8 +216,6 @@ def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid=None) -> GrnnModel:
     n = X.shape[0]
     if n < 3:
         raise SizeError(f"grnn_fit needs at least 3 samples, got {n}")
-    if sigma_grid is None:
-        sigma_grid = DEFAULT_SIGMA_GRID
     grid = [float(s) for s in sigma_grid]
     if not grid:
         raise ConfigError("sigma grid must not be empty")
@@ -238,9 +236,6 @@ def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid=None) -> GrnnModel:
             best_mse = mse
             best_sigma = sigma
     return GrnnModel(stored_inputs=X.copy(), stored_targets=y.copy(), sigma=np.array(best_sigma))
-
-
-DEFAULT_SIGMA_GRID = (0.01, 0.03, 0.1, 0.3, 1.0)
 
 
 def grnn_shapes(width: int) -> dict[str, tuple]:

@@ -1,7 +1,7 @@
 """Named parameter arrays: one walk over every model's fields.
 
 A model's parameters are the ndarrays reachable through dataclass fields and
-list items, named by dotted path (`forward.W_fx`, `encoder_layers.0.W_Q`);
+list items, named by dotted path (`forward.W_x`, `encoder_layers.0.W_QKV`);
 ints, strings and configs are structure. Adam, gradient zeroing, the
 gradient oracles and bundles all go through these names.
 """

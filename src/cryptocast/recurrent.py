@@ -1,18 +1,23 @@
 """LSTM and GRU cells, bidirectional sequence models, and their
 backpropagation-through-time gradients.
 
-Cell steps follow the standard gate equations:
+A cell stores its weights stacked, in the layout the kernel computes with:
+W_x (k, G·d) maps the input, W_h (d, G·d) the recurrent input and b (G·d,)
+is the bias, where each of the G gates owns one block of d columns. The
+blocks come in kernel order, sigmoid gates first and the tanh candidate
+last: LSTM f, i, o, c; GRU r, z, candidate. Writing [g] for gate g's block,
+the cell steps follow the standard gate equations:
 
-LSTM:  f = sig(W_fx x + W_fh h + b_f)
-       i = sig(W_ix x + W_ih h + b_i)
-       cc = tanh(W_cx x + W_ch h + b_c)
+LSTM:  f = sig(x W_x[f] + h W_h[f] + b[f])
+       i = sig(x W_x[i] + h W_h[i] + b[i])
+       o = sig(x W_x[o] + h W_h[o] + b[o])
+       cc = tanh(x W_x[c] + h W_h[c] + b[c])
        c = f * c_prev + i * cc
-       o = sig(W_ox x + W_oh h + b_o)
        h = o * tanh(c)
 
-GRU:   r = sig(W_rx x + W_rh h + b_r)
-       z = sig(W_zx x + W_zh h + b_z)
-       hc = tanh(W_x x + W_h (r * h) + b)
+GRU:   r = sig(x W_x[r] + h W_h[r] + b[r])
+       z = sig(x W_x[z] + h W_h[z] + b[z])
+       hc = tanh(x W_x[hc] + (r * h) W_h[hc] + b[hc])
        h = z * hc + (1 - z) * h_prev
 
 The bidirectional wrapper runs one cell forward over t = 1..T and a second
@@ -21,14 +26,13 @@ linear readout. Gradients here are hand-derived; tests check every one of
 them against central finite differences.
 
 Every cell runs through one sequence kernel in sample-last layout: the batch
-is the last, contiguous axis, and a cell's gate weights are stacked per call
-into one (gates * d, k) input and one (gates * d, d) recurrent matrix, so
-each gate is a contiguous row block of a step's (gates * d, N) array.
-Training projects the inputs of all T steps in one batched matmul before the
-loop and forms the weight gradients after it, one batched matmul per weight
-block; the (T, rows, N) per-step activations live in arrays a training run
-reuses from call to call (`ops.Buffers`). Inference keeps only the running
-state.
+is the last, contiguous axis, and the kernel reads the stored weights
+through their transposes W_x.T (G·d, k) and W_h.T (G·d, d), so each gate is
+a contiguous row block of a step's (G·d, N) array. Training projects the
+inputs of all T steps in one batched matmul before the loop and forms the
+weight gradients after it, in the stored layout; the (T, rows, N) per-step
+activations live in arrays a training run reuses from call to call
+(`ops.Buffers`). Inference keeps only the running state.
 """
 
 from __future__ import annotations
@@ -48,46 +52,10 @@ from .rng import Rng
 
 
 @dataclass
-class LstmCellParams:
-    W_fx: np.ndarray
-    W_fh: np.ndarray
-    b_f: np.ndarray
-    W_ix: np.ndarray
-    W_ih: np.ndarray
-    b_i: np.ndarray
-    W_cx: np.ndarray
-    W_ch: np.ndarray
-    b_c: np.ndarray
-    W_ox: np.ndarray
-    W_oh: np.ndarray
-    b_o: np.ndarray
-
-
-@dataclass
-class GruCellParams:
-    W_rx: np.ndarray
-    W_rh: np.ndarray
-    b_r: np.ndarray
-    W_zx: np.ndarray
-    W_zh: np.ndarray
-    b_z: np.ndarray
-    W_x: np.ndarray
-    W_h: np.ndarray
-    b: np.ndarray
-
-
-def cell_shapes(cls, input_size: int, hidden_size: int) -> dict[str, tuple]:
-    """Field shapes of a cell: W_*x maps the input, W_*h the hidden state,
-    and every other field is a bias."""
-    rows = {"x": input_size, "h": hidden_size}
-    return {f.name: (rows[f.name[-1]], hidden_size) if f.name.startswith("W_")
-            else (hidden_size,) for f in dataclasses.fields(cls)}
-
-
-def init_cell(cls, input_size: int, hidden_size: int, rng: Rng):
-    """Xavier weights drawn in field order, zero biases."""
-    return cls(**{name: xavier(rng, *shape) if len(shape) == 2 else np.zeros(shape)
-                  for name, shape in cell_shapes(cls, input_size, hidden_size).items()})
+class CellParams:
+    W_x: np.ndarray  # (input_size, gates * d)
+    W_h: np.ndarray  # (d, gates * d)
+    b: np.ndarray    # (gates * d,)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +130,10 @@ def _gru_cell_backward(Uh, a, dh, dc, h_prev, h, rh):
 class Cell:
     """How one cell kind runs through the sequence kernel."""
 
-    params: type
-    # (input weight, recurrent weight, bias, recurrent input) per gate, in
-    # stacked row order: sigmoid gates first, tanh candidate last
-    gates: tuple
+    # the recurrent input (h or rh) of each stacked gate block, in kernel order
+    recurrent_inputs: tuple
+    # the gate block indices in the order init draws them (LSTM: f, i, c, o)
+    draws: tuple
     # (name, carried) per state array: a carried one (h, c) holds T + 1
     # steps, the first zero, and is all that inference keeps; the others
     # are per-step values the backward pass reads
@@ -175,23 +143,28 @@ class Cell:
 
 
 CELLS = {
-    "lstm": Cell(LstmCellParams,
-                 (("W_fx", "W_fh", "b_f", "h"), ("W_ix", "W_ih", "b_i", "h"),
-                  ("W_ox", "W_oh", "b_o", "h"), ("W_cx", "W_ch", "b_c", "h")),
-                 (("h", True), ("c", True), ("tc", False)),
+    "lstm": Cell(("h", "h", "h", "h"), (0, 1, 3, 2), (("h", True), ("c", True), ("tc", False)),
                  _lstm_cell_forward, _lstm_cell_backward),
-    "gru": Cell(GruCellParams,
-                (("W_rx", "W_rh", "b_r", "h"), ("W_zx", "W_zh", "b_z", "h"),
-                 ("W_x", "W_h", "b", "rh")),
-                (("h", True), ("rh", False)),
+    "gru": Cell(("h", "h", "rh"), (0, 1, 2), (("h", True), ("rh", False)),
                 _gru_cell_forward, _gru_cell_backward),
 }
 
 
-def _stack(cell: Cell, p):
-    """Sample-last stacked weights: input (G*d, k), recurrent (G*d, d), bias (G*d,)."""
-    return tuple(np.concatenate([getattr(p, gate[j]) for gate in cell.gates], axis=-1).T
-                 for j in range(3))
+def cell_shapes(cell: Cell, input_size: int, hidden_size: int) -> dict[str, tuple]:
+    width = len(cell.recurrent_inputs) * hidden_size
+    return {"W_x": (input_size, width), "W_h": (hidden_size, width), "b": (width,)}
+
+
+def init_cell(cell: Cell, input_size: int, hidden_size: int, rng: Rng) -> CellParams:
+    """Zero biases; for each gate block in `cell.draws` order, a Xavier input
+    block, then a Xavier recurrent block."""
+    p = CellParams(**{name: np.zeros(shape)
+                      for name, shape in cell_shapes(cell, input_size, hidden_size).items()})
+    for j in cell.draws:
+        cols = slice(j * hidden_size, (j + 1) * hidden_size)
+        p.W_x[:, cols] = xavier(rng, input_size, hidden_size)
+        p.W_h[:, cols] = xavier(rng, hidden_size, hidden_size)
+    return p
 
 
 def _views(cell: Cell, state: dict, t: int) -> list:
@@ -199,15 +172,15 @@ def _views(cell: Cell, state: dict, t: int) -> list:
             for v in ((state[name][t], state[name][t + 1]) if carried else (state[name][t],))]
 
 
-def sequence_forward(cell: Cell, p, Xs: np.ndarray, buffers: Buffers, name: str):
+def sequence_forward(cell: Cell, p: CellParams, Xs: np.ndarray, buffers: Buffers, name: str):
     """Training pass of one cell over a sample-last (T, k, N) batch, keeping
     every step's activations in `buffers` arrays prefixed `name`. Returns the
     final hidden state (d, N) and the cache `sequence_backward` takes."""
-    Ux, Uh, b = _stack(cell, p)
+    Ux, Uh = p.W_x.T, p.W_h.T
     T, _, n = Xs.shape
     d = Uh.shape[1]
     A = np.matmul(Ux, Xs, out=buffers.empty(name + "gates", (T, Ux.shape[0], n)))
-    A += b[:, None]
+    A += p.b[:, None]
     state = {}
     for key, carried in cell.state:
         state[key] = buffers.empty(name + key, (T + carried, d, n))
@@ -230,24 +203,21 @@ def sequence_backward(cell: Cell, cache, dh: np.ndarray, need_dx: bool = False):
     for t in range(T - 1, -1, -1):
         dh, dc = cell.backward(Uh, A[t], dh, dc, *_views(cell, state, t))
     dA = A.transpose(0, 2, 1)
-    dWx = np.matmul(Xs, dA).sum(axis=0)
-    db = A.sum(axis=(0, 2))
-    grads = {}
-    for j, (wx, wh, bias, source) in enumerate(cell.gates):
-        rows = slice(j * d, (j + 1) * d)
-        grads[wx] = np.ascontiguousarray(dWx[:, rows])
-        grads[wh] = np.matmul(state[source][:T], dA[:, :, rows]).sum(axis=0)
-        grads[bias] = db[rows]
+    grads = CellParams(W_x=np.matmul(Xs, dA).sum(axis=0), W_h=np.empty(Uh.T.shape),
+                       b=A.sum(axis=(0, 2)))
+    for j, source in enumerate(cell.recurrent_inputs):
+        cols = slice(j * d, (j + 1) * d)
+        grads.W_h[:, cols] = np.matmul(state[source][:T], dA[:, :, cols]).sum(axis=0)
     dX = np.matmul(Ux.T, A, out=Xs) if need_dx else None
-    return cell.params(**grads), dX
+    return grads, dX
 
 
-def run_states(cell: Cell, p, X: np.ndarray) -> dict:
+def run_states(cell: Cell, p: CellParams, X: np.ndarray) -> dict:
     """Inference pass of one cell over an (N, T, k) batch: only the running
     state is kept, each step's input is projected on its own, and samples go
     through in blocks of `ops.FORWARD_CHUNK`. Returns the final carried state
     arrays (d, N) by name, zero-started."""
-    Ux, Uh, b = _stack(cell, p)
+    Ux, Uh, b = p.W_x.T, p.W_h.T, p.b
     n, T, _ = X.shape
     d = Uh.shape[1]
     final = {name: np.zeros((d, n)) for name, carried in cell.state if carried}
@@ -270,8 +240,8 @@ def run_states(cell: Cell, p, X: np.ndarray) -> dict:
 @dataclass
 class BiRnnModel:
     cell_kind: str  # "lstm" | "gru"
-    forward: LstmCellParams | GruCellParams
-    backward: LstmCellParams | GruCellParams
+    forward: CellParams
+    backward: CellParams
     W_head: np.ndarray  # (2*hidden, 1)
     b_head: np.ndarray  # (1,)
     hidden_size: int
@@ -282,9 +252,9 @@ def init_birnn(cell_kind: str, input_size: int, hidden_size: int, seed: int) -> 
     if cell_kind not in CELLS:
         raise ValueError(f"unknown cell kind {cell_kind!r}")
     rng = Rng(seed)
-    cls = CELLS[cell_kind].params
-    fwd = init_cell(cls, input_size, hidden_size, rng.derive("forward"))
-    bwd = init_cell(cls, input_size, hidden_size, rng.derive("backward"))
+    cell = CELLS[cell_kind]
+    fwd = init_cell(cell, input_size, hidden_size, rng.derive("forward"))
+    bwd = init_cell(cell, input_size, hidden_size, rng.derive("backward"))
     head = xavier(rng.derive("head"), 2 * hidden_size, 1)
     return BiRnnModel(
         cell_kind=cell_kind, forward=fwd, backward=bwd,
@@ -295,7 +265,7 @@ def init_birnn(cell_kind: str, input_size: int, hidden_size: int, seed: int) -> 
 
 def birnn_shapes(cell_kind: str, input_size: int, hidden_size: int) -> dict[str, tuple]:
     """Parameter shapes of a bidirectional model, by dotted name."""
-    cell = cell_shapes(CELLS[cell_kind].params, input_size, hidden_size)
+    cell = cell_shapes(CELLS[cell_kind], input_size, hidden_size)
     return {**{f"{direction}.{name}": shape
                for direction in ("forward", "backward") for name, shape in cell.items()},
             "W_head": (2 * hidden_size, 1), "b_head": (1,)}
@@ -303,10 +273,9 @@ def birnn_shapes(cell_kind: str, input_size: int, hidden_size: int) -> dict[str,
 
 def birnn_from_arrays(cell_kind: str, input_size: int, hidden_size: int,
                       arrays: dict[str, np.ndarray]) -> BiRnnModel:
-    cls = CELLS[cell_kind].params
     return BiRnnModel(
-        cell_kind=cell_kind, forward=from_arrays(cls, arrays, "forward."),
-        backward=from_arrays(cls, arrays, "backward."),
+        cell_kind=cell_kind, forward=from_arrays(CellParams, arrays, "forward."),
+        backward=from_arrays(CellParams, arrays, "backward."),
         W_head=arrays["W_head"], b_head=arrays["b_head"],
         hidden_size=hidden_size, input_size=input_size,
     )

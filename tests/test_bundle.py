@@ -65,7 +65,7 @@ def saved_doc(tmp_path, kind, model=None):
     return path, json.loads(path.read_text())
 
 
-# The /4 payload, decoded and encoded here independently of the bundle module,
+# The /5 payload, decoded and encoded here independently of the bundle module,
 # so these helpers also pin the on-disk layout.
 def decode_entry(entry):
     return np.frombuffer(base64.b64decode(entry["f8le"]), dtype="<f8").reshape(entry["shape"])
@@ -131,16 +131,16 @@ class TestShapeRules:
 
 class TestParameterNaming:
     def test_recurrent_gate_matrices_keep_structural_names(self, tmp_path):
-        _, doc = saved_doc(tmp_path, "bilstm", init_birnn("lstm", 2, 3, seed=4))
-        for direction in ("forward", "backward"):
-            gates = {name.split(".", 1)[1] for name in doc["parameters"]
-                     if name.startswith(direction + ".")}
-            assert gates == {"W_fx", "W_fh", "b_f", "W_ix", "W_ih", "b_i",
-                             "W_cx", "W_ch", "b_c", "W_ox", "W_oh", "b_o"}
-        _, doc2 = saved_doc(tmp_path, "bigru", init_birnn("gru", 2, 3, seed=4))
-        assert {name.split(".", 1)[1] for name in doc2["parameters"]
-                if name.startswith("forward.")} == {
-            "W_rx", "W_rh", "b_r", "W_zx", "W_zh", "b_z", "W_x", "W_h", "b"}
+        # every gate's block sits side by side in one input, one recurrent
+        # and one bias array: four gates for the LSTM, three for the GRU
+        for kind, cell, gates in (("bilstm", "lstm", 4), ("bigru", "gru", 3)):
+            _, doc = saved_doc(tmp_path, kind, init_birnn(cell, 2, 3, seed=4))
+            for direction in ("forward", "backward"):
+                shapes = {name.split(".", 1)[1]: entry["shape"]
+                          for name, entry in doc["parameters"].items()
+                          if name.startswith(direction + ".")}
+                assert shapes == {"W_x": [2, gates * 3], "W_h": [3, gates * 3],
+                                  "b": [gates * 3]}
 
     def test_hybrid_layers_are_index_addressable(self, tmp_path):
         cfg = HybridConfig(window=4, input_size=2, d_model=4, heads=2,
@@ -152,19 +152,27 @@ class TestParameterNaming:
         for i in range(3):
             layer = {name.split(".", 2)[2] for name in params
                      if name.startswith(f"encoder_layers.{i}.")}
-            assert layer == {"W_Q", "W_K", "W_V", "W_O", "W_1", "b_1",
+            assert layer == {"W_QKV", "W_O", "W_1", "b_1",
                              "W_2", "b_2", "ln1_gamma", "ln1_beta",
                              "ln2_gamma", "ln2_beta"}
-            assert len(params[f"encoder_layers.{i}.W_Q"]) == 2  # one projection per head
+            # d_model rows; q, k and v columns of both heads of width 2
+            assert np.shape(params[f"encoder_layers.{i}.W_QKV"]) == (4, 3 * 2 * 2)
         assert not any(name.startswith("encoder_layers.3.") for name in params)
 
 
 class TestBundleErrors:
-    def test_wrong_format_rejected(self, tmp_path):
+    def test_wrong_format_rejected(self, tmp_path, small_csv, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else/9"}')
         with pytest.raises(DataError, match="format"):
             bundleio.load_bundle(path)
+        # /4 bundles store gate and head weights as separate arrays
+        path, doc = saved_doc(tmp_path, "bilstm")
+        doc["format"] = "model-bundle/4"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        assert "has format 'model-bundle/4', expected 'model-bundle/5'" in capsys.readouterr().err
 
     def test_version_1_rejected(self, tmp_path):
         path, doc = saved_doc(tmp_path, "rbfn")
@@ -196,7 +204,7 @@ class TestBundleErrors:
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad2.json"
         path.write_text(
-            '{"format": "model-bundle/4", "model": "perceptron",'
+            '{"format": "model-bundle/5", "model": "perceptron",'
             ' "hyperparameters": {}, "parameters": {}, "window": 1,'
             ' "feature_columns": [], "target_column": "close",'
             ' "normalization": {}}'
@@ -223,28 +231,28 @@ class TestBundleErrors:
 
     def test_missing_parameter_named(self, tmp_path, small_csv, capsys):
         path, doc = saved_doc(tmp_path, "bilstm")
-        del doc["parameters"]["forward.W_fx"]
+        del doc["parameters"]["forward.W_x"]
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match=r"lacks parameter forward\.W_fx"):
+        with pytest.raises(DataError, match=r"lacks parameter forward\.W_x"):
             bundleio.load_bundle(path)
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "pred.csv")]) == 3
-        assert "lacks parameter forward.W_fx" in capsys.readouterr().err
+        assert "lacks parameter forward.W_x" in capsys.readouterr().err
 
     def test_extra_parameter_named(self, tmp_path):
         path, doc = saved_doc(tmp_path, "hybrid")
         params = as_lists(doc)
-        params["encoder_layers.2.W_Q"] = params["encoder_layers.1.W_Q"]
+        params["encoder_layers.2.W_QKV"] = params["encoder_layers.1.W_QKV"]
         write_lists(path, doc, params)
-        with pytest.raises(DataError, match=r"unexpected parameter encoder_layers\.2\.W_Q"):
+        with pytest.raises(DataError, match=r"unexpected parameter encoder_layers\.2\.W_QKV"):
             bundleio.load_bundle(path)
 
     def test_wrong_shape_named(self, tmp_path):
         path, doc = saved_doc(tmp_path, "hybrid")
         params = as_lists(doc)
-        params["encoder_layers.0.W_K"] = params["encoder_layers.0.W_K"][:1]
+        params["encoder_layers.0.W_QKV"] = params["encoder_layers.0.W_QKV"][:1]
         write_lists(path, doc, params)
-        with pytest.raises(DataError, match=r"encoder_layers\.0\.W_K has shape \(1, 4, 2\)"):
+        with pytest.raises(DataError, match=r"encoder_layers\.0\.W_QKV has shape \(1, 12\)"):
             bundleio.load_bundle(path)
 
     def test_kernel_width_comes_from_window_and_columns(self, tmp_path):
@@ -310,7 +318,7 @@ class TestPayload:
         model = fitted(kind)
         _, doc = saved_doc(tmp_path, kind, model)
         arrays = named_arrays(model)
-        assert doc["format"] == "model-bundle/4"
+        assert doc["format"] == "model-bundle/5"
         assert doc["parameters"].keys() == arrays.keys()
         for name, entry in doc["parameters"].items():
             assert entry.keys() == {"shape", "f8le"}
@@ -430,7 +438,7 @@ class TestEnvelopeChecks:
     def test_hybrid_without_heads_is_a_data_error(self, tmp_path):
         path, doc = saved_doc(tmp_path, "hybrid")
         doc["hyperparameters"]["heads"] = 0
-        self.rejects(path, doc, "need at least one attention head, got 0")
+        self.rejects(path, doc, "hyperparameters.heads=0 violates minimum: 1")
 
     @pytest.mark.parametrize("columns", [["close", "close"], ["close", 3], "close"])
     def test_feature_columns_must_be_distinct_strings(self, tmp_path, columns):
@@ -474,7 +482,12 @@ class TestEnvelopeChecks:
         ("hybrid", "heads", 2.5, "hyperparameters.heads must be a JSON integer, got 2.5"),
         ("rbfn", "spread", 1.0, "unknown key 'spread' in hyperparameters"),
         ("bigru", "epochs", -1, r"hyperparameters.epochs=-1 violates minimum: 0"),
-    ], ids=["string-centers", "fractional-heads", "unknown-key", "negative-epochs"])
+        # the schema check runs before the shape rule, which would call int()
+        ("hybrid", "heads", "abc", "hyperparameters.heads must be a JSON integer, got 'abc'"),
+        ("hybrid", "heads", None, "hyperparameters.heads must be a JSON integer, got None"),
+        ("hybrid", "heads", [2], r"hyperparameters.heads must be a JSON integer, got \[2\]"),
+    ], ids=["string-centers", "fractional-heads", "unknown-key", "negative-epochs",
+            "string-heads", "null-heads", "list-heads"])
     def test_hyperparameters_follow_the_config_schema(self, tmp_path, small_csv, capsys,
                                                       kind, key, value, message):
         path, doc = saved_doc(tmp_path, kind)
@@ -494,7 +507,7 @@ _BASE_TEXT = {}
 
 
 def base_text(kind):
-    """A saved /4 bundle of `kind`, made once per session."""
+    """A saved /5 bundle of `kind`, made once per session."""
     if kind not in _BASE_TEXT:
         _BASE_TEXT[kind] = bundleio.bundle_to_json(wrap(kind, fitted(kind), HYPER[kind]))
     return _BASE_TEXT[kind]

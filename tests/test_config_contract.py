@@ -3,6 +3,7 @@ agrees with a reference JSON Schema validator everywhere except the rules
 the schema cannot state."""
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from cryptocast import kernels
 from cryptocast.config import (_CHECKS, SCENARIO_FEATURES, SCHEMA, DataConfig, ExperimentConfig,
-                               validate_config)
+                               check_setting, validate_config)
 from cryptocast.errors import ConfigError
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -60,7 +61,12 @@ class TestSchemaFile:
             assert [f.name for f in dataclasses.fields(cls)] == list(section(path)["properties"])
 
     def test_default_sigma_grid_is_the_schema_default(self):
-        assert list(kernels.DEFAULT_SIGMA_GRID) == default(["models", "grnn", "sigma_grid"])
+        # grnn_fit has no grid of its own: a config that names none fits
+        # over the schema's default
+        sigma_grid = inspect.signature(kernels.grnn_fit).parameters["sigma_grid"]
+        assert sigma_grid.default is inspect.Parameter.empty
+        assert (check_setting("models", {}, "models")["grnn"]["sigma_grid"]
+                == default(["models", "grnn", "sigma_grid"]) == [0.01, 0.03, 0.1, 0.3, 1.0])
 
 
 def code_rules_hold(doc: dict) -> bool:

@@ -12,7 +12,7 @@ from cryptocast.data import (NormStats, SeriesFrame, WindowSet, apply_minmax, lo
 from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
 from cryptocast.ops import FORWARD_CHUNK as B
-from cryptocast.ops import layer_norm_with_cache
+from cryptocast.ops import layer_norm_with_cache, xavier
 from cryptocast.optim import TrainConfig
 from cryptocast.params import named_arrays, with_arrays
 from cryptocast.rng import Rng
@@ -26,9 +26,7 @@ def zero_model(config=SMALL, head_bias=0.0):
     m.W_e = np.zeros_like(m.W_e)
     m.b_e = np.zeros_like(m.b_e)
     for layer in m.encoder_layers:
-        layer.W_Q = np.zeros_like(layer.W_Q)
-        layer.W_K = np.zeros_like(layer.W_K)
-        layer.W_V = np.zeros_like(layer.W_V)
+        layer.W_QKV = np.zeros_like(layer.W_QKV)
         layer.W_O = np.zeros_like(layer.W_O)
         layer.W_1 = np.zeros_like(layer.W_1)
         layer.b_1 = np.zeros_like(layer.b_1)
@@ -39,6 +37,18 @@ def zero_model(config=SMALL, head_bias=0.0):
     m.W_p = np.zeros_like(m.W_p)
     m.b_p = np.array([head_bias])
     return m
+
+
+def head_blocks(layer, heads):
+    """Each head's (W_q, W_k, W_v) columns of the stacked projection, which
+    holds every head's queries, then every head's keys, then the values."""
+    dk = layer.W_QKV.shape[1] // (3 * heads)
+
+    def cols(part, h):
+        start = (part * heads + h) * dk
+        return layer.W_QKV[:, start:start + dk]
+
+    return [(cols(0, h), cols(1, h), cols(2, h)) for h in range(heads)]
 
 
 def attention_probs(m, window):
@@ -54,7 +64,7 @@ def encode(m, window, positional):
     if positional:
         H = H + hybrid.positional_encoding(window.shape[0], m.config.d_model)
     for layer in m.encoder_layers:
-        H, _ = hybrid._encoder_layer_forward(H, layer)
+        H, _ = hybrid._encoder_layer_forward(H, layer, m.config.heads)
     return H[0]
 
 
@@ -85,8 +95,8 @@ def textbook_encode(m, X):
         H = x @ m.W_e.T + m.b_e + pe
         for layer in m.encoder_layers:
             heads = []
-            for h in range(cfg.heads):
-                Q, K, V = H @ layer.W_Q[h], H @ layer.W_K[h], H @ layer.W_V[h]
+            for w_q, w_k, w_v in head_blocks(layer, cfg.heads):
+                Q, K, V = H @ w_q, H @ w_k, H @ w_v
                 scores = Q @ K.T / np.sqrt(cfg.d_head)
                 weights = np.exp(scores - scores.max(axis=1, keepdims=True))
                 weights /= weights.sum(axis=1, keepdims=True)
@@ -173,17 +183,18 @@ class TestAttention:
                                 layers=1, d_ffn=8, d_gru=4), seed=6)
         layer = m.encoder_layers[0]
         H = np.tile(Rng(7).uniform(-1, 1, (1, 4)), (3, 1))
-        _, (*_, head_probs, _) = hybrid._mha_forward(H[None], layer)
+        _, (*_, head_probs, _) = hybrid._mha_forward(H[None], layer, m.config.heads)
         for probs in head_probs[0]:
             assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
     def test_single_head_hand_oracle(self):
         # T=2, one head, hand-set 2x2 projections: compare against a direct
         # softmax(Q K^T / sqrt(d_k)) V evaluation written out separately
+        W_q = np.array([[1.0, 0.0], [0.0, 1.0]])
+        W_k = np.array([[0.0, 1.0], [1.0, 0.0]])
+        W_v = np.array([[1.0, 2.0], [3.0, 4.0]])
         layer = hybrid.EncoderLayerParams(
-            W_Q=np.array([[[1.0, 0.0], [0.0, 1.0]]]),
-            W_K=np.array([[[0.0, 1.0], [1.0, 0.0]]]),
-            W_V=np.array([[[1.0, 2.0], [3.0, 4.0]]]),
+            W_QKV=np.hstack([W_q, W_k, W_v]),
             W_O=np.eye(2),
             W_1=np.zeros((2, 4)), b_1=np.zeros(4),
             W_2=np.zeros((4, 2)), b_2=np.zeros(2),
@@ -191,11 +202,11 @@ class TestAttention:
             ln2_gamma=np.ones(2), ln2_beta=np.zeros(2),
         )
         H = np.array([[1.0, 0.5], [-0.25, 2.0]])
-        out = hybrid._mha_forward(H[None], layer)[0][0]
+        out = hybrid._mha_forward(H[None], layer, 1)[0][0]
 
-        Q = H @ layer.W_Q[0]
-        K = H @ layer.W_K[0]
-        V = H @ layer.W_V[0]
+        Q = H @ W_q
+        K = H @ W_k
+        V = H @ W_v
         scores = Q @ K.T / np.sqrt(2.0)
         probs = np.exp(scores - scores.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -225,7 +236,8 @@ class TestEncoderLayer:
     def test_output_rows_have_layernorm_statistics(self):
         m = hybrid.init_hybrid(SMALL, seed=10)
         layer = m.encoder_layers[0]
-        out = hybrid._encoder_layer_forward(Rng(11).uniform(-1, 1, (3, 4))[None], layer)[0][0]
+        out = hybrid._encoder_layer_forward(Rng(11).uniform(-1, 1, (3, 4))[None], layer,
+                                            SMALL.heads)[0][0]
         assert np.all(np.abs(out.mean(axis=1)) < 1e-8)
         assert np.all(np.abs((out**2).mean(axis=1) - 1.0) < 1e-4)
 
@@ -237,12 +249,12 @@ class TestEncoderLayer:
         layer.W_2 = np.zeros_like(layer.W_2)
         layer.b_2 = np.zeros_like(layer.b_2)
         H = Rng(13).uniform(-1, 1, (3, 4))
-        attn = hybrid._mha_forward(H[None], layer)[0][0]
+        attn = hybrid._mha_forward(H[None], layer, SMALL.heads)[0][0]
         h_attn, _ = layer_norm_with_cache(H + attn, layer.ln1_gamma, layer.ln1_beta,
                                           hybrid.LAYER_NORM_EPS)
         expected, _ = layer_norm_with_cache(h_attn, layer.ln2_gamma, layer.ln2_beta,
                                             hybrid.LAYER_NORM_EPS)
-        out = hybrid._encoder_layer_forward(H[None], layer)[0][0]
+        out = hybrid._encoder_layer_forward(H[None], layer, SMALL.heads)[0][0]
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_against_independent_reimplementation(self):
@@ -264,7 +276,7 @@ class TestEncoderLayer:
             return gamma * (v - mu) / np.sqrt(var + hybrid.LAYER_NORM_EPS) + beta
 
         heads = []
-        for w_q, w_k, w_v in zip(layer.W_Q, layer.W_K, layer.W_V):
+        for w_q, w_k, w_v in head_blocks(layer, 2):
             Q, K, V = H @ w_q, H @ w_k, H @ w_v
             head = np.zeros_like(Q)
             for t in range(H.shape[0]):
@@ -282,7 +294,7 @@ class TestEncoderLayer:
             for t in range(H.shape[0])
         ])
 
-        out = hybrid._encoder_layer_forward(H[None], layer)[0][0]
+        out = hybrid._encoder_layer_forward(H[None], layer, 2)[0][0]
         assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -414,6 +426,42 @@ class TestBlockedInference:
             finally:
                 tracemalloc.stop()
         assert peaks[4000] < 1.25 * peaks[1000]
+
+
+class TestInitLayout:
+    def test_init_places_per_head_draws_in_the_stacked_layout(self):
+        # every head's q, k and v block comes from its own derived stream;
+        # the blocks sit as all queries, then all keys, then all values
+        seed, cfg = 9, MULTI
+        d, dk = cfg.d_model, cfg.d_head
+        rng = Rng(seed)
+        expected = {"W_e": xavier(rng.derive("embed"), d, cfg.input_size), "b_e": np.zeros(d)}
+        for ell in range(cfg.layers):
+            lr = rng.derive(f"encoder{ell}")
+            prefix = f"encoder_layers.{ell}."
+            expected[prefix + "W_QKV"] = np.hstack([xavier(lr.derive(f"{w}{h}"), d, dk)
+                                                    for w in "qkv" for h in range(cfg.heads)])
+            expected[prefix + "W_O"] = xavier(lr.derive("o"), cfg.heads * dk, d)
+            expected[prefix + "W_1"] = xavier(lr.derive("ffn1"), d, cfg.d_ffn)
+            expected[prefix + "b_1"] = np.zeros(cfg.d_ffn)
+            expected[prefix + "W_2"] = xavier(lr.derive("ffn2"), cfg.d_ffn, d)
+            expected[prefix + "b_2"] = np.zeros(d)
+            for norm in ("ln1", "ln2"):
+                expected[f"{prefix}{norm}_gamma"] = np.ones(d)
+                expected[f"{prefix}{norm}_beta"] = np.zeros(d)
+        # the GRU draws r, z, then the candidate, each input block first
+        gru_rng = rng.derive("gru")
+        blocks = [(xavier(gru_rng, d, cfg.d_gru), xavier(gru_rng, cfg.d_gru, cfg.d_gru))
+                  for _ in range(3)]
+        expected["gru.W_x"] = np.hstack([x for x, _ in blocks])
+        expected["gru.W_h"] = np.hstack([h for _, h in blocks])
+        expected["gru.b"] = np.zeros(3 * cfg.d_gru)
+        expected["W_p"] = xavier(rng.derive("head"), 1, cfg.d_gru)
+        expected["b_p"] = np.zeros(1)
+        actual = named_arrays(hybrid.init_hybrid(cfg, seed))
+        assert sorted(actual) == sorted(expected)
+        for name, a in expected.items():
+            assert np.array_equal(actual[name], a), name
 
 
 class TestHybridGradients:

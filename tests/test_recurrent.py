@@ -11,9 +11,21 @@ from cryptocast import recurrent
 from cryptocast.data import WindowSet
 from cryptocast.errors import DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
+from cryptocast.ops import xavier
 from cryptocast.optim import TrainConfig
 from cryptocast.params import named_arrays, with_arrays
 from cryptocast.rng import Rng
+
+
+# the gate blocks of a cell's stacked arrays, in kernel order
+GATES = {"lstm": ("f", "i", "o", "c"), "gru": ("r", "z", "hc")}
+
+
+def block(kind, a, gate):
+    """The view of one gate's columns in a stacked W_x, W_h or b."""
+    d = a.shape[-1] // len(GATES[kind])
+    j = GATES[kind].index(gate)
+    return a[..., j * d:(j + 1) * d]
 
 
 def zeroed(cell):
@@ -24,11 +36,11 @@ def zeroed(cell):
 
 def step(kind, cell, x, h_prev, c_prev=None):
     """One cell update on vectors through the sequence kernel's own step,
-    `CELLS[kind].forward`, on the `_stack`ed weights; state as (d, 1) columns.
-    Returns h (GRU) or (h, c) (LSTM)."""
+    `CELLS[kind].forward`, on the transposed stacked weights the kernel
+    reads; state as (d, 1) columns. Returns h (GRU) or (h, c) (LSTM)."""
     spec = recurrent.CELLS[kind]
-    Ux, Uh, b = recurrent._stack(spec, cell)
-    g = Ux @ np.asarray(x, dtype=float)[:, None] + b[:, None]
+    Ux, Uh = cell.W_x.T, cell.W_h.T
+    g = Ux @ np.asarray(x, dtype=float)[:, None] + cell.b[:, None]
     d = Uh.shape[1]
     h, c, scratch = np.empty((d, 1)), np.empty((d, 1)), np.empty((d, 1))
     if kind == "gru":
@@ -53,9 +65,9 @@ def make_window_set(n, T, k, seed=0):
 
 class TestLstmCell:
     def test_saturated_forget_open_input_closed_preserves_cell(self):
-        cell = zeroed(recurrent.init_cell(recurrent.LstmCellParams, 2, 3, Rng(1)))
-        cell.b_f += 60.0   # forget gate pinned at 1
-        cell.b_i += -60.0  # input gate pinned at 0
+        cell = zeroed(recurrent.init_cell(recurrent.CELLS["lstm"], 2, 3, Rng(1)))
+        block("lstm", cell.b, "f")[...] += 60.0   # forget gate pinned at 1
+        block("lstm", cell.b, "i")[...] += -60.0  # input gate pinned at 0
         c = np.array([0.3, -1.2, 2.5])
         h = np.zeros(3)
         for _ in range(200):
@@ -66,35 +78,35 @@ class TestLstmCell:
     def test_all_zero_params_hand_evaluation(self):
         # gates sigmoid(0)=0.5, candidate tanh(0)=0:
         # c_t = 0.5*c_prev, h_t = 0.5*tanh(0.5*c_prev)
-        cell = zeroed(recurrent.init_cell(recurrent.LstmCellParams, 2, 3, Rng(1)))
+        cell = zeroed(recurrent.init_cell(recurrent.CELLS["lstm"], 2, 3, Rng(1)))
         c_prev = np.array([1.0, -2.0, 0.5])
         h, c = step("lstm", cell, np.zeros(2), np.zeros(3), c_prev)
         assert np.allclose(c, 0.5 * c_prev)
         assert np.allclose(h, 0.5 * np.tanh(0.5 * c_prev))
 
     def test_zero_everything_gives_zero_state(self):
-        cell = zeroed(recurrent.init_cell(recurrent.LstmCellParams, 2, 4, Rng(1)))
+        cell = zeroed(recurrent.init_cell(recurrent.CELLS["lstm"], 2, 4, Rng(1)))
         h, c = step("lstm", cell, np.zeros(2), np.zeros(4), np.zeros(4))
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
 
 class TestGruCell:
     def test_pinned_update_gate_keeps_previous_state(self):
-        cell = zeroed(recurrent.init_cell(recurrent.GruCellParams, 2, 3, Rng(1)))
-        cell.b_z += -60.0  # z = 0 -> h_t = h_prev
+        cell = zeroed(recurrent.init_cell(recurrent.CELLS["gru"], 2, 3, Rng(1)))
+        block("gru", cell.b, "z")[...] += -60.0  # z = 0 -> h_t = h_prev
         h_prev = np.array([0.9, -0.4, 0.1])
         h = step("gru", cell, np.array([5.0, -3.0]), h_prev)
         assert np.allclose(h, h_prev, atol=1e-12)
 
     def test_full_update_with_zero_candidate_gives_zero(self):
-        cell = zeroed(recurrent.init_cell(recurrent.GruCellParams, 2, 3, Rng(1)))
-        cell.b_z += 60.0  # z = 1 -> h_t = candidate = tanh(0) = 0
+        cell = zeroed(recurrent.init_cell(recurrent.CELLS["gru"], 2, 3, Rng(1)))
+        block("gru", cell.b, "z")[...] += 60.0  # z = 1 -> h_t = candidate = tanh(0) = 0
         h = step("gru", cell, np.zeros(2), np.array([0.9, -0.4, 0.1]))
         assert np.allclose(h, 0.0, atol=1e-12)
 
     def test_all_zero_params_hand_evaluation(self):
         # r = z = 0.5, candidate tanh(0) = 0, h = 0.5*0 + 0.5*h_prev
-        cell = zeroed(recurrent.init_cell(recurrent.GruCellParams, 2, 3, Rng(1)))
+        cell = zeroed(recurrent.init_cell(recurrent.CELLS["gru"], 2, 3, Rng(1)))
         h_prev = np.array([1.0, 2.0, 3.0])
         h = step("gru", cell, np.zeros(2), h_prev)
         assert np.allclose(h, 0.5 * h_prev)
@@ -103,13 +115,15 @@ class TestGruCell:
     @settings(max_examples=40, deadline=None)
     def test_output_between_candidate_and_previous(self, seed):
         rng = Rng(seed)
-        cell = recurrent.init_cell(recurrent.GruCellParams, 3, 4, rng)
+        cell = recurrent.init_cell(recurrent.CELLS["gru"], 3, 4, rng)
         x = rng.uniform(-2, 2, (3,))
         h_prev = rng.uniform(-1, 1, (4,))
         h = step("gru", cell, x, h_prev)
         # the update gate does not enter the candidate: pinning it open
         # returns the candidate itself
-        hc = step("gru", dataclasses.replace(cell, b_z=cell.b_z + 60.0), x, h_prev)
+        pinned = dataclasses.replace(cell, b=cell.b.copy())
+        block("gru", pinned.b, "z")[...] += 60.0
+        hc = step("gru", pinned, x, h_prev)
         lo = np.minimum(hc, h_prev)
         hi = np.maximum(hc, h_prev)
         assert np.all(h >= lo - 1e-12) and np.all(h <= hi + 1e-12)
@@ -178,19 +192,31 @@ def reference_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def gate_blocks(kind, p, gate):
+    """(input weight, recurrent weight, bias) of one gate."""
+    return tuple(block(kind, a, gate) for a in (p.W_x, p.W_h, p.b))
+
+
 def reference_lstm_step(p, x, h, c):
-    f = reference_sigmoid(x @ p.W_fx + h @ p.W_fh + p.b_f)
-    i = reference_sigmoid(x @ p.W_ix + h @ p.W_ih + p.b_i)
-    cc = np.tanh(x @ p.W_cx + h @ p.W_ch + p.b_c)
+    W_fx, W_fh, b_f = gate_blocks("lstm", p, "f")
+    W_ix, W_ih, b_i = gate_blocks("lstm", p, "i")
+    W_cx, W_ch, b_c = gate_blocks("lstm", p, "c")
+    W_ox, W_oh, b_o = gate_blocks("lstm", p, "o")
+    f = reference_sigmoid(x @ W_fx + h @ W_fh + b_f)
+    i = reference_sigmoid(x @ W_ix + h @ W_ih + b_i)
+    cc = np.tanh(x @ W_cx + h @ W_ch + b_c)
     c = f * c + i * cc
-    o = reference_sigmoid(x @ p.W_ox + h @ p.W_oh + p.b_o)
+    o = reference_sigmoid(x @ W_ox + h @ W_oh + b_o)
     return o * np.tanh(c), c
 
 
 def reference_gru_step(p, x, h, c):
-    r = reference_sigmoid(x @ p.W_rx + h @ p.W_rh + p.b_r)
-    z = reference_sigmoid(x @ p.W_zx + h @ p.W_zh + p.b_z)
-    hc = np.tanh(x @ p.W_x + (r * h) @ p.W_h + p.b)
+    W_rx, W_rh, b_r = gate_blocks("gru", p, "r")
+    W_zx, W_zh, b_z = gate_blocks("gru", p, "z")
+    W_x, W_h, b = gate_blocks("gru", p, "hc")
+    r = reference_sigmoid(x @ W_rx + h @ W_rh + b_r)
+    z = reference_sigmoid(x @ W_zx + h @ W_zh + b_z)
+    hc = np.tanh(x @ W_x + (r * h) @ W_h + b)
     return z * hc + (1.0 - z) * h, c
 
 
@@ -219,9 +245,7 @@ class TestReferenceEquations:
         m = recurrent.init_birnn(kind, 2, 3, seed=31)
         rng = Rng(31)
         for cell in (m.forward, m.backward):
-            for f in dataclasses.fields(cell):
-                if f.name.startswith("b"):
-                    setattr(cell, f.name, rng.uniform(-1, 1, (3,)))
+            cell.b = rng.uniform(-1, 1, cell.b.shape)
         X = Rng(32).uniform(-2, 2, (600, 4, 2))
         assert np.allclose(recurrent.birnn_forward_batch(m, X), reference_birnn_predict(m, X),
                            rtol=0.0, atol=1e-12)
@@ -238,9 +262,8 @@ class TestReferenceEquations:
 
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_cell_step_matches_reference(self, kind):
-        cls = recurrent.CELLS[kind].params
         rng = Rng(35)
-        cell = recurrent.init_cell(cls, 3, 4, rng)
+        cell = recurrent.init_cell(recurrent.CELLS[kind], 3, 4, rng)
         x, h, c = rng.uniform(-2, 2, (3,)), rng.uniform(-1, 1, (4,)), rng.uniform(-1, 1, (4,))
         h_ref, c_ref = REFERENCE_STEPS[kind](cell, x[None], h[None], c[None])
         if kind == "lstm":
@@ -249,6 +272,30 @@ class TestReferenceEquations:
         else:
             h_new = step("gru", cell, x, h)
         assert np.allclose(h_new, h_ref[0], rtol=0.0, atol=1e-12)
+
+
+class TestInitLayout:
+    @pytest.mark.parametrize("kind, draw_order", [("lstm", "fico"), ("gru", ("r", "z", "hc"))])
+    def test_init_places_per_gate_draws_in_kernel_order(self, kind, draw_order):
+        # each gate draws its Xavier input block, then its recurrent block,
+        # in draw order; the blocks then sit in the kernel's gate order
+        k, d, seed = 3, 4, 17
+        m = recurrent.init_birnn(kind, k, d, seed)
+        expected = {}
+        for direction in ("forward", "backward"):
+            rng = Rng(seed).derive(direction)
+            drawn = {}
+            for gate in draw_order:
+                drawn[gate] = (xavier(rng, k, d), xavier(rng, d, d))
+            expected[f"{direction}.W_x"] = np.hstack([drawn[g][0] for g in GATES[kind]])
+            expected[f"{direction}.W_h"] = np.hstack([drawn[g][1] for g in GATES[kind]])
+            expected[f"{direction}.b"] = np.zeros(len(GATES[kind]) * d)
+        expected["W_head"] = xavier(Rng(seed).derive("head"), 2 * d, 1)
+        expected["b_head"] = np.zeros(1)
+        actual = named_arrays(m)
+        assert list(actual) == list(expected)
+        for name, a in expected.items():
+            assert np.array_equal(actual[name], a), name
 
 
 class TestBiRnnGradients:
