@@ -42,7 +42,7 @@ from .errors import (
 from .gradcheck import grad_check
 from .hybrid import HybridConfig, HybridModel, hybrid_forward_batch, hybrid_train, init_hybrid
 from .kernels import GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit, rbfn_predict_batch
-from .optim import AdamState, TrainConfig, adam_step
+from .optim import TrainConfig, adam_step
 from .pipeline import run_experiment
 from .recurrent import (
     BiRnnModel,
@@ -68,7 +68,6 @@ from .stats import (
 )
 
 __all__ = [
-    "AdamState",
     "AlignmentError",
     "BiRnnModel",
     "CellParams",

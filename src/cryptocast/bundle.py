@@ -184,7 +184,7 @@ def load_bundle(path) -> ModelBundle:
         compose_fgi = doc["compose_fgi"]
         if not isinstance(compose_fgi, bool):
             raise TypeError(f"compose_fgi must be a boolean, got {compose_fgi!r}")
-        fgi_weights = [float(w) for w in doc["fgi_weights"]]
+        fgi_weights = check_setting("data.fgi_weights", doc["fgi_weights"], "fgi_weights")
         check_fgi_weights(*fgi_weights)
         stats = NormStats.from_json_dict(doc["normalization"])
         missing = [c for c in feature_columns if c not in stats.columns]

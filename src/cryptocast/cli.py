@@ -114,8 +114,7 @@ def _load_config(args):
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     prepared = prepare_data(cfg)
-    model, trace = train_model(args.model, cfg, prepared, Rng(cfg.seed))
-    hyper = MODELS[args.model].hyper(cfg, prepared.train_windows.X.shape[2])
+    model, trace, hyper = train_model(args.model, cfg, prepared, Rng(cfg.seed))
     save_bundle(model_bundle(cfg, prepared.stats, args.model, model, hyper), args.out)
     print(f"trained {args.model} on {len(prepared.train_windows)} windows; "
           f"bundle written to {args.out}")

@@ -17,11 +17,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import WindowSet
-from .errors import ConfigError, DimensionError, SizeError
+from .errors import ConfigError, DimensionError
 from .ops import (FORWARD_CHUNK, Buffers, blocks, layer_norm_backward, layer_norm_with_cache,
                   softmax_backward, softmax_rows, sum_leading, xavier)
 from .optim import TrainConfig, run_adam_training
-from .params import from_arrays, named_arrays, with_arrays, zeros_like
+from .params import copy_arrays, from_arrays, named_arrays, zeros_like
 from .recurrent import (CELLS, CellParams, cell_shapes, init_cell, run_states, sequence_backward,
                         sequence_forward)
 from .rng import Rng
@@ -379,14 +379,11 @@ def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
 def hybrid_train(m: HybridModel, data: WindowSet, cfg: TrainConfig):
     """Adam training through the whole stack; returns (trained copy, trace).
     The activation buffers live exactly as long as this call."""
-    if len(data) == 0:
-        raise SizeError("training window set is empty")
+    model = copy_arrays(m)
     buffers = Buffers()
 
-    def loss_grad(params, idx):
-        return hybrid_loss_and_grads(with_arrays(m, params), data.X[idx], data.y[idx],
-                                     buffers=buffers)
+    def loss_grad(idx):
+        return hybrid_loss_and_grads(model, data.X[idx], data.y[idx], buffers=buffers)
 
-    params, trace = run_adam_training(named_arrays(m), loss_grad, len(data), cfg)
-    return with_arrays(m, params), trace
-
+    trace = run_adam_training(named_arrays(model), loss_grad, len(data), cfg)
+    return model, trace

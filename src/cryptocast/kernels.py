@@ -33,12 +33,15 @@ def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # k-means (used only to place RBF centers)
 # ---------------------------------------------------------------------------
 
-def kmeans(X: np.ndarray, n_clusters: int, rng: Rng,
-           max_iter: int = 100, restarts: int = 3):
+KMEANS_RESTARTS = 3    # independent random-row inits
+KMEANS_MAX_ITER = 100  # Lloyd iterations per init, at most
+
+
+def kmeans(X: np.ndarray, n_clusters: int, rng: Rng):
     """Seeded Lloyd iterations with random-row initialization.
 
-    Runs `restarts` independent inits and keeps the assignment with the
-    lowest inertia. Empty clusters are re-seeded at the point farthest
+    Runs KMEANS_RESTARTS independent inits and keeps the assignment with
+    the lowest inertia. Empty clusters are re-seeded at the point farthest
     from its assigned center, which keeps the procedure deterministic.
     """
     n = X.shape[0]
@@ -46,10 +49,10 @@ def kmeans(X: np.ndarray, n_clusters: int, rng: Rng,
         raise SizeError(f"cannot place {n_clusters} centers on {n} samples")
     best_centers = None
     best_inertia = np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         pick = rng.sample_without_replacement(n, n_clusters)
         centers = X[pick].copy()
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             sq = _pairwise_sq_dists(X, centers)
             assign = sq.argmin(axis=1)
             nearest = sq[np.arange(n), assign]

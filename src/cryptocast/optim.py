@@ -1,4 +1,9 @@
-"""Adam optimizer and the shared seeded training loop."""
+"""Adam optimizer and the shared seeded training loop.
+
+Parameters live in one place: the model's own arrays, keyed by name
+(`params.named_arrays`). Adam writes each update into those arrays and into
+its (m, v) moment arrays, so a step allocates only its temporaries.
+"""
 
 from __future__ import annotations
 
@@ -16,46 +21,27 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    """First/second moment accumulators, step count and learning rate."""
+def adam_step(params: dict, grads: dict, moments: dict, t: int, lr: float) -> None:
+    """Bias-corrected Adam update number `t` (from 1), in place.
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-    lr: float = 1e-3
-
-    @classmethod
-    def init(cls, params, lr: float = 1e-3) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params], t=0, lr=lr)
-
-
-def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam update. Pure: returns (new_params, new_state)."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise DimensionError(
-            f"adam_step got {len(params)} params, {len(grads)} grads, "
-            f"{len(state.m)} moment slots"
-        )
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise DimensionError(
-                f"gradient shape {g.shape} does not match parameter {p.shape}"
-            )
-    t = state.t + 1
+    `params`, `grads` and `moments` are keyed by parameter name; each
+    parameter array and its `(m, v)` moment pair are overwritten. Every
+    gradient's shape is checked before any array changes.
+    """
+    for name, p in params.items():
+        if p.shape != grads[name].shape:
+            raise DimensionError(f"gradient shape {grads[name].shape} for {name} "
+                                 f"does not match parameter {p.shape}")
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + EPS))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(m=new_m, v=new_v, t=t, lr=state.lr)
+    for name, p in params.items():
+        g = grads[name]
+        m, v = moments[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 @dataclass
@@ -75,37 +61,38 @@ class TrainConfig:
         return self
 
 
-def run_adam_training(params: dict, loss_grad, n_samples: int, cfg: TrainConfig):
-    """Drive Adam over `loss_grad(params, idx) -> (loss, grads)`.
+def run_adam_training(params: dict, loss_grad, n_samples: int, cfg: TrainConfig) -> list[float]:
+    """Drive Adam over `loss_grad(idx) -> (loss, grads)`, training the
+    arrays in `params` in place.
 
-    `params` and `grads` map parameter names to arrays; `idx` is the integer
-    index array of the samples to use this step. Full-batch when
+    `params` and `grads` map parameter names to arrays; `loss_grad` reads the
+    current values from the arrays themselves. `idx` is the integer index
+    array of the samples to use this step. Full-batch when
     cfg.batch_size == 0, otherwise seeded shuffled mini-batches. A
     non-finite loss or gradient raises DivergenceError naming the epoch.
-    Returns (trained params by name, per-epoch loss).
+    Returns the per-epoch loss.
     """
     cfg.validate()
     if n_samples < 1:
         raise SizeError("training requires at least one sample")
-    names = list(params)
-    values = list(params.values())
-    state = AdamState.init(values, lr=cfg.lr)
+    moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     rng = Rng(cfg.seed)
     full_batch = cfg.batch_size == 0 or cfg.batch_size >= n_samples
     trace: list[float] = []
+    t = 0
     for epoch in range(cfg.epochs):
         order = np.arange(n_samples) if full_batch else rng.permutation(n_samples)
         step = n_samples if full_batch else cfg.batch_size
         losses = []
         for start in range(0, n_samples, step):
-            loss, grads = loss_grad(dict(zip(names, values)), order[start:start + step])
+            loss, grads = loss_grad(order[start:start + step])
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            grad_list = [grads[name] for name in names]
-            for name, g in zip(names, grad_list):
-                if not np.all(np.isfinite(g)):
+            for name in params:
+                if not np.all(np.isfinite(grads[name])):
                     raise DivergenceError(f"non-finite gradient for {name} at epoch {epoch}")
-            values, state = adam_step(values, grad_list, state)
+            t += 1
+            adam_step(params, grads, moments, t, cfg.lr)
             losses.append(float(loss))
         trace.append(losses[0] if full_batch else float(np.mean(losses)))
-    return dict(zip(names, values)), trace
+    return trace

@@ -3,7 +3,9 @@
 A model's parameters are the ndarrays reachable through dataclass fields and
 list items, named by dotted path (`forward.W_x`, `encoder_layers.0.W_QKV`);
 ints, strings and configs are structure. Adam, gradient zeroing, the
-gradient oracles and bundles all go through these names.
+gradient oracles and bundles all go through these names. Training and the
+gradient oracles write into the named arrays themselves, so a model's
+arrays are its only parameter store; a trainer first takes its own copy.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ def named_arrays(obj) -> dict[str, np.ndarray]:
     return out
 
 
-def with_arrays(obj, arrays: dict[str, np.ndarray]):
-    """Copy of `obj` whose parameters named in `arrays` take those values."""
-    return map_arrays(obj, lambda name, a: arrays.get(name, a))
+def copy_arrays(obj):
+    """Copy of `obj` with its own copy of every parameter array."""
+    return map_arrays(obj, lambda name, a: a.copy())
 
 
 def zeros_like(obj):

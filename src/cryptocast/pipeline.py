@@ -148,10 +148,12 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
 
 def train_model(kind: str, cfg: ExperimentConfig, prepared: PreparedData,
                 master: Rng):
-    """Fit one model kind on the training windows; returns (model, trace)."""
+    """Fit one model kind on the training windows; returns (model, trace,
+    hyperparameters)."""
     ws = prepared.train_windows
     spec = MODELS[kind]
-    return spec.fit(spec.hyper(cfg, ws.X.shape[2]), ws, master.derive(kind).seed)
+    hyper = spec.hyper(cfg, ws.X.shape[2])
+    return (*spec.fit(hyper, ws, master.derive(kind).seed), hyper)
 
 
 def predict_windows(kind: str, model, ws: dataio.WindowSet) -> np.ndarray:
@@ -173,7 +175,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     runs: dict[str, ModelRun] = {}
     for kind in MODEL_ORDER:
         with _stage(f"train:{kind}"):
-            model, trace = train_model(kind, cfg, prepared, master)
+            model, trace, hyper = train_model(kind, cfg, prepared, master)
         with _stage(f"predict:{kind}"):
             train_pred = dataio.invert_minmax(
                 predict_windows(kind, model, prepared.train_windows), target, stats)
@@ -184,10 +186,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             band = prediction_interval(residuals, test_pred, cfg.interval_level)
             metrics = compute_metrics(test_actual, test_pred)
         runs[kind] = ModelRun(
-            kind=kind, model=model,
-            hyperparameters=MODELS[kind].hyper(cfg, prepared.train_windows.X.shape[2]),
-            loss_trace=trace, train_pred=train_pred, test_pred=test_pred,
-            band=band, metrics=metrics,
+            kind=kind, model=model, hyperparameters=hyper, loss_trace=trace,
+            train_pred=train_pred, test_pred=test_pred, band=band, metrics=metrics,
         )
 
     with _stage("compare"):

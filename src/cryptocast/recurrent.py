@@ -44,10 +44,10 @@ from typing import Callable
 import numpy as np
 
 from .data import WindowSet
-from .errors import DimensionError, SizeError
+from .errors import DimensionError
 from .ops import Buffers, blocks, sigmoid, xavier
 from .optim import TrainConfig, run_adam_training
-from .params import from_arrays, named_arrays, with_arrays
+from .params import copy_arrays, from_arrays, named_arrays
 from .rng import Rng
 
 
@@ -338,13 +338,11 @@ def birnn_loss_and_grads(m: BiRnnModel, X: np.ndarray, y: np.ndarray,
 def birnn_train(m: BiRnnModel, data: WindowSet, cfg: TrainConfig):
     """Full BPTT training with Adam; returns (trained copy, loss per epoch).
     The activation buffers live exactly as long as this call."""
-    if len(data) == 0:
-        raise SizeError("training window set is empty")
+    model = copy_arrays(m)
     buffers = Buffers()
 
-    def loss_grad(params, idx):
-        return birnn_loss_and_grads(with_arrays(m, params), data.X[idx], data.y[idx],
-                                    buffers=buffers)
+    def loss_grad(idx):
+        return birnn_loss_and_grads(model, data.X[idx], data.y[idx], buffers=buffers)
 
-    params, trace = run_adam_training(named_arrays(m), loss_grad, len(data), cfg)
-    return with_arrays(m, params), trace
+    trace = run_adam_training(named_arrays(model), loss_grad, len(data), cfg)
+    return model, trace

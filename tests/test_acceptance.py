@@ -15,7 +15,7 @@ from cryptocast.config import validate_config
 from cryptocast.data import SynthParams, synthesize_series, write_series_csv
 from cryptocast.gradcheck import grad_check
 from cryptocast.optim import TrainConfig
-from cryptocast.params import named_arrays, with_arrays
+from cryptocast.params import named_arrays
 from cryptocast.pipeline import run_experiment
 from cryptocast.rng import Rng
 
@@ -41,25 +41,17 @@ def test_gradient_oracle():
     y = rng.uniform(0, 1, (15,))
     rbfn = kernels.rbfn_fit(X, y, m=5, seed=7)
     rbfn.weights = rng.uniform(-1, 1, rbfn.weights.shape)
-    rbfn.bias = rng.uniform(-1, 1)
-
-    def rbfn_lg(params):
-        rbfn.weights, rbfn.bias = params["weights"], params["bias"]
-        return kernels.rbfn_loss_and_grad(rbfn, X, y)
-
-    results["rbfn"] = grad_check(
-        rbfn_lg, {"weights": rbfn.weights.copy(), "bias": np.array(rbfn.bias)}, h=1e-5)
+    rbfn.bias = np.array(rng.uniform(-1, 1))
+    results["rbfn"] = grad_check(lambda: kernels.rbfn_loss_and_grad(rbfn, X, y),
+                                 {"weights": rbfn.weights, "bias": rbfn.bias}, h=1e-5)
 
     # bidirectional recurrent models, T <= 4
     Xw = rng.uniform(0, 1, (4, 4, 2))
     yw = rng.uniform(0, 1, (4,))
     for name, kind in (("bilstm", "lstm"), ("bigru", "gru")):
         model = recurrent.init_birnn(kind, 2, 3, seed=11)
-
-        def birnn_lg(params, model=model):
-            return recurrent.birnn_loss_and_grads(with_arrays(model, params), Xw, yw)
-
-        results[name] = grad_check(birnn_lg, named_arrays(model), h=1e-5)
+        results[name] = grad_check(lambda: recurrent.birnn_loss_and_grads(model, Xw, yw),
+                                   named_arrays(model), h=1e-5)
 
     # full hybrid stack, T <= 4
     cfg = hybrid.HybridConfig(window=3, input_size=2, d_model=4, heads=2,
@@ -68,10 +60,8 @@ def test_gradient_oracle():
     yh = rng.uniform(0, 1, (4,))
     hmodel = hybrid.init_hybrid(cfg, seed=13)
 
-    def hybrid_lg(params):
-        return hybrid.hybrid_loss_and_grads(with_arrays(hmodel, params), Xh, yh)
-
-    results["hybrid"] = grad_check(hybrid_lg, named_arrays(hmodel), h=1e-5)
+    results["hybrid"] = grad_check(lambda: hybrid.hybrid_loss_and_grads(hmodel, Xh, yh),
+                                   named_arrays(hmodel), h=1e-5)
 
     elapsed = time.time() - started
     for name, err in results.items():

@@ -192,7 +192,7 @@ class TestBundleErrors:
 
     @pytest.mark.parametrize("field, value", [
         ("compose_fgi", 1), ("fgi_weights", [0.3, 0.3]), ("fgi_weights", [0.5]),
-        ("fgi_weights", "ab"), ("fgi_weights", [10**400, 0]),
+        ("fgi_weights", "ab"), ("fgi_weights", [10**400, 0]), ("fgi_weights", [True, False]),
     ])
     def test_malformed_fgi_envelope_named(self, tmp_path, field, value):
         path, doc = saved_doc(tmp_path, "rbfn")

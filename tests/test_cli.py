@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +98,30 @@ class TestRun:
                        "--save-models") == 0
         for kind in ("rbfn", "grnn", "bilstm", "bigru", "hybrid"):
             assert (out_dir / f"model_{kind}.json").exists()
+
+    def test_saved_models_are_byte_identical_across_processes(self, small_config_doc, tmp_path):
+        # fresh interpreters with different string-hash seeds: nothing written
+        # may depend on set or dict-of-str iteration order
+        csv_path = tmp_path / "series200.csv"
+        dataio.write_series_csv(dataio.synthesize_series(19, 200), csv_path)
+        small_config_doc["data"]["path"] = str(csv_path)
+        for kind in ("bilstm", "bigru", "hybrid"):
+            small_config_doc["models"][kind]["epochs"] = 2
+        config = tmp_path / "config200.json"
+        config.write_text(json.dumps(small_config_doc))
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        outs = []
+        for hash_seed in ("1", "2"):
+            out_dir = tmp_path / f"hashseed{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "cryptocast", "run", "--config", str(config),
+                            "--out", str(out_dir), "--save-models"],
+                           env=env, capture_output=True, check=True)
+            outs.append(out_dir)
+        names = ["manifest.json"] + [f"model_{kind}.json" for kind in cli.MODELS]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_unknown_config_key_exits_2(self, small_config_doc, tmp_path):
         small_config_doc["spliit_ratio"] = 0.9

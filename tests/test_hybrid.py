@@ -14,7 +14,7 @@ from cryptocast.gradcheck import grad_check
 from cryptocast.ops import FORWARD_CHUNK as B
 from cryptocast.ops import layer_norm_with_cache, xavier
 from cryptocast.optim import TrainConfig
-from cryptocast.params import named_arrays, with_arrays
+from cryptocast.params import named_arrays
 from cryptocast.rng import Rng
 
 SMALL = hybrid.HybridConfig(window=3, input_size=2, d_model=4, heads=2,
@@ -471,10 +471,7 @@ class TestHybridGradients:
         y = rng.uniform(0, 1, (4,))
         m = hybrid.init_hybrid(SMALL, seed=26)
 
-        def lg(params):
-            return hybrid.hybrid_loss_and_grads(with_arrays(m, params), X, y)
-
-        err = grad_check(lg, named_arrays(m), h=1e-5)
+        err = grad_check(lambda: hybrid.hybrid_loss_and_grads(m, X, y), named_arrays(m), h=1e-5)
         assert err < 1e-4
 
     def test_two_layer_gradient_check(self):
@@ -485,10 +482,7 @@ class TestHybridGradients:
         y = rng.uniform(0, 1, (3,))
         m = hybrid.init_hybrid(cfg, seed=28)
 
-        def lg(params):
-            return hybrid.hybrid_loss_and_grads(with_arrays(m, params), X, y)
-
-        err = grad_check(lg, named_arrays(m), h=1e-5)
+        err = grad_check(lambda: hybrid.hybrid_loss_and_grads(m, X, y), named_arrays(m), h=1e-5)
         assert err < 1e-4
 
     def test_multi_head_two_layer_gradient_check(self):
@@ -497,10 +491,7 @@ class TestHybridGradients:
         y = rng.uniform(0, 1, (3,))
         m = hybrid.init_hybrid(MULTI, seed=45)
 
-        def lg(params):
-            return hybrid.hybrid_loss_and_grads(with_arrays(m, params), X, y)
-
-        err = grad_check(lg, named_arrays(m), h=1e-5)
+        err = grad_check(lambda: hybrid.hybrid_loss_and_grads(m, X, y), named_arrays(m), h=1e-5)
         assert err < 1e-4
 
     def test_training_loss_matches_inference(self):
@@ -540,6 +531,15 @@ class TestHybridTraining:
         p2 = named_arrays(t2)
         for name, a in named_arrays(t1).items():
             assert np.array_equal(a, p2[name])
+
+    def test_training_does_not_mutate_input_model(self):
+        data = make_window_set(5, 3, 2, seed=32)
+        m = hybrid.init_hybrid(SMALL, seed=33)
+        before = {name: a.copy() for name, a in named_arrays(m).items()}
+        trained, _ = hybrid.hybrid_train(m, data, TrainConfig(epochs=5, lr=0.01, seed=34))
+        assert not np.array_equal(named_arrays(trained)["W_p"], before["W_p"])
+        for name, a in named_arrays(m).items():
+            assert np.array_equal(before[name], a), name
 
     def test_empty_data_rejected(self):
         data = make_window_set(2, 3, 2)

@@ -128,14 +128,10 @@ class TestRbfn:
         model = kernels.rbfn_fit(X, y, m=5, seed=2)
         rng = Rng(10)
         model.weights = rng.uniform(-1, 1, model.weights.shape)
-        model.bias = rng.uniform(-1, 1)
+        model.bias = np.array(rng.uniform(-1, 1))
 
-        def lg(params):
-            model.weights, model.bias = params["weights"], params["bias"]
-            return kernels.rbfn_loss_and_grad(model, X, y)
-
-        err = grad_check(lg, {"weights": model.weights.copy(), "bias": np.array(model.bias)},
-                         h=1e-5)
+        err = grad_check(lambda: kernels.rbfn_loss_and_grad(model, X, y),
+                         {"weights": model.weights, "bias": model.bias}, h=1e-5)
         assert err < 1e-7
 
 

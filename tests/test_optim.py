@@ -2,82 +2,97 @@ import numpy as np
 import pytest
 
 from cryptocast.errors import DimensionError, DivergenceError
-from cryptocast.optim import AdamState, TrainConfig, adam_step, run_adam_training
+from cryptocast.optim import TrainConfig, adam_step, run_adam_training
+
+
+def fresh_moments(params):
+    return {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
 
 
 def test_zero_gradients_leave_params_unchanged():
-    params = [np.array([[1.0, -2.0]]), np.array([0.5])]
-    grads = [np.zeros_like(p) for p in params]
-    state = AdamState.init(params)
-    new_params, new_state = adam_step(params, grads, state)
-    for p, q in zip(params, new_params):
-        assert np.array_equal(p, q)
-    assert new_state.t == 1
+    params = {"w": np.array([[1.0, -2.0]]), "b": np.array([0.5])}
+    before = {name: p.copy() for name, p in params.items()}
+    grads = {name: np.zeros_like(p) for name, p in params.items()}
+    adam_step(params, grads, fresh_moments(params), 1, 1e-3)
+    for name, p in params.items():
+        assert np.array_equal(p, before[name])
 
 
 def test_first_step_magnitude_is_learning_rate():
     # at t=1 the bias-corrected ratio m_hat/sqrt(v_hat) equals sign(g),
     # so |delta| = lr * |g| / (|g| + eps) which is lr up to eps
     for g in (0.01, -3.0, 250.0):
-        params = [np.array([1.0])]
-        state = AdamState.init(params, lr=1e-3)
-        new_params, _ = adam_step(params, [np.array([g])], state)
-        delta = new_params[0][0] - 1.0
+        params = {"w": np.array([1.0])}
+        adam_step(params, {"w": np.array([g])}, fresh_moments(params), 1, 1e-3)
+        delta = params["w"][0] - 1.0
         assert np.isclose(abs(delta), 1e-3, rtol=1e-5)
         assert np.sign(delta) == -np.sign(g)
 
 
 def test_determinism():
-    params = [np.array([[0.3, 0.7], [0.1, -0.2]])]
-    grads = [np.array([[0.5, -1.0], [2.0, 0.25]])]
-    out1 = adam_step(params, grads, AdamState.init(params, lr=0.01))
-    out2 = adam_step(params, grads, AdamState.init(params, lr=0.01))
-    assert np.array_equal(out1[0][0], out2[0][0])
-    assert np.array_equal(out1[1].m[0], out2[1].m[0])
+    grads = {"w": np.array([[0.5, -1.0], [2.0, 0.25]])}
+    out = []
+    for _ in range(2):
+        params = {"w": np.array([[0.3, 0.7], [0.1, -0.2]])}
+        moments = fresh_moments(params)
+        adam_step(params, grads, moments, 1, 0.01)
+        out.append((params["w"], moments["w"][0]))
+    assert np.array_equal(out[0][0], out[1][0])
+    assert np.array_equal(out[0][1], out[1][1])
 
 
 def test_shape_mismatch_rejected():
-    params = [np.zeros((2, 2))]
-    with pytest.raises(DimensionError):
-        adam_step(params, [np.zeros(3)], AdamState.init(params))
+    params = {"w": np.zeros((2, 2))}
+    with pytest.raises(DimensionError, match="for w"):
+        adam_step(params, {"w": np.zeros(3)}, fresh_moments(params), 1, 1e-3)
 
 
 def test_bias_correction_against_hand_formula():
-    # two explicit steps with constant gradient, checked against the
-    # update equations evaluated by hand
+    # two explicit steps with constant gradient, checked bit for bit against
+    # the update equations evaluated by hand in the same order
     g = 0.5
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    params = [np.array([0.0])]
-    state = AdamState.init(params, lr=lr)
+    params = {"w": np.array([0.0])}
+    moments = fresh_moments(params)
     w = 0.0
     m = v = 0.0
     for t in (1, 2):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         w -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        params, state = adam_step(params, [np.array([g])], state)
-        assert np.isclose(params[0][0], w, atol=1e-15)
+        adam_step(params, {"w": np.array([g])}, moments, t, lr)
+        assert params["w"][0] == w
+
+
+def test_update_is_written_into_the_given_arrays():
+    params = {"w": np.array([1.0, -1.0])}
+    w = params["w"]
+    moments = fresh_moments(params)
+    m, v = moments["w"]
+    adam_step(params, {"w": np.array([0.5, 0.5])}, moments, 1, 0.1)
+    assert params["w"] is w and moments["w"][0] is m and moments["w"][1] is v
+    assert np.all(w < [1.0, -1.0]) and np.all(m > 0.0) and np.all(v > 0.0)
 
 
 def test_training_loop_zero_epochs_is_noop():
     params = {"w": np.array([2.0])}
 
-    def loss_grad(ps, idx):
-        return float(ps["w"][0] ** 2), {"w": 2.0 * ps["w"]}
+    def loss_grad(idx):
+        return float(params["w"][0] ** 2), {"w": 2.0 * params["w"]}
 
-    out, trace = run_adam_training(params, loss_grad, 4, TrainConfig(epochs=0))
-    assert out["w"][0] == 2.0
+    trace = run_adam_training(params, loss_grad, 4, TrainConfig(epochs=0))
+    assert params["w"][0] == 2.0
     assert trace == []
 
 
 def test_training_loop_descends_quadratic():
     params = {"w": np.array([2.0])}
 
-    def loss_grad(ps, idx):
-        return float(ps["w"][0] ** 2), {"w": 2.0 * ps["w"]}
+    def loss_grad(idx):
+        return float(params["w"][0] ** 2), {"w": 2.0 * params["w"]}
 
-    out, trace = run_adam_training(params, loss_grad, 4, TrainConfig(epochs=300, lr=0.05))
-    assert abs(out["w"][0]) < 0.05
+    trace = run_adam_training(params, loss_grad, 4, TrainConfig(epochs=300, lr=0.05))
+    assert abs(params["w"][0]) < 0.05
     assert trace[-1] < trace[0]
 
 
@@ -85,7 +100,7 @@ def test_divergence_error_names_epoch():
     params = {"w": np.array([1.0])}
     calls = {"n": 0}
 
-    def loss_grad(ps, idx):
+    def loss_grad(idx):
         calls["n"] += 1
         if calls["n"] >= 3:
             return float("nan"), {"w": np.zeros(1)}
@@ -99,8 +114,8 @@ def test_non_finite_gradient_names_epoch_and_parameter():
     params = {"w": np.array([1.0]), "b": np.array([0.5, -0.5])}
     seen = []
 
-    def loss_grad(ps, idx):
-        seen.append({name: p.copy() for name, p in ps.items()})
+    def loss_grad(idx):
+        seen.append({name: p.copy() for name, p in params.items()})
         b_grad = np.array([0.1, np.inf]) if len(seen) >= 2 else np.array([0.1, 0.1])
         return 1.0, {"w": np.array([0.2]), "b": b_grad}
 
@@ -111,12 +126,14 @@ def test_non_finite_gradient_names_epoch_and_parameter():
 
 
 def test_minibatch_mode_is_deterministic():
-    def loss_grad(ps, idx):
-        r = ps["w"][0] - 3.0
-        return float(r * r), {"w": np.array([2.0 * r])}
+    out = []
+    for _ in range(2):
+        params = {"w": np.array([0.0])}
 
-    cfg = TrainConfig(epochs=20, lr=0.05, seed=5, batch_size=2)
-    out1, trace1 = run_adam_training({"w": np.array([0.0])}, loss_grad, 6, cfg)
-    out2, trace2 = run_adam_training({"w": np.array([0.0])}, loss_grad, 6, cfg)
-    assert out1["w"][0] == out2["w"][0]
-    assert trace1 == trace2
+        def loss_grad(idx):
+            r = params["w"][0] - 3.0
+            return float(r * r), {"w": np.array([2.0 * r])}
+
+        cfg = TrainConfig(epochs=20, lr=0.05, seed=5, batch_size=2)
+        out.append((run_adam_training(params, loss_grad, 6, cfg), params["w"][0]))
+    assert out[0] == out[1]

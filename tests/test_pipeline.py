@@ -142,7 +142,7 @@ class TestModelTable:
         prepared = pipeline.prepare_data(small_config)
         for kind in pipeline.MODELS:
             calls.clear()
-            model, _ = pipeline.train_model(kind, small_config, prepared, Rng(small_config.seed))
+            model, _, _ = pipeline.train_model(kind, small_config, prepared, Rng(small_config.seed))
             pipeline.predict_windows(kind, model, prepared.test_windows)
             assert set(calls) == self.REACHED[kind], kind
 
