@@ -26,7 +26,7 @@ from .config import ExperimentConfig, check_setting
 from .data import NormStats, check_fgi_weights
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .jsonio import dumps_canonical
-from .params import named_arrays
+from .params import map_arrays, named_arrays
 from .pipeline import MODELS
 
 BUNDLE_FORMAT = "model-bundle/5"
@@ -122,14 +122,14 @@ def _parameter_arrays(path, expected: dict, params: dict) -> dict[str, np.ndarra
     arrays = {}
     for name, shape in expected.items():
         declared = _declared_shape(path, name, params[name])
-        if len(declared) == len(shape):
+        if declared != shape and len(declared) == len(shape):
             shape = tuple(free.setdefault(d, n) if isinstance(d, str) else d
                           for d, n in zip(shape, declared))
         if declared != shape:
             raise DataError(f"bundle {path}: parameter {name} has shape {declared}, "
                             f"expected {shape}")
         a = _decode_array(path, name, params[name]["f8le"], declared)
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise DataError(f"bundle {path}: parameter {name} has non-finite values")
         arrays[name] = a
     return arrays
@@ -199,14 +199,14 @@ def load_bundle(path) -> ModelBundle:
         hyper = {**check_setting(f"models.{kind}",
                                  {k: v for k, v in hyper.items() if k not in fixed},
                                  "hyperparameters"), **fixed}
-        expected = spec.shapes(hyper, window * len(feature_columns))
+        template = spec.template(hyper, window * len(feature_columns))
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None
     except (TypeError, ValueError, OverflowError, ConfigError, DomainError) as exc:
         raise DataError(f"bundle {path} has a malformed envelope: {exc}") from None
-    arrays = _parameter_arrays(path, expected, params)
+    arrays = _parameter_arrays(path, spec.shapes_of(template), params)
     try:
-        model = spec.rebuild(hyper, arrays)
+        model = map_arrays(template, lambda name, a: arrays[name])
     except NumericalError as exc:
         raise DataError(f"bundle {path}: {exc}") from None
     return ModelBundle(kind=kind, model=model, hyperparameters=hyper, window=window,

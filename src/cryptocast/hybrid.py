@@ -21,9 +21,9 @@ from .errors import ConfigError, DimensionError
 from .ops import (FORWARD_CHUNK, Buffers, blocks, layer_norm_backward, layer_norm_with_cache,
                   softmax_backward, softmax_rows, sum_leading, xavier)
 from .optim import TrainConfig, run_adam_training
-from .params import copy_arrays, from_arrays, named_arrays, zeros_like
-from .recurrent import (CELLS, CellParams, cell_shapes, init_cell, run_states, sequence_backward,
-                        sequence_forward)
+from .params import copy_arrays, named_arrays, zeros_like
+from .recurrent import (CELLS, CellParams, cell_template, init_cell, run_states,
+                        sequence_backward, sequence_forward)
 from .rng import Rng
 
 LAYER_NORM_EPS = 1e-5
@@ -104,57 +104,41 @@ class HybridModel:
     b_p: np.ndarray  # (1,)
 
 
+def hybrid_template(config: HybridConfig) -> HybridModel:
+    """The model `init_hybrid` fills, with every Xavier block zero: the
+    structure a bundle's parameters are loaded into; `config` is already validated."""
+    d, f = config.d_model, config.d_ffn
+    width = config.heads * config.d_head
+    layers = [EncoderLayerParams(
+        W_QKV=np.zeros((d, 3 * width)), W_O=np.zeros((width, d)),
+        W_1=np.zeros((d, f)), b_1=np.zeros(f), W_2=np.zeros((f, d)), b_2=np.zeros(d),
+        ln1_gamma=np.ones(d), ln1_beta=np.zeros(d), ln2_gamma=np.ones(d), ln2_beta=np.zeros(d),
+    ) for _ in range(config.layers)]
+    return HybridModel(
+        config=config, W_e=np.zeros((d, config.input_size)), b_e=np.zeros(d),
+        encoder_layers=layers, gru=cell_template(CELLS["gru"], d, config.d_gru),
+        W_p=np.zeros((1, config.d_gru)), b_p=np.zeros(1),
+    )
+
+
 def init_hybrid(config: HybridConfig, seed: int) -> HybridModel:
-    config.validate()
+    """The template with each Xavier block drawn from its own derived
+    stream: every head's query, key and value block, then W_O, W_1, W_2
+    per layer; the embedding, the GRU and the head."""
+    m = hybrid_template(config.validate())
     rng = Rng(seed)
     d, dk = config.d_model, config.d_head
-    layers = []
-    for ell in range(config.layers):
+    for ell, layer in enumerate(m.encoder_layers):
         lr = rng.derive(f"encoder{ell}")
-        layers.append(EncoderLayerParams(
-            W_QKV=np.concatenate([xavier(lr.derive(f"{w}{m}"), d, dk)
-                                  for w in "qkv" for m in range(config.heads)], axis=1),
-            W_O=xavier(lr.derive("o"), config.heads * dk, d),
-            W_1=xavier(lr.derive("ffn1"), d, config.d_ffn),
-            b_1=np.zeros(config.d_ffn),
-            W_2=xavier(lr.derive("ffn2"), config.d_ffn, d),
-            b_2=np.zeros(d),
-            ln1_gamma=np.ones(d), ln1_beta=np.zeros(d),
-            ln2_gamma=np.ones(d), ln2_beta=np.zeros(d),
-        ))
-    return HybridModel(
-        config=config,
-        W_e=xavier(rng.derive("embed"), d, config.input_size),
-        b_e=np.zeros(d),
-        encoder_layers=layers,
-        gru=init_cell(CELLS["gru"], d, config.d_gru, rng.derive("gru")),
-        W_p=xavier(rng.derive("head"), 1, config.d_gru),
-        b_p=np.zeros(1),
-    )
-
-
-def hybrid_shapes(config: HybridConfig) -> dict[str, tuple]:
-    """Parameter shapes of a hybrid model, by dotted name."""
-    d, h, dk, f = config.d_model, config.heads, config.d_head, config.d_ffn
-    layer = {"W_QKV": (d, 3 * h * dk), "W_O": (h * dk, d),
-             "W_1": (d, f), "b_1": (f,), "W_2": (f, d), "b_2": (d,),
-             "ln1_gamma": (d,), "ln1_beta": (d,), "ln2_gamma": (d,), "ln2_beta": (d,)}
-    gru = cell_shapes(CELLS["gru"], d, config.d_gru)
-    return {"W_e": (d, config.input_size), "b_e": (d,),
-            **{f"encoder_layers.{i}.{name}": shape
-               for i in range(config.layers) for name, shape in layer.items()},
-            **{f"gru.{name}": shape for name, shape in gru.items()},
-            "W_p": (1, config.d_gru), "b_p": (1,)}
-
-
-def hybrid_from_arrays(config: HybridConfig, arrays: dict[str, np.ndarray]) -> HybridModel:
-    return HybridModel(
-        config=config, W_e=arrays["W_e"], b_e=arrays["b_e"],
-        encoder_layers=[from_arrays(EncoderLayerParams, arrays, f"encoder_layers.{i}.")
-                        for i in range(config.layers)],
-        gru=from_arrays(CellParams, arrays, "gru."),
-        W_p=arrays["W_p"], b_p=arrays["b_p"],
-    )
+        for j, tag in enumerate(f"{w}{h}" for w in "qkv" for h in range(config.heads)):
+            layer.W_QKV[:, j * dk:(j + 1) * dk] = xavier(lr.derive(tag), d, dk)
+        layer.W_O[...] = xavier(lr.derive("o"), *layer.W_O.shape)
+        layer.W_1[...] = xavier(lr.derive("ffn1"), *layer.W_1.shape)
+        layer.W_2[...] = xavier(lr.derive("ffn2"), *layer.W_2.shape)
+    m.W_e[...] = xavier(rng.derive("embed"), *m.W_e.shape)
+    init_cell(CELLS["gru"], m.gru, rng.derive("gru"))
+    m.W_p[...] = xavier(rng.derive("head"), *m.W_p.shape)
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,6 @@ def rbfn_fit(X: np.ndarray, y: np.ndarray, m: int, seed: int,
     return RbfnModel(centers=centers, spreads=spreads, weights=weights, bias=bias)
 
 
-def rbfn_shapes(centers: int, width: int) -> dict[str, tuple]:
-    """Parameter shapes of an RBF network over `width` flat features, by name."""
-    return {"centers": (centers, width), "spreads": (centers,), "weights": (centers,), "bias": ()}
-
-
 def rbfn_predict_batch(model: RbfnModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.centers.shape[1]:
@@ -239,13 +234,6 @@ def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid) -> GrnnModel:
             best_mse = mse
             best_sigma = sigma
     return GrnnModel(stored_inputs=X.copy(), stored_targets=y.copy(), sigma=np.array(best_sigma))
-
-
-def grnn_shapes(width: int) -> dict[str, tuple]:
-    """Parameter shapes of a GRNN over `width` flat features, by name. It
-    stores every training window, so its row count is free ("rows") but
-    must agree between its two stored arrays."""
-    return {"stored_inputs": ("rows", width), "stored_targets": ("rows",), "sigma": ()}
 
 
 def grnn_predict_batch(model: GrnnModel, X: np.ndarray) -> np.ndarray:

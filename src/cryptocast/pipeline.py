@@ -14,14 +14,13 @@ import numpy as np
 from . import data as dataio
 from .config import ExperimentConfig
 from .errors import CryptocastError, SizeError
-from .hybrid import (HybridConfig, hybrid_forward_batch, hybrid_from_arrays, hybrid_shapes,
-                     hybrid_train, init_hybrid)
+from .hybrid import HybridConfig, hybrid_forward_batch, hybrid_template, hybrid_train, init_hybrid
 from .jsonio import dumps_canonical, sha256_hex
-from .kernels import (GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, grnn_shapes, rbfn_fit,
-                      rbfn_predict_batch, rbfn_shapes)
+from .kernels import (GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit,
+                      rbfn_predict_batch)
 from .optim import TrainConfig
-from .params import from_arrays
-from .recurrent import birnn_forward_batch, birnn_from_arrays, birnn_shapes, birnn_train, init_birnn
+from .params import named_arrays
+from .recurrent import birnn_forward_batch, birnn_template, birnn_train, init_birnn
 from .rng import Rng
 from .stats import ComparisonReport, IntervalBand, MetricReport, compare_models, compute_metrics, prediction_interval
 
@@ -34,8 +33,21 @@ class ModelKind:
     hyper: Callable    # (cfg, input_size) -> hyperparameters (JSON-ready dict)
     fit: Callable      # (hyper, train WindowSet, seed) -> (model, loss trace or None)
     predict: Callable  # (model, WindowSet) -> normalized predictions
-    shapes: Callable   # (hyper, flat window width) -> {parameter name: shape}
-    rebuild: Callable  # (hyper, {parameter name: array}) -> model
+    # (hyper, flat window width) -> a model of the fitted structure, built
+    # without drawing random numbers; a bundle's parameters take the names
+    # and shapes of its arrays
+    template: Callable
+    # arrays whose first axis counts stored training rows: free in a bundle
+    # ("rows"), but equal across them
+    stored_rows: tuple = ()
+
+    def shapes_of(self, template) -> dict[str, tuple]:
+        """{parameter name: shape} of a template, the stored-row axis as "rows"."""
+        return {name: ("rows", *a.shape[1:]) if name in self.stored_rows else a.shape
+                for name, a in named_arrays(template).items()}
+
+    def shapes(self, hyper: dict, width: int) -> dict[str, tuple]:
+        return self.shapes_of(self.template(hyper, width))
 
 
 def _train_config(hyper: dict, seed: int) -> TrainConfig:
@@ -52,8 +64,7 @@ def _recurrent(cell: str, kind: str) -> ModelKind:
         fit=lambda h, ws, seed: birnn_train(
             init_birnn(cell, *sizes(h), seed), ws, _train_config(h, seed)),
         predict=lambda model, ws: birnn_forward_batch(model, ws.X),
-        shapes=lambda h, width: birnn_shapes(cell, *sizes(h)),
-        rebuild=lambda h, a: birnn_from_arrays(cell, *sizes(h), a),
+        template=lambda h, width: birnn_template(cell, *sizes(h)),
     )
 
 
@@ -62,15 +73,19 @@ MODELS = {
         hyper=lambda cfg, k: dict(cfg.models["rbfn"]),
         fit=lambda h, ws, seed: (rbfn_fit(ws.flatten(), ws.y, h["centers"], seed), None),
         predict=lambda model, ws: rbfn_predict_batch(model, ws.flatten()),
-        shapes=lambda h, width: rbfn_shapes(h["centers"], width),
-        rebuild=lambda h, a: from_arrays(RbfnModel, a),
+        # unit spreads: a model rejects non-positive ones
+        template=lambda h, width: RbfnModel(
+            centers=np.zeros((h["centers"], width)), spreads=np.ones(h["centers"]),
+            weights=np.zeros(h["centers"]), bias=np.zeros(())),
     ),
     "grnn": ModelKind(
         hyper=lambda cfg, k: dict(cfg.models["grnn"]),
         fit=lambda h, ws, seed: (grnn_fit(ws.flatten(), ws.y, h["sigma_grid"]), None),
         predict=lambda model, ws: grnn_predict_batch(model, ws.flatten()),
-        shapes=lambda h, width: grnn_shapes(width),
-        rebuild=lambda h, a: from_arrays(GrnnModel, a),
+        # one stored row and unit sigma: a model rejects none or zero
+        template=lambda h, width: GrnnModel(
+            stored_inputs=np.zeros((1, width)), stored_targets=np.zeros(1), sigma=np.ones(())),
+        stored_rows=("stored_inputs", "stored_targets"),
     ),
     "bilstm": _recurrent("lstm", "bilstm"),
     "bigru": _recurrent("gru", "bigru"),
@@ -79,8 +94,7 @@ MODELS = {
         fit=lambda h, ws, seed: hybrid_train(
             init_hybrid(HybridConfig.from_hyperparameters(h), seed), ws, _train_config(h, seed)),
         predict=lambda model, ws: hybrid_forward_batch(model, ws.X),
-        shapes=lambda h, width: hybrid_shapes(HybridConfig.from_hyperparameters(h)),
-        rebuild=lambda h, a: hybrid_from_arrays(HybridConfig.from_hyperparameters(h), a),
+        template=lambda h, width: hybrid_template(HybridConfig.from_hyperparameters(h)),
     ),
 }
 MODEL_ORDER = tuple(MODELS)

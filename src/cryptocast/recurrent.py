@@ -47,7 +47,7 @@ from .data import WindowSet
 from .errors import DimensionError
 from .ops import Buffers, blocks, sigmoid, xavier
 from .optim import TrainConfig, run_adam_training
-from .params import copy_arrays, from_arrays, named_arrays
+from .params import copy_arrays, named_arrays
 from .rng import Rng
 
 
@@ -150,16 +150,18 @@ CELLS = {
 }
 
 
-def cell_shapes(cell: Cell, input_size: int, hidden_size: int) -> dict[str, tuple]:
+def cell_template(cell: Cell, input_size: int, hidden_size: int) -> CellParams:
+    """An all-zero cell of the given sizes."""
     width = len(cell.recurrent_inputs) * hidden_size
-    return {"W_x": (input_size, width), "W_h": (hidden_size, width), "b": (width,)}
+    return CellParams(W_x=np.zeros((input_size, width)), W_h=np.zeros((hidden_size, width)),
+                      b=np.zeros(width))
 
 
-def init_cell(cell: Cell, input_size: int, hidden_size: int, rng: Rng) -> CellParams:
-    """Zero biases; for each gate block in `cell.draws` order, a Xavier input
-    block, then a Xavier recurrent block."""
-    p = CellParams(**{name: np.zeros(shape)
-                      for name, shape in cell_shapes(cell, input_size, hidden_size).items()})
+def init_cell(cell: Cell, p: CellParams, rng: Rng) -> CellParams:
+    """Fill a zero cell in place and return it: biases stay zero; for each
+    gate block in `cell.draws` order, a Xavier input block, then a Xavier
+    recurrent block."""
+    input_size, hidden_size = p.W_x.shape[0], p.W_h.shape[0]
     for j in cell.draws:
         cols = slice(j * hidden_size, (j + 1) * hidden_size)
         p.W_x[:, cols] = xavier(rng, input_size, hidden_size)
@@ -248,37 +250,27 @@ class BiRnnModel:
     input_size: int
 
 
-def init_birnn(cell_kind: str, input_size: int, hidden_size: int, seed: int) -> BiRnnModel:
+def birnn_template(cell_kind: str, input_size: int, hidden_size: int) -> BiRnnModel:
+    """An all-zero bidirectional model: the structure `init_birnn` fills and
+    a bundle's parameters are loaded into."""
     if cell_kind not in CELLS:
         raise ValueError(f"unknown cell kind {cell_kind!r}")
-    rng = Rng(seed)
     cell = CELLS[cell_kind]
-    fwd = init_cell(cell, input_size, hidden_size, rng.derive("forward"))
-    bwd = init_cell(cell, input_size, hidden_size, rng.derive("backward"))
-    head = xavier(rng.derive("head"), 2 * hidden_size, 1)
     return BiRnnModel(
-        cell_kind=cell_kind, forward=fwd, backward=bwd,
-        W_head=head, b_head=np.zeros(1),
+        cell_kind=cell_kind, forward=cell_template(cell, input_size, hidden_size),
+        backward=cell_template(cell, input_size, hidden_size),
+        W_head=np.zeros((2 * hidden_size, 1)), b_head=np.zeros(1),
         hidden_size=hidden_size, input_size=input_size,
     )
 
 
-def birnn_shapes(cell_kind: str, input_size: int, hidden_size: int) -> dict[str, tuple]:
-    """Parameter shapes of a bidirectional model, by dotted name."""
-    cell = cell_shapes(CELLS[cell_kind], input_size, hidden_size)
-    return {**{f"{direction}.{name}": shape
-               for direction in ("forward", "backward") for name, shape in cell.items()},
-            "W_head": (2 * hidden_size, 1), "b_head": (1,)}
-
-
-def birnn_from_arrays(cell_kind: str, input_size: int, hidden_size: int,
-                      arrays: dict[str, np.ndarray]) -> BiRnnModel:
-    return BiRnnModel(
-        cell_kind=cell_kind, forward=from_arrays(CellParams, arrays, "forward."),
-        backward=from_arrays(CellParams, arrays, "backward."),
-        W_head=arrays["W_head"], b_head=arrays["b_head"],
-        hidden_size=hidden_size, input_size=input_size,
-    )
+def init_birnn(cell_kind: str, input_size: int, hidden_size: int, seed: int) -> BiRnnModel:
+    m = birnn_template(cell_kind, input_size, hidden_size)
+    rng = Rng(seed)
+    init_cell(CELLS[cell_kind], m.forward, rng.derive("forward"))
+    init_cell(CELLS[cell_kind], m.backward, rng.derive("backward"))
+    m.W_head[...] = xavier(rng.derive("head"), *m.W_head.shape)
+    return m
 
 
 def _checked(m: BiRnnModel, X) -> np.ndarray:

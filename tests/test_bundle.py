@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import datetime as dt
 import json
 import re
@@ -115,6 +116,31 @@ class TestRoundTrips:
         )
         assert np.array_equal(predict_windows("bigru", model, ws),
                               predict_windows("bigru", loaded.model, ws))
+
+
+class TestLoadTemplate:
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_load_builds_one_template_and_draws_nothing(self, tmp_path, monkeypatch, kind):
+        # load_bundle runs inside every predict request; a template built by
+        # an init would cost one Python step per drawn element
+        path, doc = saved_doc(tmp_path, kind)
+        spec = MODELS[kind]
+        built = []
+
+        def counted(hyper, width):
+            built.append(width)
+            return spec.template(hyper, width)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_bundle drew random numbers")
+
+        monkeypatch.setitem(MODELS, kind, dataclasses.replace(spec, template=counted))
+        for name in ("uniform", "normal", "next_u64"):
+            monkeypatch.setattr(Rng, name, no_draws)
+        loaded = bundleio.load_bundle(path)
+        assert built == [WIDTH]
+        assert {name: a.tobytes() for name, a in named_arrays(loaded.model).items()} == \
+            {name: decode_entry(entry).tobytes() for name, entry in doc["parameters"].items()}
 
 
 class TestShapeRules:
