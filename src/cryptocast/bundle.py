@@ -122,14 +122,14 @@ def _parameter_arrays(path, expected: dict, params: dict) -> dict[str, np.ndarra
     arrays = {}
     for name, shape in expected.items():
         declared = _declared_shape(path, name, params[name])
-        if declared != shape and len(declared) == len(shape):
+        if len(declared) == len(shape):
             shape = tuple(free.setdefault(d, n) if isinstance(d, str) else d
                           for d, n in zip(shape, declared))
         if declared != shape:
             raise DataError(f"bundle {path}: parameter {name} has shape {declared}, "
                             f"expected {shape}")
         a = _decode_array(path, name, params[name]["f8le"], declared)
-        if not np.isfinite(a).all():
+        if not np.all(np.isfinite(a)):
             raise DataError(f"bundle {path}: parameter {name} has non-finite values")
         arrays[name] = a
     return arrays
@@ -199,10 +199,18 @@ def load_bundle(path) -> ModelBundle:
         hyper = {**check_setting(f"models.{kind}",
                                  {k: v for k, v in hyper.items() if k not in fixed},
                                  "hyperparameters"), **fixed}
+        # a file of n bytes carries at most n/8 parameters, so no size may
+        # ask for more before the template allocates it
+        sizes = {"window": window, **hyper}
+        for key in spec.sizes:
+            if sizes[key] > len(text) // 8:
+                raise ValueError(f"{key}={sizes[key]} needs more parameters than the "
+                                 f"{len(text)}-byte file can hold")
         template = spec.template(hyper, window * len(feature_columns))
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None
-    except (TypeError, ValueError, OverflowError, ConfigError, DomainError) as exc:
+    except (TypeError, ValueError, OverflowError, MemoryError, ConfigError,
+            DomainError) as exc:
         raise DataError(f"bundle {path} has a malformed envelope: {exc}") from None
     arrays = _parameter_arrays(path, spec.shapes_of(template), params)
     try:

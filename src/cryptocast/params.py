@@ -1,4 +1,4 @@
-"""Named parameter arrays: one naming of every model's fields.
+"""Named parameter arrays: one walk over every model's fields.
 
 A model's parameters are the ndarrays reachable through dataclass fields and
 list items, named by dotted path (`forward.W_x`, `encoder_layers.0.W_QKV`);
@@ -11,19 +11,12 @@ arrays are its only parameter store; a trainer first takes its own copy.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
 
 def _join(prefix: str, key) -> str:
     return f"{prefix}.{key}" if prefix else str(key)
-
-
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    """A dataclass's field names; none for any other type."""
-    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else ()
 
 
 def map_arrays(obj, fn, prefix: str = ""):
@@ -33,29 +26,19 @@ def map_arrays(obj, fn, prefix: str = ""):
         return fn(prefix, obj)
     if isinstance(obj, list):
         return [map_arrays(v, fn, _join(prefix, i)) for i, v in enumerate(obj)]
-    names = _field_names(type(obj))
-    if names:
-        return type(obj)(**{name: map_arrays(getattr(obj, name), fn, _join(prefix, name))
-                            for name in names})
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{
+            f.name: map_arrays(getattr(obj, f.name), fn, _join(prefix, f.name))
+            for f in dataclasses.fields(obj)
+        })
     return obj
 
 
-def _collect(obj, prefix: str, out: dict) -> dict:
-    if isinstance(obj, np.ndarray):
-        out[prefix] = obj
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            _collect(v, _join(prefix, i), out)
-    else:
-        for name in _field_names(type(obj)):
-            _collect(getattr(obj, name), _join(prefix, name), out)
-    return out
-
-
 def named_arrays(obj) -> dict[str, np.ndarray]:
-    """Every parameter array of `obj`, keyed by dotted name in the order
-    `map_arrays` visits them, without building a copy of `obj`."""
-    return _collect(obj, "", {})
+    """Every parameter array of `obj`, keyed by dotted name."""
+    out: dict[str, np.ndarray] = {}
+    map_arrays(obj, out.setdefault)
+    return out
 
 
 def copy_arrays(obj):

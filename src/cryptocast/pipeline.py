@@ -40,6 +40,9 @@ class ModelKind:
     # arrays whose first axis counts stored training rows: free in a bundle
     # ("rows"), but equal across them
     stored_rows: tuple = ()
+    # hyperparameters (or "window") each at most the number of parameters a
+    # bundle carries: an axis length of the template, or a count of its arrays
+    sizes: tuple = ()
 
     def shapes_of(self, template) -> dict[str, tuple]:
         """{parameter name: shape} of a template, the stored-row axis as "rows"."""
@@ -65,6 +68,7 @@ def _recurrent(cell: str, kind: str) -> ModelKind:
             init_birnn(cell, *sizes(h), seed), ws, _train_config(h, seed)),
         predict=lambda model, ws: birnn_forward_batch(model, ws.X),
         template=lambda h, width: birnn_template(cell, *sizes(h)),
+        sizes=("hidden_size",),
     )
 
 
@@ -77,6 +81,7 @@ MODELS = {
         template=lambda h, width: RbfnModel(
             centers=np.zeros((h["centers"], width)), spreads=np.ones(h["centers"]),
             weights=np.zeros(h["centers"]), bias=np.zeros(())),
+        sizes=("centers", "window"),
     ),
     "grnn": ModelKind(
         hyper=lambda cfg, k: dict(cfg.models["grnn"]),
@@ -86,6 +91,7 @@ MODELS = {
         template=lambda h, width: GrnnModel(
             stored_inputs=np.zeros((1, width)), stored_targets=np.zeros(1), sigma=np.ones(())),
         stored_rows=("stored_inputs", "stored_targets"),
+        sizes=("window",),
     ),
     "bilstm": _recurrent("lstm", "bilstm"),
     "bigru": _recurrent("gru", "bigru"),
@@ -95,6 +101,7 @@ MODELS = {
             init_hybrid(HybridConfig.from_hyperparameters(h), seed), ws, _train_config(h, seed)),
         predict=lambda model, ws: hybrid_forward_batch(model, ws.X),
         template=lambda h, width: hybrid_template(HybridConfig.from_hyperparameters(h)),
+        sizes=("d_model", "d_ffn", "d_gru", "layers"),
     ),
 }
 MODEL_ORDER = tuple(MODELS)

@@ -466,6 +466,32 @@ class TestEnvelopeChecks:
         doc["hyperparameters"]["heads"] = 0
         self.rejects(path, doc, "hyperparameters.heads=0 violates minimum: 1")
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("rbfn", "window", 10**9), ("grnn", "window", 10**9), ("rbfn", "centers", 10**9),
+        ("bilstm", "hidden_size", 10**6), ("bigru", "hidden_size", 10**6),
+        ("hybrid", "d_model", 10**9), ("hybrid", "d_ffn", 10**9), ("hybrid", "d_gru", 10**9),
+        ("hybrid", "layers", 10**9),
+    ])
+    def test_size_beyond_the_file_refused_before_allocating(self, tmp_path, small_csv, capsys,
+                                                           kind, key, value):
+        # a file of n bytes carries at most n/8 parameters
+        path, doc = saved_doc(tmp_path, kind)
+        (doc if key == "window" else doc["hyperparameters"])[key] = value
+        path.write_text(json.dumps(doc))
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        assert f"{key}={value} needs more parameters than the" in capsys.readouterr().err
+
+    def test_template_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch):
+        path, doc = saved_doc(tmp_path, "bilstm")
+
+        def no_memory(hyper, width):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setitem(MODELS, "bilstm", dataclasses.replace(MODELS["bilstm"],
+                                                                  template=no_memory))
+        self.rejects(path, doc, "malformed envelope: Unable to allocate")
+
     @pytest.mark.parametrize("columns", [["close", "close"], ["close", 3], "close"])
     def test_feature_columns_must_be_distinct_strings(self, tmp_path, columns):
         path, doc = saved_doc(tmp_path, "rbfn")
