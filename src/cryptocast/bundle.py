@@ -199,13 +199,18 @@ def load_bundle(path) -> ModelBundle:
         hyper = {**check_setting(f"models.{kind}",
                                  {k: v for k, v in hyper.items() if k not in fixed},
                                  "hyperparameters"), **fixed}
-        # a file of n bytes carries at most n/8 parameters, so no size may
-        # ask for more before the template allocates it
+        # a file of n bytes carries at most n/8 parameters, in len(params)
+        # arrays, so no size or count may ask for more before the template
+        # allocates it
         sizes = {"window": window, **hyper}
         for key in spec.sizes:
             if sizes[key] > len(text) // 8:
                 raise ValueError(f"{key}={sizes[key]} needs more parameters than the "
                                  f"{len(text)}-byte file can hold")
+        for key in spec.counts:
+            if hyper[key] > len(params):
+                raise ValueError(f"{key}={hyper[key]} needs more parameters than the "
+                                 f"{len(params)} arrays the file holds")
         template = spec.template(hyper, window * len(feature_columns))
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None

@@ -41,16 +41,16 @@ class ModelKind:
     # ("rows"), but equal across them
     stored_rows: tuple = ()
     # hyperparameters (or "window") each at most the number of parameters a
-    # bundle carries: an axis length of the template, or a count of its arrays
+    # bundle carries: an axis length of the template
     sizes: tuple = ()
+    # hyperparameters each at most the number of arrays a bundle carries: a
+    # count of the template's arrays
+    counts: tuple = ()
 
     def shapes_of(self, template) -> dict[str, tuple]:
         """{parameter name: shape} of a template, the stored-row axis as "rows"."""
         return {name: ("rows", *a.shape[1:]) if name in self.stored_rows else a.shape
                 for name, a in named_arrays(template).items()}
-
-    def shapes(self, hyper: dict, width: int) -> dict[str, tuple]:
-        return self.shapes_of(self.template(hyper, width))
 
 
 def _train_config(hyper: dict, seed: int) -> TrainConfig:
@@ -101,7 +101,8 @@ MODELS = {
             init_hybrid(HybridConfig.from_hyperparameters(h), seed), ws, _train_config(h, seed)),
         predict=lambda model, ws: hybrid_forward_batch(model, ws.X),
         template=lambda h, width: hybrid_template(HybridConfig.from_hyperparameters(h)),
-        sizes=("d_model", "d_ffn", "d_gru", "layers"),
+        sizes=("d_model", "d_ffn", "d_gru"),
+        counts=("layers",),
     ),
 }
 MODEL_ORDER = tuple(MODELS)
@@ -182,9 +183,122 @@ def predict_windows(kind: str, model, ws: dataio.WindowSet) -> np.ndarray:
     return MODELS[kind].predict(model, ws)
 
 
+def _fit(kind: str, cfg: ExperimentConfig, prepared: PreparedData):
+    """Train one kind and predict its train and test windows; returns (model,
+    trace, hyperparameters, train predictions, test predictions), the
+    predictions in price units."""
+    target, stats = cfg.data.target_column, prepared.stats
+    with _stage(f"train:{kind}"):
+        model, trace, hyper = train_model(kind, cfg, prepared, Rng(cfg.seed))
+    with _stage(f"predict:{kind}"):
+        train_pred = dataio.invert_minmax(
+            predict_windows(kind, model, prepared.train_windows), target, stats)
+        test_pred = dataio.invert_minmax(
+            predict_windows(kind, model, prepared.test_windows), target, stats)
+    return model, trace, hyper, train_pred, test_pred
+
+
+# the hybrid's fit is the longest and the kernel kinds' the shortest, so
+# claiming kinds in this order keeps one long fit from starting last
+FIT_ORDER = tuple(reversed(MODEL_ORDER))
+
+
+def _claimed_fits(counter, cfg: ExperimentConfig, prepared: PreparedData):
+    """(kind, fit or the exception it raised) for each kind in FIT_ORDER this
+    process claims from the counter it shares with the other workers."""
+    while True:
+        with counter.get_lock():
+            claim = counter.value
+            counter.value = claim + 1
+        if claim >= len(FIT_ORDER):
+            return
+        kind = FIT_ORDER[claim]
+        try:
+            outcome = _fit(kind, cfg, prepared)
+        except Exception as exc:
+            outcome = exc
+        yield kind, outcome
+
+
+class HelperTraceback(Exception):
+    """The cause given to an exception a helper raised: the helper's
+    traceback as text, which pickling the exception drops."""
+
+
+def _helper(counter, results, cfg: ExperimentConfig, prepared: PreparedData) -> None:
+    import traceback
+
+    # the queue's feeder thread writes each result while the next fit runs
+    for kind, outcome in _claimed_fits(counter, cfg, prepared):
+        helper_traceback = None
+        if isinstance(outcome, Exception):
+            helper_traceback = "".join(traceback.format_exception(outcome))
+        results.put((kind, outcome, helper_traceback))
+
+
+def _fit_all(cfg: ExperimentConfig, prepared: PreparedData) -> dict:
+    """{kind: _fit(kind, ...)} for every kind. The process is worker 0 and
+    forks one helper per further CPU it may run on, up to one worker per
+    kind; the workers claim kinds from one shared counter. Helpers send their
+    fits back, and every helper is joined before this returns or raises. A
+    failed fit raises once every claimed kind is done: the error of the
+    earliest failed kind in MODEL_ORDER, as one worker alone would raise it.
+    No helper is forked where the CPU set is unknown, or in a daemonic
+    process, which may not have children."""
+    import multiprocessing  # here: no other command pays for importing it
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    helpers = 0
+    if affinity is not None and not multiprocessing.current_process().daemon:
+        helpers = min(len(affinity(0)), len(MODELS)) - 1
+    if helpers <= 0:
+        return {kind: _fit(kind, cfg, prepared) for kind in MODEL_ORDER}
+    # fork, not spawn or forkserver: a helper starts in milliseconds with the
+    # prepared data already in memory, and re-imports nothing
+    ctx = multiprocessing.get_context("fork")
+    counter, results = ctx.Value("i", 0), ctx.Queue()
+    started = []
+    try:
+        for _ in range(helpers):
+            process = ctx.Process(target=_helper, args=(counter, results, cfg, prepared))
+            try:
+                process.start()
+            except OSError:  # no process to spare: the workers started claim every kind
+                break
+            started.append(process)
+        # the helpers now hold the only write ends, so reading past their
+        # last result ends in EOF once every helper has exited
+        results._writer.close()
+        outcomes = dict(_claimed_fits(counter, cfg, prepared))
+        while len(outcomes) < len(MODEL_ORDER):
+            try:
+                kind, outcome, helper_traceback = results.get()
+            except (EOFError, OSError):
+                break
+            if helper_traceback is not None:
+                outcome.__cause__ = HelperTraceback(helper_traceback)
+            outcomes[kind] = outcome
+    except BaseException:
+        for process in started:
+            process.terminate()
+        raise
+    finally:
+        for process in started:
+            process.join()
+        results.close()
+    lost = [kind for kind in MODEL_ORDER if kind not in outcomes]
+    if lost:
+        codes = [process.exitcode for process in started]
+        raise CryptocastError(f"a helper process exited (exit codes {codes}) without "
+                              f"reporting the fit of {', '.join(lost)}")
+    for kind in MODEL_ORDER:
+        if isinstance(outcomes[kind], Exception):
+            raise outcomes[kind]
+    return outcomes
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     prepared = prepare_data(cfg)
-    master = Rng(cfg.seed)
     target = cfg.data.target_column
     stats = prepared.stats
 
@@ -193,15 +307,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if np.any(test_actual == 0.0) or np.any(train_actual == 0.0):
         raise SizeError("target contains zero prices; percentage metrics undefined")
 
+    fits = _fit_all(cfg, prepared)
     runs: dict[str, ModelRun] = {}
     for kind in MODEL_ORDER:
-        with _stage(f"train:{kind}"):
-            model, trace, hyper = train_model(kind, cfg, prepared, master)
-        with _stage(f"predict:{kind}"):
-            train_pred = dataio.invert_minmax(
-                predict_windows(kind, model, prepared.train_windows), target, stats)
-            test_pred = dataio.invert_minmax(
-                predict_windows(kind, model, prepared.test_windows), target, stats)
+        model, trace, hyper, train_pred, test_pred = fits[kind]
         with _stage(f"evaluate:{kind}"):
             residuals = train_actual - train_pred
             band = prediction_interval(residuals, test_pred, cfg.interval_level)

@@ -58,11 +58,15 @@ class Rng:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         if size is None:
             return low + (high - low) * self.next_float()
+        # next_float n times over, in uint64 arithmetic: the i-th draw mixes
+        # state + i * golden, and the state advances by n * golden
         n = int(np.prod(size))
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = low + (high - low) * self.next_float()
-        return out.reshape(size)
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return (low + (high - low) * ((z >> np.uint64(11)) * 2.0**-53)).reshape(size)
 
     def _next_normal(self) -> float:
         if self._spare_normal is not None:

@@ -150,8 +150,9 @@ class TestShapeRules:
         # init_hybrid built; the kernel kinds return their fitted arrays
         model = fitted(kind, epochs=0) if "epochs" in HYPER[kind] else fitted(kind)
         rows = 20
+        spec = MODELS[kind]
         expected = {name: tuple(rows if d == "rows" else d for d in shape)
-                    for name, shape in MODELS[kind].shapes(HYPER[kind], WIDTH).items()}
+                    for name, shape in spec.shapes_of(spec.template(HYPER[kind], WIDTH)).items()}
         assert {name: a.shape for name, a in named_arrays(model).items()} == expected
 
 
@@ -482,6 +483,25 @@ class TestEnvelopeChecks:
                          "--out", str(tmp_path / "pred.csv")]) == 3
         assert f"{key}={value} needs more parameters than the" in capsys.readouterr().err
 
+    def test_layers_beyond_the_arrays_refused_before_the_template(self, tmp_path, small_csv,
+                                                                  capsys, monkeypatch):
+        # each encoder layer holds ten arrays, so a file of k arrays has
+        # fewer than k layers, whatever its size in bytes
+        path, doc = saved_doc(tmp_path, "hybrid")
+        arrays = len(doc["parameters"])
+        doc["hyperparameters"]["layers"] = arrays + 1
+        path.write_text(json.dumps(doc))
+
+        def no_template(hyper, width):
+            raise AssertionError("load_bundle built the template")
+
+        monkeypatch.setitem(MODELS, "hybrid", dataclasses.replace(MODELS["hybrid"],
+                                                                  template=no_template))
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        assert (f"layers={arrays + 1} needs more parameters than the {arrays} arrays"
+                in capsys.readouterr().err)
+
     def test_template_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch):
         path, doc = saved_doc(tmp_path, "bilstm")
 
@@ -651,7 +671,9 @@ class TestLoadBundleFuzz:
         assert np.all(np.isfinite(b.stats.mins)) and np.all(np.isfinite(b.stats.maxs))
         assert np.all(b.stats.mins < b.stats.maxs)
         arrays = named_arrays(b.model)
-        expected = MODELS[b.kind].shapes(b.hyperparameters, b.window * len(b.feature_columns))
+        spec = MODELS[b.kind]
+        expected = spec.shapes_of(spec.template(b.hyperparameters,
+                                                b.window * len(b.feature_columns)))
         assert arrays.keys() == expected.keys()
         free = {}
         for name, shape in expected.items():

@@ -1,5 +1,7 @@
 import csv
+import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from cryptocast import cli
+from cryptocast import cli, pipeline
 from cryptocast import data as dataio
-from cryptocast.errors import NumericalError
+from cryptocast.config import load_config_file
+from cryptocast.errors import DivergenceError, NumericalError
 
 
 def run_cli(*argv):
@@ -166,6 +169,181 @@ class TestRun:
 
         monkeypatch.setattr(cli, "run_experiment", explode)
         assert run_cli("run", "--config", small_config_file) == 4
+
+
+class TestRunOnSeveralCpus:
+    """`run` fits the kinds in the process and in one forked helper per
+    further CPU of the affinity mask, which these tests set."""
+
+    @pytest.fixture()
+    def cpus(self, monkeypatch):
+        def pin(*ids):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(ids), raising=False)
+        return pin
+
+    @pytest.fixture()
+    def fitters(self, tmp_path):
+        """A file each fit appends the id of its process to."""
+        return tmp_path / "fitters"
+
+    @pytest.fixture()
+    def patch_fits(self, monkeypatch, fitters):
+        def patch(before_fit, processes=2):
+            """Call before_fit(kind) ahead of every fit. With two processes,
+            each one's first fit waits until the other's has begun, so the
+            first two kinds claimed (hybrid, bigru) are fitted one in the
+            parent and one in the helper. Forked helpers inherit the patch."""
+            barrier = multiprocessing.get_context("fork").Barrier(processes, timeout=60)
+            waited = set()
+            train_model = pipeline.train_model
+
+            def patched(kind, *args):
+                with open(fitters, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                if processes > 1 and os.getpid() not in waited:
+                    waited.add(os.getpid())
+                    barrier.wait()
+                before_fit(kind)
+                return train_model(kind, *args)
+
+            monkeypatch.setattr(pipeline, "train_model", patched)
+        return patch
+
+    @pytest.fixture()
+    def run(self, small_config_file, capsys, fitters):
+        def run(out):
+            """Exit code and stderr of `run --save-models`, once every helper
+            that fitted a kind has been joined: a helper not waited for would
+            remain a zombie, which os.kill still reaches."""
+            code = run_cli("run", "--config", small_config_file, "--out", str(out),
+                           "--save-models")
+            helpers = set(fitters.read_text().split()) - {str(os.getpid())} \
+                if fitters.exists() else set()
+            for pid in helpers:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(int(pid), 0)
+            fitters.unlink(missing_ok=True)
+            assert multiprocessing.active_children() == []
+            return code, capsys.readouterr().err
+        return run
+
+    def test_two_cpus_write_the_bytes_one_cpu_writes(self, tmp_path, cpus, patch_fits, run):
+        files = {}
+        for ids in ((0, 1), (0,)):
+            cpus(*ids)
+            patch_fits(lambda kind: None, processes=len(ids))
+            out = tmp_path / f"cpus{len(ids)}"
+            assert run(out) == (0, "")
+            files[ids] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert {"manifest.json", *(f"model_{kind}.json" for kind in cli.MODELS)} <= \
+            files[(0,)].keys()
+        assert files[(0, 1)] == files[(0,)]
+
+    @pytest.mark.parametrize("affinity", ["one cpu", "unknown"])
+    def test_one_cpu_forks_nothing(self, tmp_path, cpus, monkeypatch, run, affinity):
+        if affinity == "one cpu":
+            cpus(0)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+
+        def no_fork():
+            raise AssertionError("run forked a process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run(tmp_path / "out") == (0, "")
+
+    def test_a_failed_fork_leaves_every_kind_to_the_parent(self, tmp_path, cpus, monkeypatch,
+                                                           run):
+        def no_process_to_spare():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        cpus(0, 1)
+        monkeypatch.setattr(os, "fork", no_process_to_spare)
+        assert run(tmp_path / "out") == (0, "")
+
+    def test_a_daemonic_process_fits_every_kind_itself(self, small_config_file, tmp_path,
+                                                       cpus):
+        # a pool worker is daemonic, and a daemonic process may not have children
+        cpus(0, 1)
+        out = tmp_path / "out"
+        worker = multiprocessing.get_context("fork").Process(
+            target=lambda: sys.exit(run_cli("run", "--config", small_config_file,
+                                            "--out", str(out))),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=120)
+        assert worker.exitcode == 0
+        assert (out / "manifest.json").exists()
+
+    def test_a_helper_fit_error_exits_as_on_one_cpu(self, tmp_path, cpus, patch_fits, run):
+        parent, failed = os.getpid(), tmp_path / "failed_kind"
+
+        def fail_in_helper(kind):
+            if os.getpid() != parent and kind in ("hybrid", "bigru"):
+                failed.write_text(kind)
+                raise DivergenceError("non-finite loss at epoch 3")
+
+        cpus(0, 1)
+        patch_fits(fail_in_helper)
+        code, err = run(tmp_path / "two")
+        kind = failed.read_text()
+
+        def fail(k):
+            if k == kind:
+                raise DivergenceError("non-finite loss at epoch 3")
+
+        cpus(0)
+        patch_fits(fail, processes=1)
+        assert (code, err) == run(tmp_path / "one")
+        assert code == 4
+        assert err == f"numerical error: [stage: train:{kind}] non-finite loss at epoch 3\n"
+
+    def test_of_two_failed_kinds_the_earlier_in_model_order_is_reported(
+            self, tmp_path, cpus, patch_fits, run):
+        # hybrid and bigru fail, one in each process
+        def fail(kind):
+            if kind in ("hybrid", "bigru"):
+                raise DivergenceError(f"non-finite loss in {kind}")
+
+        outcomes = []
+        for ids in ((0, 1), (0,)):
+            cpus(*ids)
+            patch_fits(fail, processes=len(ids))
+            outcomes.append(run(tmp_path / f"cpus{len(ids)}"))
+        assert outcomes[0] == outcomes[1] == (
+            4, "numerical error: [stage: train:bigru] non-finite loss in bigru\n")
+
+    def test_a_helper_error_carries_the_helper_traceback(self, small_config_file, cpus,
+                                                         patch_fits):
+        parent = os.getpid()
+
+        def fail_in_helper(kind):
+            if os.getpid() != parent:
+                raise ValueError(f"unexpected in {kind}")
+
+        cpus(0, 1)
+        patch_fits(fail_in_helper)
+        with pytest.raises(ValueError, match="unexpected in") as raised:
+            pipeline.run_experiment(load_config_file(small_config_file))
+        assert multiprocessing.active_children() == []
+        assert isinstance(raised.value.__cause__, pipeline.HelperTraceback)
+        assert ", in fail_in_helper\n" in str(raised.value.__cause__)
+
+    def test_a_helper_that_dies_unreported_is_a_typed_error(self, tmp_path, cpus, patch_fits,
+                                                            run):
+        parent = os.getpid()
+
+        def die_in_helper(kind):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        cpus(0, 1)
+        patch_fits(die_in_helper)
+        code, err = run(tmp_path / "out")
+        assert code == 1
+        assert err.startswith("error: a helper process exited (exit codes [1]) without "
+                              "reporting the fit of ")
+        assert err.rstrip().rsplit(" ", 1)[1] in ("hybrid", "bigru")
 
 
 NAN = float("nan")

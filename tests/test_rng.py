@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cryptocast.rng import Rng
 
@@ -17,6 +18,20 @@ def test_uniform_bounds_and_shape():
     draws = Rng(7).uniform(-2.0, 3.0, size=(100,))
     assert draws.shape == (100,)
     assert np.all(draws >= -2.0) and np.all(draws < 3.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 12345])
+@pytest.mark.parametrize("size", [(0,), (1,), (7,), (32, 96), (3, 5, 4)])
+def test_uniform_array_is_the_scalar_stream(seed, size):
+    # an array draw holds, bit for bit, the draws next_float would make one
+    # at a time, and leaves the stream where they would have left it
+    drawn, scalar = Rng(seed), Rng(seed)
+    drawn.next_u64(), scalar.next_u64()  # start mid-stream, not at the seed
+    values = drawn.uniform(-0.5, 2.0, size)
+    expected = [-0.5 + 2.5 * scalar.next_float() for _ in range(int(np.prod(size)))]
+    assert values.shape == size
+    assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+    assert drawn.next_u64() == scalar.next_u64()
 
 
 def test_normal_moments_roughly_standard():
