@@ -8,9 +8,11 @@ kernels compute with: a recurrent cell's gates side by side in W_x, W_h and
 b, an encoder layer's Q/K/V projections of all heads in one W_QKV. Each
 array is stored as its shape and the base64 of its little-endian float64
 bytes, so saving and loading a GRNN's whole training set costs a base64
-pass, not a JSON number per value. Every model kind round-trips bit-exactly;
-loading checks the envelope against itself, the hyperparameters against the
-config schema, and each array's name, payload, shape and finiteness.
+pass, not a JSON number per value. The hyperparameters are the config's
+`models.<kind>` section; the window and input size are the envelope's. Every
+model kind round-trips bit-exactly; loading checks the envelope and the
+hyperparameters by the config's schema and rules, and each array's name,
+payload, shape and finiteness.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, check_setting
-from .data import NormStats, check_fgi_weights
+from .config import ExperimentConfig, check_inputs, check_setting
+from .data import NormStats
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .jsonio import dumps_canonical
 from .params import map_arrays, named_arrays
 from .pipeline import MODELS
 
-BUNDLE_FORMAT = "model-bundle/5"
+BUNDLE_FORMAT = "model-bundle/6"
 F8LE = np.dtype("<f8")
 
 
@@ -161,31 +163,16 @@ def load_bundle(path) -> ModelBundle:
         raise DataError(f"bundle {path} names unknown model kind {kind!r}")
     spec = MODELS[kind]
     try:
-        hyper = doc["hyperparameters"]
-        if not isinstance(hyper, dict):
-            raise TypeError(f"hyperparameters must be an object, got {hyper!r}")
-        window = doc["window"]
-        if type(window) is not int or window < 1:
-            raise TypeError(f"window must be an integer >= 1, got {window!r}")
-        feature_columns = doc["feature_columns"]
-        if (not isinstance(feature_columns, list)
-                or not all(isinstance(c, str) for c in feature_columns)
-                or len(set(feature_columns)) != len(feature_columns)):
-            raise TypeError(f"feature_columns must be a list of distinct strings, "
-                            f"got {feature_columns!r}")
-        target_column = doc["target_column"]
-        if target_column not in feature_columns:
-            raise ValueError(f"target_column {target_column!r} is not among {feature_columns}")
-        # the hyperparameters the kind derives from the envelope must match it
-        for key, value in (("window", window), ("input_size", len(feature_columns))):
-            if key in hyper and (type(hyper[key]) is not int or hyper[key] != value):
-                raise ValueError(f"hyperparameters.{key} is {hyper[key]!r} but the "
-                                 f"envelope implies {value}")
-        compose_fgi = doc["compose_fgi"]
-        if not isinstance(compose_fgi, bool):
-            raise TypeError(f"compose_fgi must be a boolean, got {compose_fgi!r}")
+        # the envelope and hyperparameters obey the config's schema and rules
+        window = check_setting("window", doc["window"], "window")
+        feature_columns = check_setting("data.feature_columns", doc["feature_columns"],
+                                        "feature_columns")
+        target_column = check_setting("data.target_column", doc["target_column"],
+                                      "target_column")
+        compose_fgi = check_setting("data.compose_fgi", doc["compose_fgi"], "compose_fgi")
         fgi_weights = check_setting("data.fgi_weights", doc["fgi_weights"], "fgi_weights")
-        check_fgi_weights(*fgi_weights)
+        check_inputs(feature_columns, target_column, fgi_weights)
+        hyper = check_setting(f"models.{kind}", doc["hyperparameters"], "hyperparameters")
         stats = NormStats.from_json_dict(doc["normalization"])
         missing = [c for c in feature_columns if c not in stats.columns]
         if missing:
@@ -193,12 +180,6 @@ def load_bundle(path) -> ModelBundle:
         params = doc["parameters"]
         if not isinstance(params, dict):
             raise TypeError(f"parameters must be an object, got {type(params).__name__}")
-        # the schema's types, bounds and keys for everything but the two
-        # values the envelope fixes, so the shape rule sees typed values
-        fixed = {key: hyper[key] for key in ("window", "input_size") if key in hyper}
-        hyper = {**check_setting(f"models.{kind}",
-                                 {k: v for k, v in hyper.items() if k not in fixed},
-                                 "hyperparameters"), **fixed}
         # a file of n bytes carries at most n/8 parameters, in len(params)
         # arrays, so no size or count may ask for more before the template
         # allocates it
@@ -211,7 +192,7 @@ def load_bundle(path) -> ModelBundle:
             if hyper[key] > len(params):
                 raise ValueError(f"{key}={hyper[key]} needs more parameters than the "
                                  f"{len(params)} arrays the file holds")
-        template = spec.template(hyper, window * len(feature_columns))
+        template = spec.template(hyper, window, len(feature_columns))
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None
     except (TypeError, ValueError, OverflowError, MemoryError, ConfigError,

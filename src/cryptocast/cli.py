@@ -30,6 +30,7 @@ from .pipeline import (
     MODEL_ORDER,
     MODELS,
     comparison_csv,
+    csv_text,
     emit_artifacts,
     loss_csv,
     predict_windows,
@@ -135,10 +136,10 @@ def _cmd_predict(args) -> int:
     raw = predict_windows(bundle.kind, bundle.model, ws)
     predicted = dataio.invert_minmax(raw, bundle.target_column, bundle.stats)
     actual = dataio.invert_minmax(ws.y, bundle.target_column, bundle.stats)
+    rows = [[date.isoformat(), repr(float(act)), repr(float(pred))]
+            for date, act, pred in zip(ws.target_dates, actual, predicted)]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,actual,predicted\n")
-        for date, act, pred in zip(ws.target_dates, actual, predicted):
-            fh.write(f"{date.isoformat()},{float(act)!r},{float(pred)!r}\n")
+        fh.write(csv_text([["date", "actual", "predicted"], *rows]))
     print(f"wrote {len(ws)} predictions to {args.out}")
     return EXIT_OK
 
@@ -222,7 +223,7 @@ def _cmd_compare(args) -> int:
         fh.write(dumps_canonical(doc) + "\n")
     print(f"wrote comparison report to {args.out}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(comparison_csv(report))
         print(f"wrote pairwise table to {args.csv}")
     fr = report.friedman
@@ -251,18 +252,18 @@ def _cmd_report(args) -> int:
         dates = predictions.dates
         if not wrote_actual:
             for date, actual in zip(dates, predictions.column("actual")):
-                rows.append((date, "actual", actual, "", "", fgi_by_date.get(date, "")))
+                rows.append([date.isoformat(), "actual", repr(float(actual)), "", "",
+                             fgi_by_date.get(date, "")])
             wrote_actual = True
         for date, value, lo, hi in zip(dates, predictions.column("predicted"),
                                        predictions.column("lower"), predictions.column("upper")):
-            rows.append((date, kind, value, repr(float(lo)), repr(float(hi)),
-                         fgi_by_date.get(date, "")))
+            rows.append([date.isoformat(), kind, repr(float(value)), repr(float(lo)),
+                         repr(float(hi)), fgi_by_date.get(date, "")])
     if not rows:
         raise DataError(f"no predictions_*.csv files found in {args.run_dir}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,series,value,band_lo,band_hi,fgi_category\n")
-        for date, series, value, lo, hi, band in rows:
-            fh.write(f"{date.isoformat()},{series},{float(value)!r},{lo},{hi},{band}\n")
+        fh.write(csv_text([["date", "series", "value", "band_lo", "band_hi", "fgi_category"],
+                           *rows]))
     print(f"wrote {len(rows)} plot rows to {args.out}")
     return EXIT_OK
 

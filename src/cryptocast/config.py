@@ -81,12 +81,24 @@ def _resolve(schema: dict, value, where: str = ""):
 def check_setting(path: str, value, name: str):
     """`value` checked, typed and defaulted against the schema of the config
     key at the dotted `path` (`"alpha"`, `"models.rbfn"`), for a value that
-    arrives outside a config file: a command-line flag or a bundle's
-    hyperparameters. `name` labels errors."""
+    arrives outside a config file: a command-line flag or a field of a
+    bundle. `name` labels errors."""
     schema = SCHEMA
     for key in path.split("."):
         schema = _deref(schema)["properties"][key]
     return _resolve(schema, value, name)
+
+
+def check_inputs(features: list[str], target: str, fgi_weights: list[float]) -> None:
+    """The rules on a model's inputs that JSON Schema cannot state, for a
+    config and a bundle alike: the target is a feature, and the fgi weights
+    sum to 1."""
+    if target not in features:
+        raise ConfigError(f"target column {target!r} must be among {features}")
+    try:
+        check_fgi_weights(*fgi_weights)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -134,15 +146,9 @@ def validate_config(raw: dict | str, base_dir: str = ".",
     if check_files and not os.path.exists(data["path"]):
         raise ConfigError(f"data.path {data['path']!r} does not exist")
     features = data.setdefault("feature_columns", list(SCENARIO_FEATURES[data["scenario"]]))
-    if data["target_column"] not in features:
-        raise ConfigError(f"target column {data['target_column']!r} must be among {features}")
-    try:
-        check_fgi_weights(*data["fgi_weights"])
-    except DomainError as exc:
-        raise ConfigError(f"data.fgi_weights: {exc}") from None
+    check_inputs(features, data["target_column"], data["fgi_weights"])
     # dimension chain checked up front so bad configs never reach training
-    HybridConfig.from_hyperparameters(
-        {**doc["models"]["hybrid"], "window": doc["window"], "input_size": len(features)})
+    HybridConfig.from_hyperparameters(doc["models"]["hybrid"], len(features))
     return ExperimentConfig(**{**doc, "data": DataConfig(**data)})
 
 

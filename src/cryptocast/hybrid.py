@@ -35,7 +35,6 @@ BLOCK_ATTENTION_DOUBLES = 64 * 4 * 30 * 30
 
 @dataclass
 class HybridConfig:
-    window: int = 30
     input_size: int = 3
     d_model: int = 32
     heads: int = 4
@@ -44,8 +43,6 @@ class HybridConfig:
     d_gru: int = 32
 
     def validate(self) -> "HybridConfig":
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.input_size < 1:
             raise ConfigError(f"input_size must be >= 1, got {self.input_size}")
         if self.layers < 1:
@@ -69,9 +66,10 @@ class HybridConfig:
         return self.d_model // self.heads
 
     @classmethod
-    def from_hyperparameters(cls, hyper: dict) -> "HybridConfig":
-        """The validated config a hyperparameter map names; other keys are ignored."""
-        return cls(**{f.name: int(hyper[f.name]) for f in fields(cls)}).validate()
+    def from_hyperparameters(cls, hyper: dict, input_size: int) -> "HybridConfig":
+        """The validated config of a `models.hybrid` section over `input_size`
+        features; the training keys are ignored."""
+        return cls(input_size, **{f.name: int(hyper[f.name]) for f in fields(cls)[1:]}).validate()
 
 
 @dataclass

@@ -208,7 +208,9 @@ def _grnn_weights(sq: np.ndarray, sigma: float) -> np.ndarray:
 def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid) -> GrnnModel:
     """Memorize (X, y) and pick sigma by chronological holdout: predict the
     last 20% of rows from the first 80% and keep the grid value with the
-    smallest holdout MSE (earliest wins ties)."""
+    smallest holdout MSE (earliest wins ties). The holdout is scored in
+    blocks of `ops.FORWARD_CHUNK` rows, so its distance matrices stay
+    block-sized for any N."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
@@ -224,12 +226,14 @@ def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid) -> GrnnModel:
         n_fit = n - 1
     x_fit, y_fit = X[:n_fit], y[:n_fit]
     x_hold, y_hold = X[n_fit:], y[n_fit:]
+    sse = np.zeros(len(grid))  # squared holdout error per sigma
+    for rows in blocks(len(x_hold)):
+        sq = _pairwise_sq_dists(x_hold[rows], x_fit)
+        for j, sigma in enumerate(grid):
+            sse[j] += ((_grnn_weights(sq, sigma) @ y_fit - y_hold[rows]) ** 2).sum()
     best_sigma = grid[0]
     best_mse = np.inf
-    sq = _pairwise_sq_dists(x_hold, x_fit)
-    for sigma in grid:
-        w = _grnn_weights(sq, sigma)
-        mse = float(((w @ y_fit - y_hold) ** 2).mean())
+    for sigma, mse in zip(grid, sse / len(x_hold)):
         if mse < best_mse:
             best_mse = mse
             best_sigma = sigma

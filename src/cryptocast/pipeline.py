@@ -4,6 +4,8 @@ evaluate, compare, and emit deterministic artifacts.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,13 +29,14 @@ from .stats import ComparisonReport, IntervalBand, MetricReport, compare_models,
 
 @dataclass(frozen=True)
 class ModelKind:
-    """How the pipeline, CLI and bundles handle one kind. Entries look model
-    functions up in this module's globals at call time, so wrappers on them apply."""
+    """How the pipeline, CLI and bundles handle one kind. Each takes its
+    hyperparameters as the config's resolved `models.<kind>` section. Entries
+    look model functions up in this module's globals at call time, so
+    wrappers on them apply."""
 
-    hyper: Callable    # (cfg, input_size) -> hyperparameters (JSON-ready dict)
     fit: Callable      # (hyper, train WindowSet, seed) -> (model, loss trace or None)
     predict: Callable  # (model, WindowSet) -> normalized predictions
-    # (hyper, flat window width) -> a model of the fitted structure, built
+    # (hyper, window, input size) -> a model of the fitted structure, built
     # without drawing random numbers; a bundle's parameters take the names
     # and shapes of its arrays
     template: Callable
@@ -58,49 +61,43 @@ def _train_config(hyper: dict, seed: int) -> TrainConfig:
                        batch_size=hyper["batch_size"])
 
 
-def _recurrent(cell: str, kind: str) -> ModelKind:
-    def sizes(h):
-        return int(h["input_size"]), int(h["hidden_size"])
-
+def _recurrent(cell: str) -> ModelKind:
     return ModelKind(
-        hyper=lambda cfg, k: {**cfg.models[kind], "input_size": k},
         fit=lambda h, ws, seed: birnn_train(
-            init_birnn(cell, *sizes(h), seed), ws, _train_config(h, seed)),
+            init_birnn(cell, ws.X.shape[2], h["hidden_size"], seed), ws, _train_config(h, seed)),
         predict=lambda model, ws: birnn_forward_batch(model, ws.X),
-        template=lambda h, width: birnn_template(cell, *sizes(h)),
+        template=lambda h, window, k: birnn_template(cell, k, h["hidden_size"]),
         sizes=("hidden_size",),
     )
 
 
 MODELS = {
     "rbfn": ModelKind(
-        hyper=lambda cfg, k: dict(cfg.models["rbfn"]),
         fit=lambda h, ws, seed: (rbfn_fit(ws.flatten(), ws.y, h["centers"], seed), None),
         predict=lambda model, ws: rbfn_predict_batch(model, ws.flatten()),
         # unit spreads: a model rejects non-positive ones
-        template=lambda h, width: RbfnModel(
-            centers=np.zeros((h["centers"], width)), spreads=np.ones(h["centers"]),
+        template=lambda h, window, k: RbfnModel(
+            centers=np.zeros((h["centers"], window * k)), spreads=np.ones(h["centers"]),
             weights=np.zeros(h["centers"]), bias=np.zeros(())),
         sizes=("centers", "window"),
     ),
     "grnn": ModelKind(
-        hyper=lambda cfg, k: dict(cfg.models["grnn"]),
         fit=lambda h, ws, seed: (grnn_fit(ws.flatten(), ws.y, h["sigma_grid"]), None),
         predict=lambda model, ws: grnn_predict_batch(model, ws.flatten()),
         # one stored row and unit sigma: a model rejects none or zero
-        template=lambda h, width: GrnnModel(
-            stored_inputs=np.zeros((1, width)), stored_targets=np.zeros(1), sigma=np.ones(())),
+        template=lambda h, window, k: GrnnModel(
+            stored_inputs=np.zeros((1, window * k)), stored_targets=np.zeros(1), sigma=np.ones(())),
         stored_rows=("stored_inputs", "stored_targets"),
         sizes=("window",),
     ),
-    "bilstm": _recurrent("lstm", "bilstm"),
-    "bigru": _recurrent("gru", "bigru"),
+    "bilstm": _recurrent("lstm"),
+    "bigru": _recurrent("gru"),
     "hybrid": ModelKind(
-        hyper=lambda cfg, k: {**cfg.models["hybrid"], "window": cfg.window, "input_size": k},
         fit=lambda h, ws, seed: hybrid_train(
-            init_hybrid(HybridConfig.from_hyperparameters(h), seed), ws, _train_config(h, seed)),
+            init_hybrid(HybridConfig.from_hyperparameters(h, ws.X.shape[2]), seed), ws,
+            _train_config(h, seed)),
         predict=lambda model, ws: hybrid_forward_batch(model, ws.X),
-        template=lambda h, width: hybrid_template(HybridConfig.from_hyperparameters(h)),
+        template=lambda h, window, k: hybrid_template(HybridConfig.from_hyperparameters(h, k)),
         sizes=("d_model", "d_ffn", "d_gru"),
         counts=("layers",),
     ),
@@ -172,10 +169,8 @@ def train_model(kind: str, cfg: ExperimentConfig, prepared: PreparedData,
                 master: Rng):
     """Fit one model kind on the training windows; returns (model, trace,
     hyperparameters)."""
-    ws = prepared.train_windows
-    spec = MODELS[kind]
-    hyper = spec.hyper(cfg, ws.X.shape[2])
-    return (*spec.fit(hyper, ws, master.derive(kind).seed), hyper)
+    hyper = dict(cfg.models[kind])
+    return (*MODELS[kind].fit(hyper, prepared.train_windows, master.derive(kind).seed), hyper)
 
 
 def predict_windows(kind: str, model, ws: dataio.WindowSet) -> np.ndarray:
@@ -335,8 +330,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 # artifact emission
 # ---------------------------------------------------------------------------
 
-def _csv_line(cells) -> str:
-    return ",".join(cells) + "\n"
+def csv_text(rows) -> str:
+    """Rows of string cells as CSV text: a cell holding a comma, a quote or
+    a line break is quoted, and each line ends in a bare newline."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _float_cell(x: float) -> str:
@@ -344,33 +343,33 @@ def _float_cell(x: float) -> str:
 
 
 def metrics_csv(result: RunResult) -> str:
-    lines = [_csv_line(["model", "mse", "rmse", "mae", "mape_percent"])]
+    rows = [["model", "mse", "rmse", "mae", "mape_percent"]]
     for kind in MODEL_ORDER:
         m = result.runs[kind].metrics
-        lines.append(_csv_line([kind, _float_cell(m.mse), _float_cell(m.rmse),
-                                _float_cell(m.mae), _float_cell(m.mape_percent)]))
-    return "".join(lines)
+        rows.append([kind, _float_cell(m.mse), _float_cell(m.rmse),
+                     _float_cell(m.mae), _float_cell(m.mape_percent)])
+    return csv_text(rows)
 
 
 def predictions_csv(result: RunResult, kind: str) -> str:
     run = result.runs[kind]
-    lines = [_csv_line(["date", "actual", "predicted", "lower", "upper"])]
+    rows = [["date", "actual", "predicted", "lower", "upper"]]
     for i, date in enumerate(result.test_dates):
-        lines.append(_csv_line([
+        rows.append([
             date.isoformat(),
             _float_cell(result.test_actual[i]),
             _float_cell(run.test_pred[i]),
             _float_cell(run.band.lower[i]),
             _float_cell(run.band.upper[i]),
-        ]))
-    return "".join(lines)
+        ])
+    return csv_text(rows)
 
 
 def loss_csv(trace: list[float]) -> str:
-    lines = [_csv_line(["epoch", "loss"])]
+    rows = [["epoch", "loss"]]
     for epoch, loss in enumerate(trace):
-        lines.append(_csv_line([str(epoch), _float_cell(loss)]))
-    return "".join(lines)
+        rows.append([str(epoch), _float_cell(loss)])
+    return csv_text(rows)
 
 
 def report_json_dict(report: ComparisonReport) -> dict:
@@ -397,15 +396,15 @@ def report_json_dict(report: ComparisonReport) -> dict:
 
 
 def comparison_csv(report: ComparisonReport) -> str:
-    lines = [_csv_line(["model_1", "model_2", "wilcoxon_r", "raw_p_value",
-                        "bonferroni_corrected_p_value", "significant"])]
+    rows = [["model_1", "model_2", "wilcoxon_r", "raw_p_value",
+             "bonferroni_corrected_p_value", "significant"]]
     for p in report.pairwise:
-        lines.append(_csv_line([
+        rows.append([
             p.model_1, p.model_2, _float_cell(p.r_stat),
             _float_cell(p.p_raw), _float_cell(p.p_corrected),
             "TRUE" if p.significant else "FALSE",
-        ]))
-    return "".join(lines)
+        ])
+    return csv_text(rows)
 
 
 def build_artifact_files(result: RunResult) -> dict[str, bytes]:

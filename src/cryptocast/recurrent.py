@@ -246,8 +246,6 @@ class BiRnnModel:
     backward: CellParams
     W_head: np.ndarray  # (2*hidden, 1)
     b_head: np.ndarray  # (1,)
-    hidden_size: int
-    input_size: int
 
 
 def birnn_template(cell_kind: str, input_size: int, hidden_size: int) -> BiRnnModel:
@@ -260,7 +258,6 @@ def birnn_template(cell_kind: str, input_size: int, hidden_size: int) -> BiRnnMo
         cell_kind=cell_kind, forward=cell_template(cell, input_size, hidden_size),
         backward=cell_template(cell, input_size, hidden_size),
         W_head=np.zeros((2 * hidden_size, 1)), b_head=np.zeros(1),
-        hidden_size=hidden_size, input_size=input_size,
     )
 
 
@@ -275,10 +272,9 @@ def init_birnn(cell_kind: str, input_size: int, hidden_size: int, seed: int) -> 
 
 def _checked(m: BiRnnModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[-1] != m.input_size:
-        raise DimensionError(
-            f"window has {X.shape[-1]} features, model expects {m.input_size}"
-        )
+    k = m.forward.W_x.shape[0]
+    if X.shape[-1] != k:
+        raise DimensionError(f"window has {X.shape[-1]} features, model expects {k}")
     return X
 
 
@@ -319,7 +315,7 @@ def birnn_loss_and_grads(m: BiRnnModel, X: np.ndarray, y: np.ndarray,
 
     dpred = 2.0 * resid / n
     dconcat = np.outer(m.W_head[:, 0], dpred)
-    d = m.hidden_size
+    d = m.forward.W_h.shape[0]
     grads = dataclasses.replace(
         m, forward=sequence_backward(cell, cache_f, dconcat[:d])[0],
         backward=sequence_backward(cell, cache_b, dconcat[d:])[0],

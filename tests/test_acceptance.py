@@ -54,7 +54,7 @@ def test_gradient_oracle():
                                    named_arrays(model), h=1e-5)
 
     # full hybrid stack, T <= 4
-    cfg = hybrid.HybridConfig(window=3, input_size=2, d_model=4, heads=2,
+    cfg = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
                               layers=1, d_ffn=8, d_gru=4)
     Xh = rng.uniform(0, 1, (4, 3, 2))
     yh = rng.uniform(0, 1, (4,))
@@ -93,7 +93,7 @@ def test_memorization(kind):
     data = _memorization_fixture()
     started = time.time()
     if kind == "hybrid":
-        cfg = hybrid.HybridConfig(window=4, input_size=2, d_model=8, heads=2,
+        cfg = hybrid.HybridConfig(input_size=2, d_model=8, heads=2,
                                   layers=1, d_ffn=16, d_gru=8)
         model = hybrid.init_hybrid(cfg, seed=21)
         trained, _ = hybrid.hybrid_train(

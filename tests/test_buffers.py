@@ -20,7 +20,7 @@ def birnn(kind):
 
 
 def hybrid_model():
-    cfg = hybrid.HybridConfig(window=4, input_size=K, d_model=4, heads=2,
+    cfg = hybrid.HybridConfig(input_size=K, d_model=4, heads=2,
                               layers=2, d_ffn=6, d_gru=3)
     return hybrid.init_hybrid(cfg, seed=6), hybrid.hybrid_loss_and_grads
 

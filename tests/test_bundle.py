@@ -21,16 +21,17 @@ from cryptocast.rng import Rng
 
 
 STATS = NormStats(["close", "volume"], np.array([1.0, 10.0]), np.array([2.0, 20.0]))
-WIDTH = 8  # window 4 x two feature columns
+WINDOW, INPUTS = 4, 2  # two feature columns
+WIDTH = WINDOW * INPUTS
 
-# small hyperparameters per kind, as MODELS[kind].hyper would produce them
+# small hyperparameters per kind: resolved models.<kind> sections of a config
 HYPER = {
     "rbfn": {"centers": 5},
     "grnn": {"sigma_grid": [0.1, 0.3]},
-    "bilstm": {"hidden_size": 3, "input_size": 2, "epochs": 2, "lr": 0.01, "batch_size": 0},
-    "bigru": {"hidden_size": 3, "input_size": 2, "epochs": 2, "lr": 0.01, "batch_size": 0},
-    "hybrid": {"window": 4, "input_size": 2, "d_model": 4, "heads": 2, "layers": 2,
-               "d_ffn": 8, "d_gru": 4, "epochs": 2, "lr": 0.01, "batch_size": 0},
+    "bilstm": {"hidden_size": 3, "epochs": 2, "lr": 0.01, "batch_size": 0},
+    "bigru": {"hidden_size": 3, "epochs": 2, "lr": 0.01, "batch_size": 0},
+    "hybrid": {"d_model": 4, "heads": 2, "layers": 2, "d_ffn": 8, "d_gru": 4, "epochs": 2,
+               "lr": 0.01, "batch_size": 0},
 }
 
 
@@ -66,7 +67,7 @@ def saved_doc(tmp_path, kind, model=None):
     return path, json.loads(path.read_text())
 
 
-# The /5 payload, decoded and encoded here independently of the bundle module,
+# The /6 payload, decoded and encoded here independently of the bundle module,
 # so these helpers also pin the on-disk layout.
 def decode_entry(entry):
     return np.frombuffer(base64.b64decode(entry["f8le"]), dtype="<f8").reshape(entry["shape"])
@@ -107,7 +108,7 @@ class TestRoundTrips:
         model = init_birnn("gru", 2, 3, seed=8)
         path = tmp_path / "b.json"
         bundleio.save_bundle(
-            wrap("bigru", model, {"hidden_size": 3, "input_size": 2}), path)
+            wrap("bigru", model, {"hidden_size": 3}), path)
         loaded = bundleio.load_bundle(path)
         ws = WindowSet(
             X=window_batch(9), y=np.zeros(6), window=4,
@@ -127,9 +128,9 @@ class TestLoadTemplate:
         spec = MODELS[kind]
         built = []
 
-        def counted(hyper, width):
-            built.append(width)
-            return spec.template(hyper, width)
+        def counted(hyper, window, input_size):
+            built.append((window, input_size))
+            return spec.template(hyper, window, input_size)
 
         def no_draws(*args, **kwargs):
             raise AssertionError("load_bundle drew random numbers")
@@ -138,7 +139,7 @@ class TestLoadTemplate:
         for name in ("uniform", "normal", "next_u64"):
             monkeypatch.setattr(Rng, name, no_draws)
         loaded = bundleio.load_bundle(path)
-        assert built == [WIDTH]
+        assert built == [(WINDOW, INPUTS)]
         assert {name: a.tobytes() for name, a in named_arrays(loaded.model).items()} == \
             {name: decode_entry(entry).tobytes() for name, entry in doc["parameters"].items()}
 
@@ -152,7 +153,7 @@ class TestShapeRules:
         rows = 20
         spec = MODELS[kind]
         expected = {name: tuple(rows if d == "rows" else d for d in shape)
-                    for name, shape in spec.shapes_of(spec.template(HYPER[kind], WIDTH)).items()}
+                    for name, shape in spec.shapes_of(spec.template(HYPER[kind], WINDOW, INPUTS)).items()}
         assert {name: a.shape for name, a in named_arrays(model).items()} == expected
 
 
@@ -170,7 +171,7 @@ class TestParameterNaming:
                                   "b": [gates * 3]}
 
     def test_hybrid_layers_are_index_addressable(self, tmp_path):
-        cfg = HybridConfig(window=4, input_size=2, d_model=4, heads=2,
+        cfg = HybridConfig(input_size=2, d_model=4, heads=2,
                            layers=3, d_ffn=8, d_gru=4)
         path = tmp_path / "layers.json"
         hyper = dict(HYPER["hybrid"], layers=3)
@@ -199,7 +200,17 @@ class TestBundleErrors:
         path.write_text(json.dumps(doc))
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "pred.csv")]) == 3
-        assert "has format 'model-bundle/4', expected 'model-bundle/5'" in capsys.readouterr().err
+        assert "has format 'model-bundle/4', expected 'model-bundle/6'" in capsys.readouterr().err
+
+    def test_version_5_rejected(self, tmp_path, small_csv, capsys):
+        # /5 hyperparameters restate the envelope's window and input size
+        path, doc = saved_doc(tmp_path, "hybrid")
+        doc["format"] = "model-bundle/5"
+        doc["hyperparameters"].update(window=WINDOW, input_size=INPUTS)
+        path.write_text(json.dumps(doc))
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        assert "has format 'model-bundle/5', expected 'model-bundle/6'" in capsys.readouterr().err
 
     def test_version_1_rejected(self, tmp_path):
         path, doc = saved_doc(tmp_path, "rbfn")
@@ -231,7 +242,7 @@ class TestBundleErrors:
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad2.json"
         path.write_text(
-            '{"format": "model-bundle/5", "model": "perceptron",'
+            '{"format": "model-bundle/6", "model": "perceptron",'
             ' "hyperparameters": {}, "parameters": {}, "window": 1,'
             ' "feature_columns": [], "target_column": "close",'
             ' "normalization": {}}'
@@ -345,7 +356,7 @@ class TestPayload:
         model = fitted(kind)
         _, doc = saved_doc(tmp_path, kind, model)
         arrays = named_arrays(model)
-        assert doc["format"] == "model-bundle/5"
+        assert doc["format"] == "model-bundle/6"
         assert doc["parameters"].keys() == arrays.keys()
         for name, entry in doc["parameters"].items():
             assert entry.keys() == {"shape", "f8le"}
@@ -442,25 +453,36 @@ class TestEnvelopeChecks:
     def test_window_must_be_a_positive_int(self, tmp_path, window):
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["window"] = window
-        self.rejects(path, doc, "window must be an integer >= 1")
+        self.rejects(path, doc, f"window={window} violates minimum: 1" if type(window) is int
+                     else f"window must be a JSON integer, got {re.escape(repr(window))}")
+
+    def test_integral_float_window_reads_as_int(self, tmp_path):
+        # as in a config file
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["window"] = 4.0
+        path.write_text(json.dumps(doc))
+        window = bundleio.load_bundle(path).window
+        assert type(window) is int and window == 4
 
     def test_hybrid_window_must_match_envelope(self, tmp_path):
+        # the window is the envelope's alone: hyperparameters cannot restate it
         path, doc = saved_doc(tmp_path, "hybrid")
-        doc["window"] = 5
-        self.rejects(path, doc, "hyperparameters.window is 4 but the envelope implies 5")
+        doc["hyperparameters"]["window"] = 4
+        self.rejects(path, doc, "unknown key 'window' in hyperparameters")
 
     @pytest.mark.parametrize("kind", ["bilstm", "bigru", "hybrid"])
     @pytest.mark.parametrize("input_size", [3, "2", 2.0, True])
     def test_input_size_must_match_feature_columns(self, tmp_path, kind, input_size):
+        # the input size is the number of feature columns alone
         path, doc = saved_doc(tmp_path, kind)
         doc["hyperparameters"]["input_size"] = input_size
-        self.rejects(path, doc, "hyperparameters.input_size is .* envelope implies 2")
+        self.rejects(path, doc, "unknown key 'input_size' in hyperparameters")
 
     def test_recurrent_input_size_follows_feature_columns(self, tmp_path):
         path, doc = saved_doc(tmp_path, "bilstm")
         doc["feature_columns"].append("fgi")
         doc["normalization"]["fgi"] = [0.0, 100.0]
-        self.rejects(path, doc, "hyperparameters.input_size is 2 but the envelope implies 3")
+        self.rejects(path, doc, r"forward\.W_x has shape \(2, 12\), expected \(3, 12\)")
 
     def test_hybrid_without_heads_is_a_data_error(self, tmp_path):
         path, doc = saved_doc(tmp_path, "hybrid")
@@ -492,7 +514,7 @@ class TestEnvelopeChecks:
         doc["hyperparameters"]["layers"] = arrays + 1
         path.write_text(json.dumps(doc))
 
-        def no_template(hyper, width):
+        def no_template(hyper, window, input_size):
             raise AssertionError("load_bundle built the template")
 
         monkeypatch.setitem(MODELS, "hybrid", dataclasses.replace(MODELS["hybrid"],
@@ -505,23 +527,52 @@ class TestEnvelopeChecks:
     def test_template_out_of_memory_is_a_data_error(self, tmp_path, monkeypatch):
         path, doc = saved_doc(tmp_path, "bilstm")
 
-        def no_memory(hyper, width):
+        def no_memory(hyper, window, input_size):
             raise MemoryError("Unable to allocate")
 
         monkeypatch.setitem(MODELS, "bilstm", dataclasses.replace(MODELS["bilstm"],
                                                                   template=no_memory))
         self.rejects(path, doc, "malformed envelope: Unable to allocate")
 
-    @pytest.mark.parametrize("columns", [["close", "close"], ["close", 3], "close"])
-    def test_feature_columns_must_be_distinct_strings(self, tmp_path, columns):
+    @pytest.mark.parametrize("columns, message", [
+        pytest.param(["close", "close"], r"feature_columns=\['close', 'close'\] violates "
+                     "uniqueItems", id="columns0"),
+        pytest.param(["close", 3], r"feature_columns\[1\] must be a JSON string, got 3",
+                     id="columns1"),
+        pytest.param("close", "feature_columns must be a JSON array, got 'close'", id="close"),
+    ])
+    def test_feature_columns_must_be_distinct_strings(self, tmp_path, columns, message):
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["feature_columns"] = columns
-        self.rejects(path, doc, "feature_columns must be a list of distinct strings")
+        self.rejects(path, doc, message)
 
     def test_target_must_be_a_feature(self, tmp_path):
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["target_column"] = "btc_close"
-        self.rejects(path, doc, "target_column 'btc_close' is not among")
+        self.rejects(path, doc, "target column 'btc_close' must be among")
+
+    @pytest.mark.parametrize("target, weights, message", [
+        ("btc_close", [0.5, 0.5], "target column 'btc_close' must be among"),
+        ("close", [0.3, 0.3], "fgi weights must be nonnegative and sum to 1, got 0.3, 0.3"),
+        ("close", [0.5, 0.6], "fgi weights must be nonnegative and sum to 1, got 0.5, 0.6"),
+        ("close", [1.5, -0.5], "fgi_weights[1]=-0.5 violates minimum: 0"),
+        ("close", [1.0], "fgi_weights=[1.0] violates minItems: 2"),
+    ])
+    def test_input_rules_refuse_a_config_and_a_bundle_alike(
+            self, tmp_path, small_csv, small_config_doc, capsys, target, weights, message):
+        small_config_doc["data"].update(target_column=target, fgi_weights=weights)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config_doc))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc.update(target_column=target, fgi_weights=weights)
+        path.write_text(json.dumps(doc))
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
 
     def test_normalization_must_cover_features(self, tmp_path):
         path, doc = saved_doc(tmp_path, "rbfn")
@@ -579,7 +630,7 @@ _BASE_TEXT = {}
 
 
 def base_text(kind):
-    """A saved /5 bundle of `kind`, made once per session."""
+    """A saved /6 bundle of `kind`, made once per session."""
     if kind not in _BASE_TEXT:
         _BASE_TEXT[kind] = bundleio.bundle_to_json(wrap(kind, fitted(kind), HYPER[kind]))
     return _BASE_TEXT[kind]
@@ -672,8 +723,8 @@ class TestLoadBundleFuzz:
         assert np.all(b.stats.mins < b.stats.maxs)
         arrays = named_arrays(b.model)
         spec = MODELS[b.kind]
-        expected = spec.shapes_of(spec.template(b.hyperparameters,
-                                                b.window * len(b.feature_columns)))
+        expected = spec.shapes_of(spec.template(b.hyperparameters, b.window,
+                                                len(b.feature_columns)))
         assert arrays.keys() == expected.keys()
         free = {}
         for name, shape in expected.items():

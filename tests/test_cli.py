@@ -99,8 +99,13 @@ class TestRun:
         out_dir = tmp_path / "with_models"
         assert run_cli("run", "--config", small_config_file, "--out", str(out_dir),
                        "--save-models") == 0
+        resolved = json.loads((out_dir / "config.resolved.json").read_text())
         for kind in ("rbfn", "grnn", "bilstm", "bigru", "hybrid"):
-            assert (out_dir / f"model_{kind}.json").exists()
+            bundle = json.loads((out_dir / f"model_{kind}.json").read_text())
+            # the config's section as resolved, with nothing derived added
+            assert bundle["hyperparameters"] == resolved["models"][kind]
+            assert bundle["window"] == resolved["window"]
+            assert bundle["feature_columns"] == resolved["data"]["feature_columns"]
 
     def test_saved_models_are_byte_identical_across_processes(self, small_config_doc, tmp_path):
         # fresh interpreters with different string-hash seeds: nothing written
@@ -652,19 +657,33 @@ class TestPredictionsReader:
         assert err.count("b.csv needs 'actual' and 'predicted' columns") == 2
 
 
+@pytest.fixture()
+def inputs(tmp_path):
+    """Two aligned predictions files of 12 dates whose errors differ."""
+    paths = []
+    for name, slope in (("a", 0.5), ("b", 1.5)):
+        rows = [f"2021-01-{d:02d},{100.0 + d},{100.0 + d + slope * (d % 3)}"
+                for d in range(1, 13)]
+        path = tmp_path / f"{name}.csv"
+        path.write_text("date,actual,predicted\n" + "\n".join(rows) + "\n")
+        paths.append(str(path))
+    return paths
+
+
+class TestCompareCsv:
+    @pytest.mark.parametrize("names", [['a,"x', "b"], ["line\nbreak", '"quoted"']])
+    def test_model_names_round_trip(self, inputs, tmp_path, names):
+        out = tmp_path / "pairs.csv"
+        assert run_cli("compare", "--inputs", *inputs, "--names", *names,
+                       "--out", str(tmp_path / "r.json"), "--csv", str(out)) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header) == 6
+        assert row[:2] == names
+
+
 class TestCompareAlpha:
     """--alpha follows the config's rule for alpha: a finite 0 < alpha < 1."""
-
-    @pytest.fixture()
-    def inputs(self, tmp_path):
-        paths = []
-        for name, slope in (("a", 0.5), ("b", 1.5)):
-            rows = [f"2021-01-{d:02d},{100.0 + d},{100.0 + d + slope * (d % 3)}"
-                    for d in range(1, 13)]
-            path = tmp_path / f"{name}.csv"
-            path.write_text("date,actual,predicted\n" + "\n".join(rows) + "\n")
-            paths.append(str(path))
-        return paths
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "7"])
     def test_out_of_range_alpha_exits_2(self, inputs, tmp_path, capsys, alpha):

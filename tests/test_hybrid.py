@@ -17,7 +17,7 @@ from cryptocast.optim import TrainConfig
 from cryptocast.params import named_arrays
 from cryptocast.rng import Rng
 
-SMALL = hybrid.HybridConfig(window=3, input_size=2, d_model=4, heads=2,
+SMALL = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
                             layers=1, d_ffn=8, d_gru=4)
 
 
@@ -70,7 +70,7 @@ def encode(m, window, positional):
 
 # four heads of width 2 over two layers, with d_ffn != d_model: a head or
 # column mix-up in the stacked Q/K/V projection shows at these sizes
-MULTI = hybrid.HybridConfig(window=3, input_size=2, d_model=8, heads=4,
+MULTI = hybrid.HybridConfig(input_size=2, d_model=8, heads=4,
                             layers=2, d_ffn=6, d_gru=3)
 
 
@@ -179,7 +179,7 @@ class TestAttention:
 
     def test_identical_timesteps_uniform_attention(self):
         m = hybrid.init_hybrid(
-            hybrid.HybridConfig(window=4, input_size=2, d_model=4, heads=2,
+            hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
                                 layers=1, d_ffn=8, d_gru=4), seed=6)
         layer = m.encoder_layers[0]
         H = np.tile(Rng(7).uniform(-1, 1, (1, 4)), (3, 1))
@@ -214,7 +214,7 @@ class TestAttention:
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_probability_rows_sum_to_one_everywhere(self):
-        cfg = hybrid.HybridConfig(window=6, input_size=3, d_model=8, heads=4,
+        cfg = hybrid.HybridConfig(input_size=3, d_model=8, heads=4,
                                   layers=3, d_ffn=16, d_gru=8)
         m = hybrid.init_hybrid(cfg, seed=8)
         maps = attention_probs(m, Rng(9).uniform(0, 1, (6, 3)))
@@ -261,7 +261,7 @@ class TestEncoderLayer:
         # a from-first-principles rewrite of the whole layer (loops, no
         # shared helpers) must agree with the production path
         m = hybrid.init_hybrid(
-            hybrid.HybridConfig(window=2, input_size=2, d_model=4, heads=2,
+            hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
                                 layers=1, d_ffn=8, d_gru=4), seed=14)
         layer = m.encoder_layers[0]
         H = Rng(15).uniform(-1, 1, (2, 4))
@@ -317,12 +317,12 @@ class TestHybridForward:
 
     def test_invalid_head_split_rejected(self):
         with pytest.raises(ConfigError):
-            hybrid.HybridConfig(window=3, input_size=2, d_model=30, heads=4,
+            hybrid.HybridConfig(input_size=2, d_model=30, heads=4,
                                 layers=1, d_ffn=8, d_gru=4).validate()
 
     def test_odd_d_model_rejected(self):
         with pytest.raises(ConfigError):
-            hybrid.HybridConfig(window=3, input_size=2, d_model=7, heads=1,
+            hybrid.HybridConfig(input_size=2, d_model=7, heads=1,
                                 layers=1, d_ffn=8, d_gru=4).validate()
 
     def test_permutation_sensitivity_with_positions(self):
@@ -356,9 +356,9 @@ class TestHybridForward:
 
 # four heads over 30 steps: encoder blocks of 64 windows inside read-out
 # blocks of FORWARD_CHUNK
-LONG = hybrid.HybridConfig(window=30, input_size=2, d_model=8, heads=4,
+LONG = hybrid.HybridConfig(input_size=2, d_model=8, heads=4,
                            layers=2, d_ffn=6, d_gru=3)
-BE = hybrid.block_rows(LONG.heads, LONG.window)
+BE = hybrid.block_rows(LONG.heads, 30)
 
 
 class TestBlockedInference:
@@ -366,28 +366,28 @@ class TestBlockedInference:
     the encoder in blocks of `block_rows`, through one reused set of buffers;
     no window may see another's block or a stale layer."""
 
-    DEEP = hybrid.HybridConfig(window=5, input_size=2, d_model=4, heads=2,
+    DEEP = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
                                layers=3, d_ffn=6, d_gru=3)
 
     def test_block_rule(self):
         assert BE == 64
-        assert hybrid.block_rows(self.DEEP.heads, self.DEEP.window) == B
+        assert hybrid.block_rows(self.DEEP.heads, 5) == B
         assert hybrid.block_rows(64, 1000) == 1
 
     @staticmethod
-    def assert_blocks_equal_single_window_calls(config, n, seed):
+    def assert_blocks_equal_single_window_calls(config, T, n, seed):
         m = hybrid.init_hybrid(config, seed=seed)
-        X = Rng(n).uniform(-1, 1, (n, config.window, config.input_size))
+        X = Rng(n).uniform(-1, 1, (n, T, config.input_size))
         single = np.array([hybrid.hybrid_forward_batch(m, X[i:i + 1])[0] for i in range(n)])
         assert np.allclose(hybrid.hybrid_forward_batch(m, X), single, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
     def test_blocks_equal_single_window_calls(self, n):
-        self.assert_blocks_equal_single_window_calls(self.DEEP, n, seed=30)
+        self.assert_blocks_equal_single_window_calls(self.DEEP, 5, n, seed=30)
 
     @pytest.mark.parametrize("n", [1, BE - 1, BE, BE + 1, 2 * BE + 3, B + 1])
     def test_encoder_blocks_equal_single_window_calls(self, n):
-        self.assert_blocks_equal_single_window_calls(LONG, n, seed=37)
+        self.assert_blocks_equal_single_window_calls(LONG, 30, n, seed=37)
 
     def test_layers_sharing_a_slot_match_the_training_pass(self):
         # three layers over two inference slots, so the third writes over
@@ -414,7 +414,7 @@ class TestBlockedInference:
 
     def test_working_set_does_not_grow_with_n(self):
         # the whole batch at once would trace four times the peak at N=4,000
-        m = hybrid.init_hybrid(hybrid.HybridConfig(window=10, input_size=3, d_model=8, heads=2,
+        m = hybrid.init_hybrid(hybrid.HybridConfig(input_size=3, d_model=8, heads=2,
                                                    layers=2, d_ffn=16, d_gru=8), seed=33)
         peaks = {}
         for n in (1000, 4000):
@@ -475,7 +475,7 @@ class TestHybridGradients:
         assert err < 1e-4
 
     def test_two_layer_gradient_check(self):
-        cfg = hybrid.HybridConfig(window=2, input_size=2, d_model=4, heads=2,
+        cfg = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
                                   layers=2, d_ffn=4, d_gru=3)
         rng = Rng(27)
         X = rng.uniform(0, 1, (3, 2, 2))
@@ -498,7 +498,7 @@ class TestHybridGradients:
         # the training pass writes its encoder and GRU activations into
         # buffers and reuses them in place; its loss must still be the
         # inference pass's error (600 windows cross its block boundary)
-        cfg = hybrid.HybridConfig(window=3, input_size=2, d_model=4, heads=2,
+        cfg = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
                                   layers=2, d_ffn=6, d_gru=3)
         rng = Rng(35)
         X = rng.uniform(0, 1, (600, 3, 2))
@@ -511,7 +511,7 @@ class TestHybridGradients:
 
 class TestHybridTraining:
     def test_memorizes_small_fixture(self):
-        cfg = hybrid.HybridConfig(window=4, input_size=2, d_model=8, heads=2,
+        cfg = hybrid.HybridConfig(input_size=2, d_model=8, heads=2,
                                   layers=1, d_ffn=16, d_gru=8)
         data = make_window_set(8, 4, 2, seed=29)
         m = hybrid.init_hybrid(cfg, seed=30)
@@ -567,11 +567,12 @@ class TestPredictSeries:
         return frame, stats
 
     def _predict(self, tmp_path, m, frame, stats):
-        """Exit code and, on success, the predictions CSV as a frame."""
+        """Exit code and, on success, the predictions CSV of windows of 3 steps as a frame."""
         bundle_path, data_path, out_path = (tmp_path / f for f in ("b.json", "s.csv", "p.csv"))
+        hyper = {k: v for k, v in dataclasses.asdict(m.config).items() if k != "input_size"}
         save_bundle(ModelBundle(
-            kind="hybrid", model=m, hyperparameters=dataclasses.asdict(m.config),
-            window=m.config.window, feature_columns=["close", "volume"], target_column="close",
+            kind="hybrid", model=m, hyperparameters=hyper,
+            window=3, feature_columns=["close", "volume"], target_column="close",
             compose_fgi=False, fgi_weights=[0.5, 0.5], stats=stats), bundle_path)
         write_series_csv(frame, data_path)
         code = cli.main(["predict", "--bundle", str(bundle_path), "--data", str(data_path),
@@ -580,7 +581,7 @@ class TestPredictSeries:
 
     def test_denormalization_endpoints(self, tmp_path):
         frame, stats = self._frame_and_stats()
-        m = zero_model(hybrid.HybridConfig(window=3, input_size=2, d_model=4,
+        m = zero_model(hybrid.HybridConfig(input_size=2, d_model=4,
                                            heads=2, layers=1, d_ffn=8, d_gru=4),
                        head_bias=0.0)
         _, forecast = self._predict(tmp_path, m, frame, stats)

@@ -250,7 +250,29 @@ class TestGrnn:
 
 
 class TestGrnnBlocks:
-    """Predictions run in blocks of FORWARD_CHUNK query rows."""
+    """Predictions, and the holdout scoring of the fit, run in blocks of
+    FORWARD_CHUNK query rows."""
+
+    @staticmethod
+    def full_matrix_sigma(X, y, grid):
+        """The sigma of the smallest holdout MSE, scored on the whole holdout
+        x fit distance matrix at once; the earliest wins ties."""
+        n_fit = int(np.floor(0.8 * len(X)))
+        sq = kernels._pairwise_sq_dists(X[n_fit:], X[:n_fit])
+        mses = [float(((kernels._grnn_weights(sq, s) @ y[:n_fit] - y[n_fit:]) ** 2).mean())
+                for s in grid]
+        return grid[mses.index(min(mses))]
+
+    @pytest.mark.parametrize("holdout", [3, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("noise", [0.02, 0.5])
+    def test_fit_picks_the_sigma_of_full_matrix_scoring(self, holdout, noise):
+        n = next(n for n in range(5 * holdout - 5, 5 * holdout + 5)
+                 if n - int(np.floor(0.8 * n)) == holdout)
+        rng = Rng(holdout)
+        X = rng.uniform(0, 1, (n, 2))
+        y = np.sin(6.0 * X[:, 0]) * X[:, 1] + noise * rng.uniform(-1, 1, (n,))
+        grid = [0.01, 0.03, 0.1, 0.3, 1.0]
+        assert kernels.grnn_fit(X, y, grid).sigma == self.full_matrix_sigma(X, y, grid)
 
     @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
     def test_blocks_equal_single_query_calls(self, n):

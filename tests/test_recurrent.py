@@ -235,7 +235,7 @@ def reference_birnn_predict(m, X):
     step = REFERENCE_STEPS[m.cell_kind]
     finals = []
     for cell, steps in ((m.forward, range(X.shape[1])), (m.backward, range(X.shape[1] - 1, -1, -1))):
-        h = c = np.zeros((X.shape[0], m.hidden_size))
+        h = c = np.zeros((X.shape[0], cell.W_h.shape[0]))
         for t in steps:
             h, c = step(cell, X[:, t], h, c)
         finals.append(h)
