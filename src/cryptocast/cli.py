@@ -8,6 +8,7 @@ report. Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -136,8 +137,9 @@ def _cmd_predict(args) -> int:
     raw = predict_windows(bundle.kind, bundle.model, ws)
     predicted = dataio.invert_minmax(raw, bundle.target_column, bundle.stats)
     actual = dataio.invert_minmax(ws.y, bundle.target_column, bundle.stats)
-    rows = [[date.isoformat(), repr(float(act)), repr(float(pred))]
-            for date, act, pred in zip(ws.target_dates, actual, predicted)]
+    # tolist() gives Python floats, whose repr is the cell text
+    rows = [[date.isoformat(), repr(act), repr(pred)]
+            for date, act, pred in zip(ws.target_dates, actual.tolist(), predicted.tolist())]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text([["date", "actual", "predicted"], *rows]))
     print(f"wrote {len(ws)} predictions to {args.out}")
@@ -290,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fgi-amplitude", type=float, default=40.0)
     p.add_argument("--price-cycle", type=float, default=0.0)
     p.add_argument("--fgi-lead", type=float, default=15.0)
-    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("ingest", help="validate a data CSV and optionally export JSON artifacts")
     p.add_argument("--data", required=True)
@@ -298,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows-out", help="write a normalized window-set JSON artifact")
     p.add_argument("--window", type=int, default=30)
     p.add_argument("--target", default="close")
-    p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("fgi", help="compose the fear/greed column from sentiment and trends")
     p.add_argument("--data", required=True)
@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trends-column", default="trends")
     p.add_argument("--w1", type=float, default=0.5)
     p.add_argument("--w2", type=float, default=0.5)
-    p.set_defaults(func=_cmd_fgi)
 
     p = sub.add_parser("train", help="train one model and save its bundle")
     p.add_argument("--config", required=True)
@@ -315,18 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--loss-out")
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="run a saved bundle over a data CSV")
     p.add_argument("--bundle", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="compute metrics from a predictions CSV")
     p.add_argument("--predictions", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("run", help="full experiment: train all five models and emit artifacts")
     p.add_argument("--config", required=True)
@@ -334,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--save-models", action="store_true",
                    help="also write model_<kind>.json bundles")
-    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="Friedman + pairwise signed-rank over prediction files")
     p.add_argument("--inputs", nargs="+", required=True)
@@ -342,21 +337,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="also write the pairwise table as CSV")
     p.add_argument("--names", nargs="+")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="tidy plot-ready CSV from a run directory")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call of the process and reused:
+    it holds no per-call state, and each call parses into a new namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code. May be called repeatedly in
+    one process; the handler is looked up per call, so a replaced `_cmd_*`
+    function takes effect."""
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

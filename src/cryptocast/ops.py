@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .rng import Rng
 
 # windows (GRNN: query rows) per block of an inference pass: bounds its
@@ -130,7 +130,7 @@ def layer_norm_with_cache(x, gamma, beta, eps: float = 1e-5, buffers=None, name=
             f"do not match feature size {x.shape[-1:]}"
         )
     if eps <= 0.0:
-        raise ValueError("layer_norm eps must be positive")
+        raise ConfigError("layer_norm eps must be positive")
     buffers = Buffers() if buffers is None else buffers
     # xhat holds the centered rows and out their squares until both are final
     xhat = np.subtract(x, mean_last(x), out=buffers.empty(name + "xhat", x.shape))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, SizeError
+from .errors import ConfigError, DimensionError, DivergenceError, SizeError
 from .rng import Rng
 
 
@@ -53,11 +53,11 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
         if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+            raise ConfigError("lr must be positive")
         if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0")
+            raise ConfigError("batch_size must be >= 0")
         return self
 
 

@@ -407,12 +407,16 @@ def comparison_csv(report: ComparisonReport) -> str:
     return csv_text(rows)
 
 
-def build_artifact_files(result: RunResult) -> dict[str, bytes]:
-    """All artifact files as bytes, keyed by filename. Content is fully
-    deterministic for a given config."""
+def build_artifact_files(result: RunResult, out_dir: str) -> dict[str, bytes]:
+    """All artifact files as bytes, keyed by filename, for the run directory
+    `out_dir`. Content is fully deterministic for a given config and data
+    file location relative to `out_dir`."""
+    snapshot = result.config.to_json_dict()
+    # relative to the run directory, where `report` resolves it, so the same
+    # run made from another directory writes the same bytes
+    snapshot["data"]["path"] = os.path.relpath(snapshot["data"]["path"], out_dir)
     files: dict[str, bytes] = {}
-    files["config.resolved.json"] = (
-        dumps_canonical(result.config.to_json_dict()) + "\n").encode("utf-8")
+    files["config.resolved.json"] = (dumps_canonical(snapshot) + "\n").encode("utf-8")
     files["metrics.csv"] = metrics_csv(result).encode("utf-8")
     for kind in MODEL_ORDER:
         files[f"predictions_{kind}.csv"] = predictions_csv(result, kind).encode("utf-8")
@@ -428,7 +432,7 @@ def build_artifact_files(result: RunResult) -> dict[str, bytes]:
 def emit_artifacts(result: RunResult, out_dir: str) -> dict:
     """Write all artifact files plus a manifest of their sha256 digests.
     On failure every file written so far is removed."""
-    files = build_artifact_files(result)
+    files = build_artifact_files(result, out_dir)
     manifest = {
         "format": "run-manifest/1",
         "files": {name: "sha256:" + sha256_hex(content)

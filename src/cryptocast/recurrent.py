@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .data import WindowSet
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .ops import Buffers, blocks, sigmoid, xavier
 from .optim import TrainConfig, run_adam_training
 from .params import copy_arrays, named_arrays
@@ -252,7 +252,7 @@ def birnn_template(cell_kind: str, input_size: int, hidden_size: int) -> BiRnnMo
     """An all-zero bidirectional model: the structure `init_birnn` fills and
     a bundle's parameters are loaded into."""
     if cell_kind not in CELLS:
-        raise ValueError(f"unknown cell kind {cell_kind!r}")
+        raise ConfigError(f"unknown cell kind {cell_kind!r}")
     cell = CELLS[cell_kind]
     return BiRnnModel(
         cell_kind=cell_kind, forward=cell_template(cell, input_size, hidden_size),

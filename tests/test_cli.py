@@ -3,6 +3,7 @@ import errno
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 
 from cryptocast import cli, pipeline
 from cryptocast import data as dataio
+from cryptocast.bundle import load_bundle
 from cryptocast.config import load_config_file
 from cryptocast.errors import DivergenceError, NumericalError
 
@@ -174,6 +176,31 @@ class TestRun:
 
         monkeypatch.setattr(cli, "run_experiment", explode)
         assert run_cli("run", "--config", small_config_file) == 4
+
+
+class TestRunFromTwoDirectories:
+    def test_manifests_agree_and_report_reads_the_runs_data(self, small_config_doc,
+                                                             small_csv, tmp_path, monkeypatch):
+        small_config_doc["data"]["path"] = "series.csv"
+        for kind in ("bilstm", "bigru", "hybrid"):
+            small_config_doc["models"][kind]["epochs"] = 2
+        homes = [tmp_path / "home1", tmp_path / "home2"]
+        for home in homes:
+            home.mkdir()
+            shutil.copyfile(small_csv, home / "series.csv")
+            (home / "config.json").write_text(json.dumps(small_config_doc))
+            monkeypatch.chdir(home)
+            assert run_cli("run", "--config", "config.json", "--out", "out") == 0
+        runs = [home / "out" for home in homes]
+        assert (runs[0] / "manifest.json").read_bytes() == (runs[1] / "manifest.json").read_bytes()
+        snapshot = json.loads((runs[0] / "config.resolved.json").read_text())
+        assert snapshot["data"]["path"] == os.path.join(os.pardir, "series.csv")
+
+        # report resolves the path against the run directory, not the working one
+        monkeypatch.chdir(tmp_path)
+        (homes[1] / "series.csv").unlink()
+        assert run_cli("report", "--run-dir", str(runs[0]), "--out", "plot.csv") == 0
+        assert run_cli("report", "--run-dir", str(runs[1]), "--out", "plot.csv") == 3
 
 
 class TestRunOnSeveralCpus:
@@ -575,6 +602,84 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run_cli("--help")
         assert exc.value.code == 0
+
+
+class TestRepeatedMain:
+    """`main` reuses one parser per process; no call may see another's state."""
+
+    COMMANDS = ("synth", "ingest", "fgi", "train", "predict", "evaluate", "run", "compare",
+                "report")
+
+    def test_an_omitted_option_takes_its_default_again(self, inputs, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli("compare", "--inputs", *inputs, "--out", str(out), "--alpha", "0.1") == 0
+        assert json.loads(out.read_text())["alpha"] == 0.1
+        assert run_cli("compare", "--inputs", *inputs, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["alpha"] == 0.05
+
+    @pytest.mark.parametrize("command", [(), *((c,) for c in COMMANDS)])
+    def test_help_is_the_same_twice(self, capsys, command):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*command, "--help")
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and "usage: cryptocast" in texts[0]
+
+    def test_a_handler_replaced_after_a_call_is_the_one_that_runs(self, inputs, tmp_path,
+                                                                  monkeypatch):
+        out = tmp_path / "r.json"
+        assert run_cli("compare", "--inputs", *inputs, "--out", str(out)) == 0
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_compare", lambda args: seen.append(args) or 7)
+        assert run_cli("compare", "--inputs", *inputs, "--out", str(tmp_path / "s.json")) == 7
+        assert [args.alpha for args in seen] == [0.05]
+        assert not (tmp_path / "s.json").exists()
+
+    def test_a_usage_error_after_a_success_exits_2(self, inputs, tmp_path, capsys):
+        assert run_cli("compare", "--inputs", *inputs, "--out", str(tmp_path / "r.json")) == 0
+        for argv in (["compare", "--inputs", *inputs], ["forecast"], ["compare", "--alpha"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            assert exc.value.code == 2
+        assert capsys.readouterr().err.count("usage: cryptocast") == 3
+
+
+class TestPredictOutput:
+    def test_rows_are_the_reprs_of_the_model_outputs(self, small_config_doc, small_csv,
+                                                     tmp_path):
+        for kind in ("bilstm", "bigru", "hybrid"):
+            small_config_doc["models"][kind]["epochs"] = 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config_doc))
+        bundles = tmp_path / "run"
+
+        def predict(kind, name):
+            answer = tmp_path / name
+            assert run_cli("predict", "--bundle", str(bundles / f"model_{kind}.json"),
+                           "--data", small_csv, "--out", str(answer)) == 0
+            return answer.read_bytes()
+
+        assert run_cli("run", "--config", str(config), "--out", str(bundles),
+                       "--save-models") == 0
+        first = {kind: predict(kind, f"{kind}.csv") for kind in cli.MODELS}
+        # another run between two requests in the same process
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "other")) == 0
+        for kind in cli.MODELS:
+            b = load_bundle(str(bundles / f"model_{kind}.json"))
+            frame = dataio.with_composed_fgi(dataio.load_series(small_csv), b.compose_fgi,
+                                             b.fgi_weights).select(b.feature_columns)
+            ws = dataio.make_windows(dataio.apply_minmax(frame, b.stats), b.window,
+                                     b.target_column)
+            predicted = dataio.invert_minmax(pipeline.predict_windows(kind, b.model, ws),
+                                             b.target_column, b.stats)
+            actual = dataio.invert_minmax(ws.y, b.target_column, b.stats)
+            rows = [[d.isoformat(), repr(float(a)), repr(float(p))]
+                    for d, a, p in zip(ws.target_dates, actual, predicted)]
+            expected = pipeline.csv_text([["date", "actual", "predicted"], *rows])
+            assert first[kind] == expected.encode("utf-8"), kind
+            assert predict(kind, f"{kind}_again.csv") == first[kind], kind
 
 
 class TestUnreadableInputs:

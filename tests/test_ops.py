@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cryptocast import ops
-from cryptocast.errors import DimensionError
+from cryptocast.errors import ConfigError, DimensionError
 from cryptocast.rng import Rng
 
 
@@ -100,6 +100,10 @@ class TestLayerNorm:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             ops.layer_norm_with_cache(np.zeros(3), np.ones(2), np.zeros(3))
+
+    def test_nonpositive_eps_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="eps"):
+            ops.layer_norm_with_cache(np.zeros(3), np.ones(3), np.zeros(3), eps=0.0)
 
     @given(arrays(np.float64, st.integers(2, 8),
                   elements=st.floats(-100, 100, allow_nan=False)))

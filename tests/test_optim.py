@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cryptocast.errors import DimensionError, DivergenceError
+from cryptocast.errors import ConfigError, DimensionError, DivergenceError
 from cryptocast.optim import TrainConfig, adam_step, run_adam_training
 
 
@@ -45,6 +45,12 @@ def test_shape_mismatch_rejected():
     params = {"w": np.zeros((2, 2))}
     with pytest.raises(DimensionError, match="for w"):
         adam_step(params, {"w": np.zeros(3)}, fresh_moments(params), 1, 1e-3)
+
+
+@pytest.mark.parametrize("field, value", [("epochs", -1), ("lr", 0.0), ("batch_size", -1)])
+def test_invalid_train_config_is_a_config_error(field, value):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: value}).validate()
 
 
 def test_bias_correction_against_hand_formula():

@@ -174,8 +174,8 @@ class TestRunExperiment:
         assert len(traces["hybrid"]) == 15
 
     def test_deterministic_artifacts(self, small_config):
-        files_a = pipeline.build_artifact_files(pipeline.run_experiment(small_config))
-        files_b = pipeline.build_artifact_files(pipeline.run_experiment(small_config))
+        files_a = pipeline.build_artifact_files(pipeline.run_experiment(small_config), "out")
+        files_b = pipeline.build_artifact_files(pipeline.run_experiment(small_config), "out")
         assert files_a.keys() == files_b.keys()
         for name in files_a:
             assert files_a[name] == files_b[name], f"{name} differs between runs"

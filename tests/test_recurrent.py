@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cryptocast import recurrent
 from cryptocast.data import WindowSet
-from cryptocast.errors import DimensionError, SizeError
+from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
 from cryptocast.ops import xavier
 from cryptocast.optim import TrainConfig
@@ -187,6 +187,10 @@ class TestBiRnn:
         finally:
             tracemalloc.stop()
         assert peak < 2 * (4 * n * d * 8)
+
+    def test_unknown_cell_kind_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="rnn"):
+            recurrent.birnn_template("rnn", 3, 4)
 
     def test_input_feature_mismatch(self):
         m = recurrent.init_birnn("gru", 3, 4, seed=9)
