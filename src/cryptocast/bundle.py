@@ -79,9 +79,14 @@ def bundle_to_json(b: ModelBundle) -> str:
     })
 
 
+def bundle_bytes(b: ModelBundle) -> bytes:
+    """The bytes of a bundle's file."""
+    return (bundle_to_json(b) + "\n").encode("utf-8")
+
+
 def save_bundle(b: ModelBundle, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(bundle_to_json(b) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(bundle_bytes(b))
 
 
 def _declared_shape(path, name: str, entry) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import data as dataio
-from .bundle import load_bundle, model_bundle, save_bundle
+from .bundle import bundle_bytes, load_bundle, model_bundle, save_bundle
 from .config import check_setting, load_config_file, validate_config
 from .errors import (
     AlignmentError,
@@ -166,12 +166,12 @@ def _cmd_run(args) -> int:
     if args.out:
         cfg.output_dir = args.out
     result = run_experiment(cfg)
-    manifest = emit_artifacts(result, cfg.output_dir)
+    bundles = {}
     if args.save_models:
-        for kind, run in result.runs.items():
-            save_bundle(model_bundle(cfg, result.prepared.stats, kind, run.model,
-                                     run.hyperparameters),
-                        os.path.join(cfg.output_dir, f"model_{kind}.json"))
+        bundles = {f"model_{kind}.json": bundle_bytes(model_bundle(
+            cfg, result.prepared.stats, kind, run.model, run.hyperparameters))
+            for kind, run in result.runs.items()}
+    manifest = emit_artifacts(result, cfg.output_dir, bundles)
     print(f"run complete: {len(manifest['files'])} artifacts in {cfg.output_dir}")
     for kind in MODEL_ORDER:
         m = result.runs[kind].metrics

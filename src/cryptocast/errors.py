@@ -14,7 +14,7 @@ class ConfigError(CryptocastError):
 
 
 class DimensionError(CryptocastError):
-    """Array shapes are incompatible with the requested operation."""
+    """Array shapes or dtypes are incompatible with the requested operation."""
 
 
 class DataError(CryptocastError):

@@ -8,19 +8,24 @@ over the encoded sequence whose final hidden state feeds a linear head.
 
 All gradients are hand-derived and validated against finite differences;
 there is no autodiff here.
+
+Every pass computes in the dtype of the model's arrays. Training steps run
+in float32, on a float32 copy of the float64 model (`optim.float32_loss_grad`);
+the trained model, and so every inference pass, is float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import WindowSet
 from .errors import ConfigError, DimensionError
-from .ops import (FORWARD_CHUNK, Buffers, blocks, layer_norm_backward, layer_norm_with_cache,
-                  softmax_backward, softmax_rows, sum_leading, xavier)
-from .optim import TrainConfig, run_adam_training
+from .ops import (FORWARD_CHUNK, Buffers, blocks, buffers_for, layer_norm_backward,
+                  layer_norm_with_cache, softmax_backward, softmax_rows, sum_leading, xavier)
+from .optim import TrainConfig, float32_loss_grad, run_adam_training
 from .params import copy_arrays, named_arrays, zeros_like
 from .recurrent import (CELLS, CellParams, cell_template, init_cell, run_states,
                         sequence_backward, sequence_forward)
@@ -157,7 +162,7 @@ def _embed(X: np.ndarray, W_e: np.ndarray, b_e: np.ndarray, out=None) -> np.ndar
 
 
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
-    """Interleaved sin/cos position features: column 2j carries
+    """Interleaved sin/cos position features, in float64: column 2j carries
     sin(pos / 10000^(2j/d)), column 2j+1 carries cos of the same angle."""
     if d_model % 2 != 0:
         raise ConfigError(f"positional encoding needs an even dimension, got {d_model}")
@@ -186,10 +191,11 @@ def _mha_forward(H: np.ndarray, layer: EncoderLayerParams, heads: int,
     its per-head views feed one batched score product into an (N, heads,
     T, T) probability array and one batched P·V product. The arrays the
     backward pass reads go into `buffers` under `name` when given."""
-    buffers = Buffers() if buffers is None else buffers
+    buffers = buffers_for(buffers, H.dtype)
     dk = layer.W_O.shape[0] // heads
     n, T, _ = H.shape
-    scale = 1.0 / np.sqrt(dk)
+    # a Python float: a numpy float64 scalar would widen a float32 pass
+    scale = 1.0 / math.sqrt(dk)
     qkv = np.matmul(H, layer.W_QKV, out=buffers.empty(name + "qkv", (n, T, layer.W_QKV.shape[1])))
     Q, K, V = _split_heads(qkv, heads)
     probs = np.matmul(Q, K.transpose(0, 1, 3, 2),
@@ -231,27 +237,28 @@ def _mha_backward(dout: np.ndarray, cache, layer: EncoderLayerParams, grads: "En
 
 def _encoder_layer_forward(H_in: np.ndarray, layer: EncoderLayerParams, heads: int,
                            buffers: Buffers | None = None, name: str = ""):
-    buffers = Buffers() if buffers is None else buffers
+    buffers = buffers_for(buffers, H_in.dtype)
     res1, mha_cache = _mha_forward(H_in, layer, heads, buffers, name)
     res1 += H_in
     H_attn, ln1_cache = layer_norm_with_cache(res1, layer.ln1_gamma, layer.ln1_beta, LAYER_NORM_EPS,
                                               buffers, name + "ln1.")
-    z1 = np.matmul(H_attn, layer.W_1, out=buffers.empty(name + "z1", H_attn.shape[:-1] + layer.b_1.shape))
-    z1 += layer.b_1
-    a1 = np.maximum(z1, 0.0, out=buffers.empty(name + "a1", z1.shape))
+    # the ReLU runs in place: the backward reads its mask from a1 > 0
+    a1 = np.matmul(H_attn, layer.W_1, out=buffers.empty(name + "a1", H_attn.shape[:-1] + layer.b_1.shape))
+    a1 += layer.b_1
+    np.maximum(a1, 0.0, out=a1)
     res2 = np.matmul(a1, layer.W_2, out=res1)
     res2 += layer.b_2
     res2 += H_attn
     H_out, ln2_cache = layer_norm_with_cache(res2, layer.ln2_gamma, layer.ln2_beta, LAYER_NORM_EPS,
                                              buffers, name + "ln2.")
-    return H_out, (mha_cache, ln1_cache, z1, a1, H_attn, ln2_cache)
+    return H_out, (mha_cache, ln1_cache, a1, H_attn, ln2_cache)
 
 
 def _encoder_layer_backward(dH_out: np.ndarray, cache, layer: EncoderLayerParams,
                             grads: EncoderLayerParams):
     """Gradient w.r.t. the layer input; as in the attention, each gradient
     overwrites the cached activation it replaces once that is no longer read."""
-    mha_cache, ln1_cache, z1, a1, H_attn, ln2_cache = cache
+    mha_cache, ln1_cache, a1, H_attn, ln2_cache = cache
     d = dH_out.shape[-1]
     d_ffn = layer.W_1.shape[1]
 
@@ -261,8 +268,9 @@ def _encoder_layer_backward(dH_out: np.ndarray, cache, layer: EncoderLayerParams
 
     grads.W_2 += a1.reshape(-1, d_ffn).T @ dres2.reshape(-1, d)
     grads.b_2 += sum_leading(dres2)
+    active = a1 > 0.0
     dz1 = np.matmul(dres2, layer.W_2.T, out=a1)
-    dz1 *= z1 > 0.0
+    dz1 *= active
     grads.W_1 += H_attn.reshape(-1, d).T @ dz1.reshape(-1, d_ffn)
     grads.b_1 += sum_leading(dz1)
     dH_attn = np.matmul(dz1, layer.W_1.T, out=H_attn)
@@ -285,10 +293,10 @@ def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None, slots
     layer its own slot by default). Inference passes slots=2: a layer never
     overwrites its own input, and each cache is overwritten two layers on,
     so the working set does not grow with depth."""
-    buffers = Buffers() if buffers is None else buffers
+    buffers = buffers_for(buffers, X.dtype)
     slots = len(m.encoder_layers) if slots is None else slots
     H = _embed(X, m.W_e, m.b_e, out=buffers.empty("H", X.shape[:2] + m.b_e.shape))
-    H += positional_encoding(X.shape[1], m.config.d_model)
+    H += positional_encoding(X.shape[1], m.config.d_model).astype(H.dtype, copy=False)
     layer_caches = []
     for idx, layer in enumerate(m.encoder_layers):
         H, cache = _encoder_layer_forward(H, layer, m.config.heads, buffers,
@@ -308,16 +316,19 @@ def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
     of `ops.FORWARD_CHUNK` windows, the encoder in sub-blocks of
     `block_rows`, all through one block-sized set of buffers, so the
     working set does not grow with N."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=m.W_e.dtype)
     _check_features(X, m.W_e)
-    out = np.empty(X.shape[0])
-    buffers = Buffers()
+    out = np.empty(X.shape[0], X.dtype)
+    buffers = Buffers(X.dtype)
     rows = block_rows(m.config.heads, X.shape[1])
     for chunk in blocks(len(X)):
         Xc = X[chunk]
-        H = buffers.empty("encoded", Xc.shape[:2] + m.b_e.shape)
-        for sub in blocks(len(Xc), rows):
-            H[sub] = _encode(m, Xc[sub], buffers, slots=2)[0]
+        if len(Xc) <= rows:  # one sub-block: the read-out takes its encoding as it is
+            H = _encode(m, Xc, buffers, slots=2)[0]
+        else:
+            H = buffers.empty("encoded", Xc.shape[:2] + m.b_e.shape)
+            for sub in blocks(len(Xc), rows):
+                H[sub] = _encode(m, Xc[sub], buffers, slots=2)[0]
         out[chunk] = m.W_p[0] @ run_states(CELLS["gru"], m.gru, H)["h"] + m.b_p[0]
     return out
 
@@ -325,11 +336,12 @@ def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
 def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
                           buffers: Buffers | None = None):
     """Mean squared error and its analytic gradient for every parameter,
-    by name. A training run passes its own `buffers` for the activations
-    the backward pass reads; without them the call allocates fresh ones."""
-    buffers = Buffers() if buffers is None else buffers
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    by name, computed in the dtype of the model's arrays. A training run
+    passes its own `buffers` of that dtype for the activations the backward
+    pass reads; without them the call allocates fresh ones."""
+    X = np.asarray(X, dtype=m.W_e.dtype)
+    y = np.asarray(y, dtype=X.dtype)
+    buffers = buffers_for(buffers, X.dtype)
     n, T, _ = X.shape
     d = m.config.d_model
     H, layer_caches = _encode(m, X, buffers)
@@ -359,13 +371,10 @@ def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
 
 
 def hybrid_train(m: HybridModel, data: WindowSet, cfg: TrainConfig):
-    """Adam training through the whole stack; returns (trained copy, trace).
-    The activation buffers live exactly as long as this call."""
+    """Adam training through the whole stack, each step in float32 against
+    the float64 weights; returns (trained float64 copy, trace). The
+    activation buffers live exactly as long as this call."""
     model = copy_arrays(m)
-    buffers = Buffers()
-
-    def loss_grad(idx):
-        return hybrid_loss_and_grads(model, data.X[idx], data.y[idx], buffers=buffers)
-
+    loss_grad = float32_loss_grad(model, hybrid_loss_and_grads, data)
     trace = run_adam_training(named_arrays(model), loss_grad, len(data), cfg)
     return model, trace

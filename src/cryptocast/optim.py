@@ -3,6 +3,11 @@
 Parameters live in one place: the model's own arrays, keyed by name
 (`params.named_arrays`). Adam writes each update into those arrays and into
 its (m, v) moment arrays, so a step allocates only its temporaries.
+
+The neural kinds train in mixed precision (Micikevicius et al., arXiv
+1710.03740): the model's arrays, Adam and its moments are float64, and each
+step's loss and gradients are computed in float32 on a copy of the model
+refreshed from those arrays (`float32_loss_grad`).
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, SizeError
+from .ops import Buffers
+from .params import map_arrays, named_arrays
 from .rng import Rng
 
 
@@ -26,7 +33,9 @@ def adam_step(params: dict, grads: dict, moments: dict, t: int, lr: float) -> No
 
     `params`, `grads` and `moments` are keyed by parameter name; each
     parameter array and its `(m, v)` moment pair are overwritten. Every
-    gradient's shape is checked before any array changes.
+    gradient's shape is checked before any array changes; a gradient of
+    lower precision is widened to its parameter's dtype, in which the
+    whole update is computed.
     """
     for name, p in params.items():
         if p.shape != grads[name].shape:
@@ -35,7 +44,7 @@ def adam_step(params: dict, grads: dict, moments: dict, t: int, lr: float) -> No
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
     for name, p in params.items():
-        g = grads[name]
+        g = grads[name].astype(p.dtype, copy=False)
         m, v = moments[name]
         m *= BETA1
         m += (1.0 - BETA1) * g
@@ -96,3 +105,24 @@ def run_adam_training(params: dict, loss_grad, n_samples: int, cfg: TrainConfig)
             losses.append(float(loss))
         trace.append(losses[0] if full_batch else float(np.mean(losses)))
     return trace
+
+
+def float32_loss_grad(model, loss_and_grads, data):
+    """`loss_grad(idx)` for `run_adam_training` over the float64 arrays of
+    `model`: each call copies them into a float32 twin of the model and
+    returns `loss_and_grads(twin, X, y, buffers=...)` on the windows `idx`
+    of `data`, so the loss and gradients are float32. `loss_and_grads`
+    casts each gathered batch to the twin's dtype, so no float32 copy of
+    the whole window set is kept; the twin and its activation buffers live
+    as long as the returned function."""
+    master = named_arrays(model)
+    twin = map_arrays(model, lambda name, a: a.astype(np.float32))
+    working = named_arrays(twin)
+    buffers = Buffers(np.float32)
+
+    def loss_grad(idx):
+        for name, a in master.items():
+            np.copyto(working[name], a)
+        return loss_and_grads(twin, data.X[idx], data.y[idx], buffers=buffers)
+
+    return loss_grad

@@ -429,10 +429,11 @@ def build_artifact_files(result: RunResult, out_dir: str) -> dict[str, bytes]:
     return files
 
 
-def emit_artifacts(result: RunResult, out_dir: str) -> dict:
-    """Write all artifact files plus a manifest of their sha256 digests.
-    On failure every file written so far is removed."""
-    files = build_artifact_files(result, out_dir)
+def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | None = None) -> dict:
+    """Write all artifact files, and the `extra` files (such as model
+    bundles) keyed by filename, then a manifest of the sha256 digests of
+    them all. On failure every file written so far is removed."""
+    files = {**build_artifact_files(result, out_dir), **(extra or {})}
     manifest = {
         "format": "run-manifest/1",
         "files": {name: "sha256:" + sha256_hex(content)

@@ -33,6 +33,10 @@ inputs of all T steps in one batched matmul before the loop and forms the
 weight gradients after it, in the stored layout; the (T, rows, N) per-step
 activations live in arrays a training run reuses from call to call
 (`ops.Buffers`). Inference keeps only the running state.
+
+Every pass computes in the dtype of the model's arrays. Training steps run
+in float32, on a float32 copy of the float64 model (`optim.float32_loss_grad`);
+the trained model, and so every inference pass, is float64.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import ConfigError, DimensionError
-from .ops import Buffers, blocks, sigmoid, xavier
-from .optim import TrainConfig, run_adam_training
+from .ops import Buffers, blocks, buffers_for, sigmoid, xavier
+from .optim import TrainConfig, float32_loss_grad, run_adam_training
 from .params import copy_arrays, named_arrays
 from .rng import Rng
 
@@ -205,7 +209,7 @@ def sequence_backward(cell: Cell, cache, dh: np.ndarray, need_dx: bool = False):
     for t in range(T - 1, -1, -1):
         dh, dc = cell.backward(Uh, A[t], dh, dc, *_views(cell, state, t))
     dA = A.transpose(0, 2, 1)
-    grads = CellParams(W_x=np.matmul(Xs, dA).sum(axis=0), W_h=np.empty(Uh.T.shape),
+    grads = CellParams(W_x=np.matmul(Xs, dA).sum(axis=0), W_h=np.empty(Uh.T.shape, Uh.dtype),
                        b=A.sum(axis=(0, 2)))
     for j, source in enumerate(cell.recurrent_inputs):
         cols = slice(j * d, (j + 1) * d)
@@ -222,12 +226,13 @@ def run_states(cell: Cell, p: CellParams, X: np.ndarray) -> dict:
     Ux, Uh, b = p.W_x.T, p.W_h.T, p.b
     n, T, _ = X.shape
     d = Uh.shape[1]
-    final = {name: np.zeros((d, n)) for name, carried in cell.state if carried}
+    final = {name: np.zeros((d, n), Uh.dtype) for name, carried in cell.state if carried}
     for cols in blocks(n):
         width = cols.stop - cols.start
-        g = np.empty((Ux.shape[0], width))
+        g = np.empty((Ux.shape[0], width), Uh.dtype)
         views = [v for name, carried in cell.state
-                 for v in ((final[name][:, cols],) * 2 if carried else (np.empty((d, width)),))]
+                 for v in ((final[name][:, cols],) * 2 if carried
+                           else (np.empty((d, width), Uh.dtype),))]
         for t in range(T):
             np.matmul(Ux, X[cols, t].T, out=g)
             g += b[:, None]
@@ -271,7 +276,8 @@ def init_birnn(cell_kind: str, input_size: int, hidden_size: int, seed: int) -> 
 
 
 def _checked(m: BiRnnModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    """X cast to the model's dtype, once its feature count is checked."""
+    X = np.asarray(X, dtype=m.W_head.dtype)
     k = m.forward.W_x.shape[0]
     if X.shape[-1] != k:
         raise DimensionError(f"window has {X.shape[-1]} features, model expects {k}")
@@ -295,11 +301,12 @@ def birnn_forward_batch(m: BiRnnModel, X: np.ndarray) -> np.ndarray:
 def birnn_loss_and_grads(m: BiRnnModel, X: np.ndarray, y: np.ndarray,
                          buffers: Buffers | None = None):
     """Mean squared error over the batch and its gradient for every
-    parameter, by name. A training run passes its own `buffers` for the
-    per-step activations; without them the call allocates fresh ones."""
-    buffers = Buffers() if buffers is None else buffers
+    parameter, by name, computed in the dtype of the model's arrays. A
+    training run passes its own `buffers` of that dtype for the per-step
+    activations; without them the call allocates fresh ones."""
     X = _checked(m, X)
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=X.dtype)
+    buffers = buffers_for(buffers, X.dtype)
     n, T, k = X.shape
     cell = CELLS[m.cell_kind]
     X_fwd = buffers.empty("forward.X", (T, k, n))
@@ -324,13 +331,10 @@ def birnn_loss_and_grads(m: BiRnnModel, X: np.ndarray, y: np.ndarray,
 
 
 def birnn_train(m: BiRnnModel, data: WindowSet, cfg: TrainConfig):
-    """Full BPTT training with Adam; returns (trained copy, loss per epoch).
-    The activation buffers live exactly as long as this call."""
+    """Full BPTT training with Adam, each step in float32 against the
+    float64 weights; returns (trained float64 copy, loss per epoch). The
+    activation buffers live exactly as long as this call."""
     model = copy_arrays(m)
-    buffers = Buffers()
-
-    def loss_grad(idx):
-        return birnn_loss_and_grads(model, data.X[idx], data.y[idx], buffers=buffers)
-
+    loss_grad = float32_loss_grad(model, birnn_loss_and_grads, data)
     trace = run_adam_training(named_arrays(model), loss_grad, len(data), cfg)
     return model, trace

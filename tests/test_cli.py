@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -108,6 +109,20 @@ class TestRun:
             assert bundle["hyperparameters"] == resolved["models"][kind]
             assert bundle["window"] == resolved["window"]
             assert bundle["feature_columns"] == resolved["data"]["feature_columns"]
+
+    def test_manifest_lists_saved_bundles(self, small_config_file, tmp_path):
+        manifests = []
+        for rerun in ("a", "b"):
+            out_dir = tmp_path / rerun
+            assert run_cli("run", "--config", small_config_file, "--out", str(out_dir),
+                           "--save-models") == 0
+            manifest = (out_dir / "manifest.json").read_bytes()
+            files = json.loads(manifest)["files"]
+            for kind in cli.MODELS:
+                digest = hashlib.sha256((out_dir / f"model_{kind}.json").read_bytes()).hexdigest()
+                assert files[f"model_{kind}.json"] == "sha256:" + digest
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
     def test_saved_models_are_byte_identical_across_processes(self, small_config_doc, tmp_path):
         # fresh interpreters with different string-hash seeds: nothing written

@@ -75,6 +75,15 @@ class TestSoftmax:
         out = ops.softmax_rows(np.array([row, row + offset]))
         assert np.allclose(out, [expected, expected], rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("offset", [-60.0, 60.0, -250.0, 250.0, -1e6])
+    def test_float32_rows_far_apart_match_their_own_oracle(self, offset):
+        # float32 exp underflows ~620 below float64's, so its spread is smaller
+        row = np.array([1.0, 2.0, 3.0])
+        expected = np.exp(row) / np.exp(row).sum()
+        out = ops.softmax_rows(np.array([row, row + offset], dtype=np.float32))
+        assert out.dtype == np.float32
+        assert np.allclose(out, [expected, expected], rtol=1e-6, atol=0.0)
+
     @given(finite_matrices)
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one(self, x):
