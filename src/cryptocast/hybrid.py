@@ -21,10 +21,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import ops
 from .data import WindowSet
 from .errors import ConfigError, DimensionError
-from .ops import (FORWARD_CHUNK, Buffers, blocks, buffers_for, layer_norm_backward,
-                  layer_norm_with_cache, softmax_backward, softmax_rows, sum_leading, xavier)
+from .ops import (Buffers, blocks, buffers_for, layer_norm_backward, layer_norm_with_cache,
+                  softmax_backward, softmax_rows, sum_leading, xavier)
 from .optim import TrainConfig, float32_loss_grad, run_adam_training
 from .params import copy_arrays, named_arrays, zeros_like
 from .recurrent import (CELLS, CellParams, cell_template, init_cell, run_states,
@@ -32,10 +33,6 @@ from .recurrent import (CELLS, CellParams, cell_template, init_cell, run_states,
 from .rng import Rng
 
 LAYER_NORM_EPS = 1e-5
-# attention probabilities one inference block holds, in doubles (heads·T² per
-# window): 1.8 MB, so a block's score arrays stay in a 2 MB per-core L2 cache
-# (64 windows at 4 heads and T=30)
-BLOCK_ATTENTION_DOUBLES = 64 * 4 * 30 * 30
 
 
 @dataclass
@@ -306,9 +303,9 @@ def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None, slots
 
 
 def block_rows(heads: int, window: int) -> int:
-    """Windows per inference block: as many as BLOCK_ATTENTION_DOUBLES of
-    attention probabilities allow, at least one and at most `ops.FORWARD_CHUNK`."""
-    return min(FORWARD_CHUNK, max(1, BLOCK_ATTENTION_DOUBLES // (heads * window * window)))
+    """Windows per encoder sub-block: `ops.block_rows` for heads·T² attention
+    probabilities per window (64 windows at 4 heads and T=30)."""
+    return ops.block_rows(heads * window * window)
 
 
 def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:

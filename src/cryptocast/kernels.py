@@ -3,6 +3,11 @@ kernel regressor (weighted-average smoother).
 
 Both models consume flat feature vectors. Fitting is deterministic given
 the seed; predictions are pure functions of the fitted model.
+
+The regressor's predictions and sigma scoring share `_grnn_sweep`: per
+block of query rows, one GEMM for the exponents, scaled by 1/sigma² and
+floored at GRNN_EXP_FLOOR before np.exp, and one product of the weights
+with [targets, ones], whose two columns' quotient is the prediction.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalError, SizeError
-from .ops import blocks
+from .ops import block_rows, blocks
 from .rng import Rng
 
 RIDGE_JITTER = 1e-8
@@ -194,22 +199,48 @@ class GrnnModel:
             raise NumericalError("grnn stores no training rows")
 
 
-def _grnn_weights(sq: np.ndarray, sigma: float) -> np.ndarray:
-    """Kernel weights, normalized per query row, from the (queries, stored)
-    squared distances."""
-    w = np.negative(sq)
-    w /= 2.0 * sigma**2
-    w -= w.max(axis=1, keepdims=True)  # distant queries stay finite
-    np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+# np.exp computes a result below e^-708 (subnormal or 0) on a slow path, so
+# each exponent is raised to this first: only weights below e^-700 of their
+# row's largest, which is 1, change, each by less than 1e-304 of the row's sum
+GRNN_EXP_FLOOR = -700.0
+# smaller sigmas weigh as this one: 1/sigma^2 stays finite
+GRNN_MIN_SIGMA = 1e-150
+
+
+def _grnn_weights(exponents: np.ndarray, sigma: float, out: np.ndarray) -> np.ndarray:
+    """exp(max(exponents / sigma², GRNN_EXP_FLOOR)), into `out`."""
+    sigma = max(sigma, GRNN_MIN_SIGMA)
+    np.maximum(exponents, GRNN_EXP_FLOOR * sigma * sigma, out=out)
+    out *= 1.0 / (sigma * sigma)
+    return np.exp(out, out=out)
+
+
+def _grnn_sweep(queries: np.ndarray, stored: np.ndarray, targets: np.ndarray, sigmas):
+    """For each block of `ops.block_rows` query rows, its slice and the
+    (len(sigmas), rows) kernel-weighted averages of `targets`. A block's
+    exponents x·s − ½‖s‖², less their row maximum, serve every sigma (the
+    query's own norm cancels); two (rows, stored) buffers serve every block."""
+    rows = block_rows(len(stored))
+    half_norms = 0.5 * np.einsum("ij,ij->i", stored, stored)
+    targets_ones = np.column_stack([targets, np.ones(len(stored))])
+    exponents = np.empty((min(rows, len(queries)), len(stored)))
+    weights = np.empty_like(exponents)
+    for block in blocks(len(queries), rows):
+        e = np.matmul(queries[block], stored.T, out=exponents[:block.stop - block.start])
+        e -= half_norms
+        e -= e.max(axis=1, keepdims=True)
+        means = np.empty((len(sigmas), len(e)))
+        for j, sigma in enumerate(sigmas):
+            sums, totals = (_grnn_weights(e, sigma, weights[:len(e)]) @ targets_ones).T
+            np.divide(sums, totals, out=means[j])
+        yield block, means
 
 
 def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid) -> GrnnModel:
     """Memorize (X, y) and pick sigma by chronological holdout: predict the
     last 20% of rows from the first 80% and keep the grid value with the
     smallest holdout MSE (earliest wins ties). The holdout is scored in
-    blocks of `ops.FORWARD_CHUNK` rows, so its distance matrices stay
+    blocks, as `grnn_predict_batch` works, so its kernel matrices stay
     block-sized for any N."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -227,10 +258,8 @@ def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid) -> GrnnModel:
     x_fit, y_fit = X[:n_fit], y[:n_fit]
     x_hold, y_hold = X[n_fit:], y[n_fit:]
     sse = np.zeros(len(grid))  # squared holdout error per sigma
-    for rows in blocks(len(x_hold)):
-        sq = _pairwise_sq_dists(x_hold[rows], x_fit)
-        for j, sigma in enumerate(grid):
-            sse[j] += ((_grnn_weights(sq, sigma) @ y_fit - y_hold[rows]) ** 2).sum()
+    for rows, means in _grnn_sweep(x_hold, x_fit, y_fit, grid):
+        sse += ((means - y_hold[rows]) ** 2).sum(axis=1)
     best_sigma = grid[0]
     best_mse = np.inf
     for sigma, mse in zip(grid, sse / len(x_hold)):
@@ -241,9 +270,9 @@ def grnn_fit(X: np.ndarray, y: np.ndarray, sigma_grid) -> GrnnModel:
 
 
 def grnn_predict_batch(model: GrnnModel, X: np.ndarray) -> np.ndarray:
-    """Kernel-weighted averages for the rows of X, in blocks of
-    `ops.FORWARD_CHUNK` query rows, so the (queries, stored) matrices stay
-    block-sized for any N."""
+    """Kernel-weighted averages for the rows of X, in blocks of query rows
+    (see `_grnn_sweep`), so the (queries, stored) matrices stay block-sized
+    for any N."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.stored_inputs.shape[1]:
         raise DimensionError(
@@ -251,7 +280,7 @@ def grnn_predict_batch(model: GrnnModel, X: np.ndarray) -> np.ndarray:
             f"{model.stored_inputs.shape[1]}"
         )
     out = np.empty(X.shape[0])
-    for rows in blocks(len(X)):
-        sq = _pairwise_sq_dists(X[rows], model.stored_inputs)
-        out[rows] = _grnn_weights(sq, float(model.sigma)) @ model.stored_targets
+    for rows, means in _grnn_sweep(X, model.stored_inputs, model.stored_targets,
+                                   [float(model.sigma)]):
+        out[rows] = means[0]
     return out

@@ -9,7 +9,8 @@ of another dtype enters a pass, so a float32 pass never widens to float64.
 Every exported operation keeps results finite for finite inputs. `Buffers`
 holds the activation arrays that a training run reuses from call to call
 and an inference pass from block to block; `FORWARD_CHUNK` is the block
-size of every inference pass, or its cap where a model sizes its own blocks.
+size of every inference pass, or its cap where a model sizes its own blocks
+by `block_rows`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,18 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .rng import Rng
 
-# windows (GRNN: query rows) per block of an inference pass: bounds its
-# working set for any N
+# windows per block of an inference pass, and the most `block_rows` gives:
+# bounds its working set for any N
 FORWARD_CHUNK = 256
+# doubles in the largest matrix of a block that `block_rows` sizes: 1.8 MB, so
+# it stays in a 2 MB per-core L2 cache
+BLOCK_DOUBLES = 64 * 4 * 30 * 30
+
+
+def block_rows(doubles_per_row: int) -> int:
+    """Rows per inference block: as many as keep `rows × doubles_per_row`
+    within BLOCK_DOUBLES, at least one and at most FORWARD_CHUNK."""
+    return min(FORWARD_CHUNK, max(1, BLOCK_DOUBLES // doubles_per_row))
 
 
 def blocks(n: int, rows: int = FORWARD_CHUNK):

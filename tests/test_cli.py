@@ -502,6 +502,22 @@ class TestTrainPredictEvaluate:
         assert set(doc) == {"mse", "rmse", "mae", "mape_percent", "n"}
         assert doc["n"] == 295
 
+    def test_vanishing_sigma_predicts_nearest_rows_not_nan(self, small_config_doc, small_csv,
+                                                           tmp_path):
+        small_config_doc["models"]["grnn"]["sigma_grid"] = [1e-160]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config_doc))
+        bundle_path = tmp_path / "grnn.json"
+        assert run_cli("train", "--config", str(config), "--model", "grnn",
+                       "--out", str(bundle_path)) == 0
+        pred_path = tmp_path / "pred.csv"
+        assert run_cli("predict", "--bundle", str(bundle_path), "--data", small_csv,
+                       "--out", str(pred_path)) == 0
+        with open(pred_path) as fh:
+            predicted = [float(row["predicted"]) for row in csv.DictReader(fh)]
+        assert len(predicted) == 295 and np.all(np.isfinite(predicted))
+        assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "run")) == 0
+
     def test_train_writes_loss_trace_for_iterative_model(self, small_config_file, tmp_path):
         bundle_path = tmp_path / "bigru.json"
         loss_path = tmp_path / "loss.csv"

@@ -9,6 +9,7 @@ from cryptocast import kernels
 from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
 from cryptocast.ops import FORWARD_CHUNK as B
+from cryptocast.ops import block_rows
 from cryptocast.rng import Rng
 
 
@@ -17,6 +18,18 @@ def random_data(seed, n=24, k=3):
     X = rng.uniform(0, 1, (n, k))
     y = rng.uniform(0, 1, (n,))
     return X, y
+
+
+def oracle_weights(q, S, sigma):
+    """GRNN weights of one query row by brute force: direct differences,
+    exp (shifted by the nearest row, which cancels), then normalize."""
+    sq = ((S - q) ** 2).sum(axis=1)
+    w = np.exp(-(sq - sq.min()) / (2.0 * sigma**2))
+    return w / w.sum()
+
+
+def oracle_predict(Q, S, y, sigma):
+    return np.array([oracle_weights(q, S, sigma) @ y for q in Q])
 
 
 class TestKmeans:
@@ -150,15 +163,37 @@ class TestGrnn:
         )
         assert kernels.grnn_predict_batch(model, np.array([0.0])[None])[0] == pytest.approx(3.0)
 
-    def test_small_sigma_is_nearest_neighbor(self):
+    @staticmethod
+    def check_nearest_neighbor(sigma):
         X, y = random_data(11, n=15, k=2)
-        model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=1e-4)
+        model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=sigma)
         rng = Rng(12)
         for _ in range(10):
             q = rng.uniform(0, 1, (2,))
             dists = ((X - q) ** 2).sum(axis=1)
             nearest = y[int(dists.argmin())]
             assert kernels.grnn_predict_batch(model, q[None])[0] == pytest.approx(nearest, abs=1e-9)
+
+    def test_small_sigma_is_nearest_neighbor(self):
+        self.check_nearest_neighbor(1e-4)
+
+    # below 1.5e-154, sigma² is no normal double, and 1/sigma² overflows
+    @pytest.mark.parametrize("sigma", [1e-160, 5e-324])
+    def test_vanishing_sigma_is_nearest_neighbor(self, sigma):
+        self.check_nearest_neighbor(sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 5e-324])
+    def test_vanishing_sigma_averages_tied_nearest_rows(self, sigma):
+        model = kernels.GrnnModel(stored_inputs=np.array([[-1.0], [1.0], [3.0]]),
+                                  stored_targets=np.array([2.0, 4.0, 10.0]), sigma=sigma)
+        queries = np.array([[0.0], [2.0], [2.9], [-5.0]])
+        assert kernels.grnn_predict_batch(model, queries).tolist() == [3.0, 7.0, 10.0, 2.0]
+
+    def test_vanishing_sigma_scores_finite_in_the_fit(self):
+        # noiseless targets: the nearest stored row's beats a wide average
+        X, _ = random_data(12, n=200, k=2)
+        model = kernels.grnn_fit(X, X[:, 0], sigma_grid=[1.0, 1e-160, 5e-324])
+        assert model.sigma == 1e-160
 
     def test_forced_grid_choice(self):
         X, y = random_data(13, n=9)
@@ -223,7 +258,7 @@ class TestGrnn:
         rng = Rng(21)
         X = rng.uniform(0, 1, (30, 4))
         q = rng.uniform(0, 1, (5, 4))
-        w = kernels._grnn_weights(kernels._pairwise_sq_dists(q, X), 0.2)
+        w = np.array([oracle_weights(row, X, 0.2) for row in q])
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w >= 0.0)
 
@@ -248,39 +283,91 @@ class TestGrnn:
         with pytest.raises(DimensionError):
             kernels.grnn_predict_batch(model, np.zeros(7)[None])
 
+    @pytest.mark.parametrize("k", [2, 90])
+    @pytest.mark.parametrize("sigma", [1e-4, 0.01, 0.1, 1.0])
+    def test_predictions_match_the_brute_force_formula(self, sigma, k):
+        rng = Rng(k)
+        X = rng.uniform(0, 1, (60, k))
+        y = rng.uniform(1, 10, (60,))
+        near = X[::3] + rng.uniform(-0.01, 0.01, (20, k))
+        far = np.vstack([np.full(k, 1e6), np.full(k, -1e6)])
+        Q = np.vstack([near, far])
+        model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=sigma)
+        np.testing.assert_allclose(kernels.grnn_predict_batch(model, Q),
+                                   oracle_predict(Q, X, y, sigma), rtol=1e-12, atol=0.0)
+
+    def test_exponents_are_floored_above_the_subnormal_range(self):
+        # stored rows whose scaled exponents span -600..-800: unfloored, those
+        # in (-745, -708) exponentiate to subnormals, np.exp's slow path
+        sigma = 0.1
+        S = np.sqrt(2.0 * sigma**2 * np.concatenate([[0.0], np.linspace(600.0, 800.0, 401)]))
+        exponents = -0.5 * S[None, :] ** 2  # of a query at 0, whose nearest row is 0
+        w = kernels._grnn_weights(exponents, sigma, np.empty_like(exponents))
+        assert w.max() == 1.0
+        assert not np.any((w > 0.0) & (w < np.finfo(np.float64).tiny))
+        assert w.min() == pytest.approx(np.exp(kernels.GRNN_EXP_FLOOR), rel=1e-9)
+
+
+# query counts at the edges of a block of `rows` query rows
+BLOCK_EDGES = {"rows-1": lambda rows: rows - 1, "rows": lambda rows: rows,
+               "rows+1": lambda rows: rows + 1, "2rows+3": lambda rows: 2 * rows + 3}
+
+
+def holdout_size(n):
+    return n - int(np.floor(0.8 * n))
+
 
 class TestGrnnBlocks:
     """Predictions, and the holdout scoring of the fit, run in blocks of
-    FORWARD_CHUNK query rows."""
+    `block_rows(stored rows)` query rows: FORWARD_CHUNK for up to 900 stored
+    rows, fewer beyond."""
 
     @staticmethod
     def full_matrix_sigma(X, y, grid):
         """The sigma of the smallest holdout MSE, scored on the whole holdout
-        x fit distance matrix at once; the earliest wins ties."""
+        by the brute-force formula; the earliest wins ties."""
         n_fit = int(np.floor(0.8 * len(X)))
-        sq = kernels._pairwise_sq_dists(X[n_fit:], X[:n_fit])
-        mses = [float(((kernels._grnn_weights(sq, s) @ y[:n_fit] - y[n_fit:]) ** 2).mean())
-                for s in grid]
+        mses = [float(((oracle_predict(X[n_fit:], X[:n_fit], y[:n_fit], s) - y[n_fit:]) ** 2)
+                      .mean()) for s in grid]
         return grid[mses.index(min(mses))]
 
-    @pytest.mark.parametrize("holdout", [3, B - 1, B, B + 1, 2 * B + 3])
-    @pytest.mark.parametrize("noise", [0.02, 0.5])
-    def test_fit_picks_the_sigma_of_full_matrix_scoring(self, holdout, noise):
-        n = next(n for n in range(5 * holdout - 5, 5 * holdout + 5)
-                 if n - int(np.floor(0.8 * n)) == holdout)
-        rng = Rng(holdout)
+    def check_fit(self, n, noise, seed):
+        rng = Rng(seed)
         X = rng.uniform(0, 1, (n, 2))
         y = np.sin(6.0 * X[:, 0]) * X[:, 1] + noise * rng.uniform(-1, 1, (n,))
         grid = [0.01, 0.03, 0.1, 0.3, 1.0]
         assert kernels.grnn_fit(X, y, grid).sigma == self.full_matrix_sigma(X, y, grid)
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
-    def test_blocks_equal_single_query_calls(self, n):
-        X, y = random_data(40, n=50, k=4)
+    @pytest.mark.parametrize("holdout", [3, B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("noise", [0.02, 0.5])
+    def test_fit_picks_the_sigma_of_full_matrix_scoring(self, holdout, noise):
+        self.check_fit(next(n for n in range(5 * holdout - 5, 5 * holdout + 5)
+                            if holdout_size(n) == holdout), noise, seed=holdout)
+
+    @pytest.mark.parametrize("edge", BLOCK_EDGES)
+    @pytest.mark.parametrize("noise", [0.02, 0.5])
+    def test_fit_at_block_edges_picks_the_sigma_of_full_matrix_scoring(self, edge, noise):
+        # about 960 and 1,360 stored rows: blocks of 240 and 169 query rows
+        n = next(n for n in range(5, 10_000)
+                 if holdout_size(n) == BLOCK_EDGES[edge](block_rows(n - holdout_size(n))))
+        self.check_fit(n, noise, seed=n)
+
+    @staticmethod
+    def check_blocks(n_stored, n):
+        X, y = random_data(40, n=n_stored, k=4)
         model = kernels.GrnnModel(stored_inputs=X, stored_targets=y, sigma=0.2)
         Q = Rng(n).uniform(0, 1, (n, 4))
         single = np.array([kernels.grnn_predict_batch(model, Q[i:i + 1])[0] for i in range(n)])
         assert np.allclose(kernels.grnn_predict_batch(model, Q), single, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_blocks_equal_single_query_calls(self, n):
+        self.check_blocks(50, n)
+
+    @pytest.mark.parametrize("edge", BLOCK_EDGES)
+    def test_blocks_below_forward_chunk_equal_single_query_calls(self, edge):
+        # 2,000 stored rows: blocks of 115 query rows
+        self.check_blocks(2000, BLOCK_EDGES[edge](block_rows(2000)))
 
     def test_empty_query_matrix(self):
         X, y = random_data(41)
@@ -308,3 +395,17 @@ class TestGrnnBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[4000] < 1.25 * peaks[1000]
+
+    def test_fit_working_set_does_not_grow_with_n(self):
+        # the holdout scored in FORWARD_CHUNK-row blocks of every stored row
+        # would trace four times the peak at N=16,000
+        peaks = {}
+        for n in (4000, 16000):
+            X, y = random_data(n, n=n, k=2)
+            tracemalloc.start()
+            try:
+                kernels.grnn_fit(X, y, sigma_grid=[0.1])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16000] < 1.25 * peaks[4000]
