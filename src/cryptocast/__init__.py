@@ -40,9 +40,9 @@ from .errors import (
     SizeError,
 )
 from .gradcheck import grad_check
-from .hybrid import HybridConfig, HybridModel, hybrid_forward_batch, hybrid_train, init_hybrid
+from .hybrid import HybridModel, hybrid_forward_batch, hybrid_train, init_hybrid
 from .kernels import GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit, rbfn_predict_batch
-from .optim import TrainConfig, adam_step
+from .optim import adam_step
 from .pipeline import run_experiment
 from .recurrent import (
     BiRnnModel,
@@ -82,7 +82,6 @@ __all__ = [
     "ExperimentConfig",
     "FriedmanResult",
     "GrnnModel",
-    "HybridConfig",
     "HybridModel",
     "IntervalBand",
     "MetricReport",
@@ -96,7 +95,6 @@ __all__ = [
     "SeriesFrame",
     "SizeError",
     "SynthParams",
-    "TrainConfig",
     "WilcoxonResult",
     "WindowSet",
     "adam_step",

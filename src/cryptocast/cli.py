@@ -136,6 +136,10 @@ def _cmd_predict(args) -> int:
     ws = dataio.make_windows(normalized, bundle.window, bundle.target_column)
     raw = predict_windows(bundle.kind, bundle.model, ws)
     predicted = dataio.invert_minmax(raw, bundle.target_column, bundle.stats)
+    finite = np.isfinite(predicted)
+    if not finite.all():
+        date = ws.target_dates[int(np.argmin(finite))]
+        raise NumericalError(f"non-finite prediction for {date.isoformat()}")
     actual = dataio.invert_minmax(ws.y, bundle.target_column, bundle.stats)
     # tolist() gives Python floats, whose repr is the cell text
     rows = [[date.isoformat(), repr(act), repr(pred)]

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .data import check_fgi_weights
 from .errors import ConfigError, DomainError
-from .hybrid import HybridConfig
+from .hybrid import check_shape
 
 with open(os.path.join(os.path.dirname(__file__), "config.schema.json"), encoding="utf-8") as _fh:
     SCHEMA = json.load(_fh)
@@ -147,8 +147,8 @@ def validate_config(raw: dict | str, base_dir: str = ".",
         raise ConfigError(f"data.path {data['path']!r} does not exist")
     features = data.setdefault("feature_columns", list(SCENARIO_FEATURES[data["scenario"]]))
     check_inputs(features, data["target_column"], data["fgi_weights"])
-    # dimension chain checked up front so bad configs never reach training
-    HybridConfig.from_hyperparameters(doc["models"]["hybrid"], len(features))
+    # checked up front so bad configs never reach training
+    check_shape(doc["models"]["hybrid"])
     return ExperimentConfig(**{**doc, "data": DataConfig(**data)})
 
 

@@ -268,16 +268,17 @@ class NormStats:
     @classmethod
     def from_json_dict(cls, d: dict) -> "NormStats":
         """Inverse of to_json_dict: each column maps to [min, max], two finite
-        numbers with min < max, as fit_minmax produces them."""
+        numbers with min < max and a finite max - min, as fit_minmax
+        produces them."""
         if not isinstance(d, dict):
             raise DomainError(f"normalization must map columns to [min, max], got {d!r}")
         for c, pair in d.items():
             if not (isinstance(pair, list) and len(pair) == 2
                     and all(type(v) in (int, float) and -_FLOAT_MAX <= v <= _FLOAT_MAX
                             for v in pair)
-                    and pair[0] < pair[1]):
+                    and 0.0 < float(pair[1]) - float(pair[0]) <= _FLOAT_MAX):
                 raise DomainError(f"normalization of column {c!r} must be [min, max] with "
-                                  f"finite min < max, got {pair!r}")
+                                  f"finite min < max and a finite max - min, got {pair!r}")
         cols = list(d.keys())
         mins = np.array([d[c][0] for c in cols], dtype=np.float64)
         maxs = np.array([d[c][1] for c in cols], dtype=np.float64)
@@ -285,13 +286,19 @@ class NormStats:
 
 
 def fit_minmax(train: SeriesFrame) -> NormStats:
-    """Column-wise (min, max) over the training rows; rejects constants."""
+    """Column-wise (min, max) over the training rows; rejects constants and
+    ranges wider than float64 holds."""
     mins = train.values.min(axis=0)
     maxs = train.values.max(axis=0)
     for name, lo, hi in zip(train.columns, mins, maxs):
         if hi <= lo:
             raise DegenerateScaleError(
                 f"column {name!r} is constant ({lo}); min-max scale undefined"
+            )
+        if float(hi) - float(lo) > _FLOAT_MAX:
+            raise DegenerateScaleError(
+                f"column {name!r} spans {lo}..{hi}, a range float64 cannot hold; "
+                f"min-max scale undefined"
             )
     return NormStats(list(train.columns), mins.copy(), maxs.copy())
 

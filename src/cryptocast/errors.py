@@ -38,7 +38,8 @@ class SizeError(DataError):
 
 
 class DegenerateScaleError(DataError):
-    """A column is constant, so min-max scaling is undefined."""
+    """A column is constant or spans more than float64 holds, so min-max
+    scaling is undefined."""
 
 
 class AlignmentError(DataError):

@@ -17,7 +17,7 @@ the trained model, and so every inference pass, is float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .data import WindowSet
 from .errors import ConfigError, DimensionError
 from .ops import (Buffers, blocks, buffers_for, layer_norm_backward, layer_norm_with_cache,
                   softmax_backward, softmax_rows, sum_leading, xavier)
-from .optim import TrainConfig, float32_loss_grad, run_adam_training
+from .optim import float32_loss_grad, run_adam_training
 from .params import copy_arrays, named_arrays, zeros_like
 from .recurrent import (CELLS, CellParams, cell_template, init_cell, run_states,
                         sequence_backward, sequence_forward)
@@ -35,43 +35,14 @@ from .rng import Rng
 LAYER_NORM_EPS = 1e-5
 
 
-@dataclass
-class HybridConfig:
-    input_size: int = 3
-    d_model: int = 32
-    heads: int = 4
-    layers: int = 2
-    d_ffn: int = 64
-    d_gru: int = 32
-
-    def validate(self) -> "HybridConfig":
-        if self.input_size < 1:
-            raise ConfigError(f"input_size must be >= 1, got {self.input_size}")
-        if self.layers < 1:
-            raise ConfigError(f"need at least one encoder layer, got {self.layers}")
-        if self.heads < 1:
-            raise ConfigError(f"need at least one attention head, got {self.heads}")
-        if self.d_model % 2 != 0:
-            raise ConfigError(
-                f"d_model must be even for the sin/cos interleave, got {self.d_model}"
-            )
-        if self.d_model % self.heads != 0:
-            raise ConfigError(
-                f"d_model={self.d_model} is not divisible by heads={self.heads}"
-            )
-        if self.d_ffn < 1 or self.d_gru < 1:
-            raise ConfigError("d_ffn and d_gru must be >= 1")
-        return self
-
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.heads
-
-    @classmethod
-    def from_hyperparameters(cls, hyper: dict, input_size: int) -> "HybridConfig":
-        """The validated config of a `models.hybrid` section over `input_size`
-        features; the training keys are ignored."""
-        return cls(input_size, **{f.name: int(hyper[f.name]) for f in fields(cls)[1:]}).validate()
+def check_shape(hyper: dict) -> None:
+    """The rules on a `models.hybrid` section that JSON Schema cannot state:
+    the sin/cos interleave needs an even d_model, and the heads split it."""
+    d, heads = hyper["d_model"], hyper["heads"]
+    if d % 2 != 0:
+        raise ConfigError(f"d_model must be even for the sin/cos interleave, got {d}")
+    if d % heads != 0:
+        raise ConfigError(f"d_model={d} is not divisible by heads={heads}")
 
 
 @dataclass
@@ -79,10 +50,10 @@ class EncoderLayerParams:
     """One encoder layer's weights. W_QKV projects a token onto the queries,
     keys and values of every head at once: its columns are each head's
     d_head query columns, head by head, then each head's keys, then each
-    head's values. The head count comes from the model's config."""
+    head's values. The head count is the model's `heads`."""
 
-    W_QKV: np.ndarray      # (d_model, 3 * heads * d_head)
-    W_O: np.ndarray        # (heads * d_head, d_model)
+    W_QKV: np.ndarray      # (d_model, 3 * d_model)
+    W_O: np.ndarray        # (d_model, d_model)
     W_1: np.ndarray        # (d_model, d_ffn)
     b_1: np.ndarray
     W_2: np.ndarray        # (d_ffn, d_model)
@@ -95,7 +66,7 @@ class EncoderLayerParams:
 
 @dataclass
 class HybridModel:
-    config: HybridConfig
+    heads: int  # d_model is b_e's length, d_head is d_model // heads
     W_e: np.ndarray  # (d_model, input_size)
     b_e: np.ndarray  # (d_model,)
     encoder_layers: list[EncoderLayerParams]
@@ -104,33 +75,35 @@ class HybridModel:
     b_p: np.ndarray  # (1,)
 
 
-def hybrid_template(config: HybridConfig) -> HybridModel:
+def hybrid_template(hyper: dict, input_size: int) -> HybridModel:
     """The model `init_hybrid` fills, with every Xavier block zero: the
-    structure a bundle's parameters are loaded into; `config` is already validated."""
-    d, f = config.d_model, config.d_ffn
-    width = config.heads * config.d_head
+    structure a bundle's parameters are loaded into. `hyper` is a resolved
+    `models.hybrid` section; its shape rule is checked here."""
+    check_shape(hyper)
+    d, f, d_gru = hyper["d_model"], hyper["d_ffn"], hyper["d_gru"]
     layers = [EncoderLayerParams(
-        W_QKV=np.zeros((d, 3 * width)), W_O=np.zeros((width, d)),
+        W_QKV=np.zeros((d, 3 * d)), W_O=np.zeros((d, d)),
         W_1=np.zeros((d, f)), b_1=np.zeros(f), W_2=np.zeros((f, d)), b_2=np.zeros(d),
         ln1_gamma=np.ones(d), ln1_beta=np.zeros(d), ln2_gamma=np.ones(d), ln2_beta=np.zeros(d),
-    ) for _ in range(config.layers)]
+    ) for _ in range(hyper["layers"])]
     return HybridModel(
-        config=config, W_e=np.zeros((d, config.input_size)), b_e=np.zeros(d),
-        encoder_layers=layers, gru=cell_template(CELLS["gru"], d, config.d_gru),
-        W_p=np.zeros((1, config.d_gru)), b_p=np.zeros(1),
+        heads=hyper["heads"], W_e=np.zeros((d, input_size)), b_e=np.zeros(d),
+        encoder_layers=layers, gru=cell_template(CELLS["gru"], d, d_gru),
+        W_p=np.zeros((1, d_gru)), b_p=np.zeros(1),
     )
 
 
-def init_hybrid(config: HybridConfig, seed: int) -> HybridModel:
+def init_hybrid(hyper: dict, input_size: int, seed: int) -> HybridModel:
     """The template with each Xavier block drawn from its own derived
     stream: every head's query, key and value block, then W_O, W_1, W_2
     per layer; the embedding, the GRU and the head."""
-    m = hybrid_template(config.validate())
+    m = hybrid_template(hyper, input_size)
     rng = Rng(seed)
-    d, dk = config.d_model, config.d_head
+    d = hyper["d_model"]
+    dk = d // m.heads
     for ell, layer in enumerate(m.encoder_layers):
         lr = rng.derive(f"encoder{ell}")
-        for j, tag in enumerate(f"{w}{h}" for w in "qkv" for h in range(config.heads)):
+        for j, tag in enumerate(f"{w}{h}" for w in "qkv" for h in range(m.heads)):
             layer.W_QKV[:, j * dk:(j + 1) * dk] = xavier(lr.derive(tag), d, dk)
         layer.W_O[...] = xavier(lr.derive("o"), *layer.W_O.shape)
         layer.W_1[...] = xavier(lr.derive("ffn1"), *layer.W_1.shape)
@@ -293,10 +266,10 @@ def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None, slots
     buffers = buffers_for(buffers, X.dtype)
     slots = len(m.encoder_layers) if slots is None else slots
     H = _embed(X, m.W_e, m.b_e, out=buffers.empty("H", X.shape[:2] + m.b_e.shape))
-    H += positional_encoding(X.shape[1], m.config.d_model).astype(H.dtype, copy=False)
+    H += positional_encoding(X.shape[1], len(m.b_e)).astype(H.dtype, copy=False)
     layer_caches = []
     for idx, layer in enumerate(m.encoder_layers):
-        H, cache = _encoder_layer_forward(H, layer, m.config.heads, buffers,
+        H, cache = _encoder_layer_forward(H, layer, m.heads, buffers,
                                           f"encoder_layers.{idx % slots}.")
         layer_caches.append(cache)
     return H, layer_caches
@@ -317,7 +290,7 @@ def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
     _check_features(X, m.W_e)
     out = np.empty(X.shape[0], X.dtype)
     buffers = Buffers(X.dtype)
-    rows = block_rows(m.config.heads, X.shape[1])
+    rows = block_rows(m.heads, X.shape[1])
     for chunk in blocks(len(X)):
         Xc = X[chunk]
         if len(Xc) <= rows:  # one sub-block: the read-out takes its encoding as it is
@@ -340,7 +313,7 @@ def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=X.dtype)
     buffers = buffers_for(buffers, X.dtype)
     n, T, _ = X.shape
-    d = m.config.d_model
+    d = len(m.b_e)
     H, layer_caches = _encode(m, X, buffers)
     gru_in = buffers.empty("gru.X", (T, d, n))
     np.copyto(gru_in, H.transpose(1, 2, 0))
@@ -367,11 +340,12 @@ def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
     return loss, named_arrays(grads)
 
 
-def hybrid_train(m: HybridModel, data: WindowSet, cfg: TrainConfig):
-    """Adam training through the whole stack, each step in float32 against
-    the float64 weights; returns (trained float64 copy, trace). The
-    activation buffers live exactly as long as this call."""
+def hybrid_train(m: HybridModel, data: WindowSet, hyper: dict, seed: int):
+    """Adam training through the whole stack under the `epochs`, `lr` and
+    `batch_size` of `hyper`, each step in float32 against the float64
+    weights; returns (trained float64 copy, trace). The activation buffers
+    live exactly as long as this call."""
     model = copy_arrays(m)
     loss_grad = float32_loss_grad(model, hybrid_loss_and_grads, data)
-    trace = run_adam_training(named_arrays(model), loss_grad, len(data), cfg)
+    trace = run_adam_training(named_arrays(model), loss_grad, len(data), hyper, seed)
     return model, trace

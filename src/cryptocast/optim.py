@@ -12,11 +12,9 @@ refreshed from those arrays (`float32_loss_grad`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, SizeError
+from .errors import DimensionError, DivergenceError, SizeError
 from .ops import Buffers
 from .params import map_arrays, named_arrays
 from .rng import Rng
@@ -53,45 +51,30 @@ def adam_step(params: dict, grads: dict, moments: dict, t: int, lr: float) -> No
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 200
-    lr: float = 1e-3
-    seed: int = 0
-    batch_size: int = 0  # 0 = full batch
-
-    def validate(self) -> "TrainConfig":
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if self.lr <= 0.0:
-            raise ConfigError("lr must be positive")
-        if self.batch_size < 0:
-            raise ConfigError("batch_size must be >= 0")
-        return self
-
-
-def run_adam_training(params: dict, loss_grad, n_samples: int, cfg: TrainConfig) -> list[float]:
+def run_adam_training(params: dict, loss_grad, n_samples: int, hyper: dict,
+                      seed: int) -> list[float]:
     """Drive Adam over `loss_grad(idx) -> (loss, grads)`, training the
-    arrays in `params` in place.
+    arrays in `params` in place, for the `epochs` at rate `lr` that `hyper`
+    (a resolved `models.<kind>` section) sets.
 
     `params` and `grads` map parameter names to arrays; `loss_grad` reads the
     current values from the arrays themselves. `idx` is the integer index
-    array of the samples to use this step. Full-batch when
-    cfg.batch_size == 0, otherwise seeded shuffled mini-batches. A
-    non-finite loss or gradient raises DivergenceError naming the epoch.
-    Returns the per-epoch loss.
+    array of the samples to use this step. Full-batch when `batch_size` is
+    0, otherwise mini-batches shuffled from `seed`. A non-finite loss or
+    gradient raises DivergenceError naming the epoch. Returns the per-epoch
+    loss.
     """
-    cfg.validate()
     if n_samples < 1:
         raise SizeError("training requires at least one sample")
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
-    rng = Rng(cfg.seed)
-    full_batch = cfg.batch_size == 0 or cfg.batch_size >= n_samples
+    rng = Rng(seed)
+    batch_size, lr = hyper["batch_size"], hyper["lr"]
+    full_batch = batch_size == 0 or batch_size >= n_samples
     trace: list[float] = []
     t = 0
-    for epoch in range(cfg.epochs):
+    for epoch in range(hyper["epochs"]):
         order = np.arange(n_samples) if full_batch else rng.permutation(n_samples)
-        step = n_samples if full_batch else cfg.batch_size
+        step = n_samples if full_batch else batch_size
         losses = []
         for start in range(0, n_samples, step):
             loss, grads = loss_grad(order[start:start + step])
@@ -101,7 +84,7 @@ def run_adam_training(params: dict, loss_grad, n_samples: int, cfg: TrainConfig)
                 if not np.all(np.isfinite(grads[name])):
                     raise DivergenceError(f"non-finite gradient for {name} at epoch {epoch}")
             t += 1
-            adam_step(params, grads, moments, t, cfg.lr)
+            adam_step(params, grads, moments, t, lr)
             losses.append(float(loss))
         trace.append(losses[0] if full_batch else float(np.mean(losses)))
     return trace

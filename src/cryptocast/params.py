@@ -2,10 +2,10 @@
 
 A model's parameters are the ndarrays reachable through dataclass fields and
 list items, named by dotted path (`forward.W_x`, `encoder_layers.0.W_QKV`);
-ints, strings and configs are structure. Adam, gradient zeroing, the
-gradient oracles and bundles all go through these names. Training and the
-gradient oracles write into the named arrays themselves, so a model's
-arrays are its only parameter store; a trainer first takes its own copy.
+ints and strings are structure. Adam, gradient zeroing, the gradient
+oracles and bundles all go through these names. Training and the gradient
+oracles write into the named arrays themselves, so a model's arrays are
+its only parameter store; a trainer first takes its own copy.
 """
 
 from __future__ import annotations

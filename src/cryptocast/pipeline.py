@@ -16,11 +16,10 @@ import numpy as np
 from . import data as dataio
 from .config import ExperimentConfig
 from .errors import CryptocastError, SizeError
-from .hybrid import HybridConfig, hybrid_forward_batch, hybrid_template, hybrid_train, init_hybrid
+from .hybrid import hybrid_forward_batch, hybrid_template, hybrid_train, init_hybrid
 from .jsonio import dumps_canonical, sha256_hex
 from .kernels import (GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit,
                       rbfn_predict_batch)
-from .optim import TrainConfig
 from .params import named_arrays
 from .recurrent import birnn_forward_batch, birnn_template, birnn_train, init_birnn
 from .rng import Rng
@@ -56,15 +55,10 @@ class ModelKind:
                 for name, a in named_arrays(template).items()}
 
 
-def _train_config(hyper: dict, seed: int) -> TrainConfig:
-    return TrainConfig(epochs=hyper["epochs"], lr=hyper["lr"], seed=seed,
-                       batch_size=hyper["batch_size"])
-
-
 def _recurrent(cell: str) -> ModelKind:
     return ModelKind(
         fit=lambda h, ws, seed: birnn_train(
-            init_birnn(cell, ws.X.shape[2], h["hidden_size"], seed), ws, _train_config(h, seed)),
+            init_birnn(cell, ws.X.shape[2], h["hidden_size"], seed), ws, h, seed),
         predict=lambda model, ws: birnn_forward_batch(model, ws.X),
         template=lambda h, window, k: birnn_template(cell, k, h["hidden_size"]),
         sizes=("hidden_size",),
@@ -93,11 +87,9 @@ MODELS = {
     "bilstm": _recurrent("lstm"),
     "bigru": _recurrent("gru"),
     "hybrid": ModelKind(
-        fit=lambda h, ws, seed: hybrid_train(
-            init_hybrid(HybridConfig.from_hyperparameters(h, ws.X.shape[2]), seed), ws,
-            _train_config(h, seed)),
+        fit=lambda h, ws, seed: hybrid_train(init_hybrid(h, ws.X.shape[2], seed), ws, h, seed),
         predict=lambda model, ws: hybrid_forward_batch(model, ws.X),
-        template=lambda h, window, k: hybrid_template(HybridConfig.from_hyperparameters(h, k)),
+        template=lambda h, window, k: hybrid_template(h, k),
         sizes=("d_model", "d_ffn", "d_gru"),
         counts=("layers",),
     ),

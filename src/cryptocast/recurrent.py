@@ -50,7 +50,7 @@ import numpy as np
 from .data import WindowSet
 from .errors import ConfigError, DimensionError
 from .ops import Buffers, blocks, buffers_for, sigmoid, xavier
-from .optim import TrainConfig, float32_loss_grad, run_adam_training
+from .optim import float32_loss_grad, run_adam_training
 from .params import copy_arrays, named_arrays
 from .rng import Rng
 
@@ -330,11 +330,12 @@ def birnn_loss_and_grads(m: BiRnnModel, X: np.ndarray, y: np.ndarray,
     return loss, named_arrays(grads)
 
 
-def birnn_train(m: BiRnnModel, data: WindowSet, cfg: TrainConfig):
-    """Full BPTT training with Adam, each step in float32 against the
-    float64 weights; returns (trained float64 copy, loss per epoch). The
-    activation buffers live exactly as long as this call."""
+def birnn_train(m: BiRnnModel, data: WindowSet, hyper: dict, seed: int):
+    """Full BPTT training with Adam under the `epochs`, `lr` and
+    `batch_size` of `hyper`, each step in float32 against the float64
+    weights; returns (trained float64 copy, loss per epoch). The activation
+    buffers live exactly as long as this call."""
     model = copy_arrays(m)
     loss_grad = float32_loss_grad(model, birnn_loss_and_grads, data)
-    trace = run_adam_training(named_arrays(model), loss_grad, len(data), cfg)
+    trace = run_adam_training(named_arrays(model), loss_grad, len(data), hyper, seed)
     return model, trace

@@ -11,10 +11,9 @@ import pytest
 from cryptocast import data as dataio
 from cryptocast import hybrid, kernels, recurrent, stats
 from cryptocast.cli import main as cli_main
-from cryptocast.config import validate_config
+from cryptocast.config import check_setting, validate_config
 from cryptocast.data import SynthParams, synthesize_series, write_series_csv
 from cryptocast.gradcheck import grad_check
-from cryptocast.optim import TrainConfig
 from cryptocast.params import named_arrays
 from cryptocast.pipeline import run_experiment
 from cryptocast.rng import Rng
@@ -54,11 +53,11 @@ def test_gradient_oracle():
                                    named_arrays(model), h=1e-5)
 
     # full hybrid stack, T <= 4
-    cfg = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
-                              layers=1, d_ffn=8, d_gru=4)
+    cfg = check_setting("models.hybrid", {"d_model": 4, "heads": 2, "layers": 1, "d_ffn": 8,
+                                          "d_gru": 4}, "hybrid")
     Xh = rng.uniform(0, 1, (4, 3, 2))
     yh = rng.uniform(0, 1, (4,))
-    hmodel = hybrid.init_hybrid(cfg, seed=13)
+    hmodel = hybrid.init_hybrid(cfg, 2, seed=13)
 
     results["hybrid"] = grad_check(lambda: hybrid.hybrid_loss_and_grads(hmodel, Xh, yh),
                                    named_arrays(hmodel), h=1e-5)
@@ -93,17 +92,16 @@ def test_memorization(kind):
     data = _memorization_fixture()
     started = time.time()
     if kind == "hybrid":
-        cfg = hybrid.HybridConfig(input_size=2, d_model=8, heads=2,
-                                  layers=1, d_ffn=16, d_gru=8)
-        model = hybrid.init_hybrid(cfg, seed=21)
-        trained, _ = hybrid.hybrid_train(
-            model, data, TrainConfig(epochs=500, lr=0.01, seed=22))
+        cfg = check_setting("models.hybrid", {"d_model": 8, "heads": 2, "layers": 1, "d_ffn": 16,
+                                              "d_gru": 8, "epochs": 500, "lr": 0.01}, "hybrid")
+        model = hybrid.init_hybrid(cfg, 2, seed=21)
+        trained, _ = hybrid.hybrid_train(model, data, cfg, seed=22)
         pred = hybrid.hybrid_forward_batch(trained, data.X)
     else:
         model = recurrent.init_birnn(
             "lstm" if kind == "bilstm" else "gru", 2, 8, seed=21)
-        trained, _ = recurrent.birnn_train(
-            model, data, TrainConfig(epochs=500, lr=0.02, seed=22))
+        cfg = check_setting("models." + kind, {"epochs": 500, "lr": 0.02}, kind)
+        trained, _ = recurrent.birnn_train(model, data, cfg, seed=22)
         pred = recurrent.birnn_forward_batch(trained, data.X)
     elapsed = time.time() - started
     mse = float(((pred - data.y) ** 2).mean())

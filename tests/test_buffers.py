@@ -20,9 +20,8 @@ def birnn(kind):
 
 
 def hybrid_model():
-    cfg = hybrid.HybridConfig(input_size=K, d_model=4, heads=2,
-                              layers=2, d_ffn=6, d_gru=3)
-    return hybrid.init_hybrid(cfg, seed=6), hybrid.hybrid_loss_and_grads
+    hyper = {"d_model": 4, "heads": 2, "layers": 2, "d_ffn": 6, "d_gru": 3}
+    return hybrid.init_hybrid(hyper, K, seed=6), hybrid.hybrid_loss_and_grads
 
 
 MODELS = {"bilstm": lambda: birnn("lstm"), "bigru": lambda: birnn("gru"),

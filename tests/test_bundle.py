@@ -13,7 +13,7 @@ from cryptocast import bundle as bundleio
 from cryptocast.cli import main as cli_main
 from cryptocast.data import NormStats, WindowSet
 from cryptocast.errors import CryptocastError, DataError
-from cryptocast.hybrid import HybridConfig, init_hybrid
+from cryptocast.hybrid import init_hybrid
 from cryptocast.params import named_arrays
 from cryptocast.pipeline import MODELS, predict_windows
 from cryptocast.recurrent import init_birnn
@@ -171,11 +171,9 @@ class TestParameterNaming:
                                   "b": [gates * 3]}
 
     def test_hybrid_layers_are_index_addressable(self, tmp_path):
-        cfg = HybridConfig(input_size=2, d_model=4, heads=2,
-                           layers=3, d_ffn=8, d_gru=4)
         path = tmp_path / "layers.json"
         hyper = dict(HYPER["hybrid"], layers=3)
-        bundleio.save_bundle(wrap("hybrid", init_hybrid(cfg, seed=6), hyper), path)
+        bundleio.save_bundle(wrap("hybrid", init_hybrid(hyper, 2, seed=6), hyper), path)
         params = as_lists(json.loads(path.read_text()))
         for i in range(3):
             layer = {name.split(".", 2)[2] for name in params
@@ -488,6 +486,21 @@ class TestEnvelopeChecks:
         path, doc = saved_doc(tmp_path, "hybrid")
         doc["hyperparameters"]["heads"] = 0
         self.rejects(path, doc, "hyperparameters.heads=0 violates minimum: 1")
+
+    @pytest.mark.parametrize("shape, message", [
+        ({"d_model": 8, "heads": 3}, "d_model=8 is not divisible by heads=3"),
+        ({"d_model": 7}, "d_model must be even for the sin/cos interleave, got 7"),
+    ], ids=["heads-do-not-split-d_model", "odd-d_model"])
+    def test_hybrid_shape_rule_is_a_data_error(self, tmp_path, small_csv, capsys, shape,
+                                               message):
+        # the rules JSON Schema cannot state hold for a bundle as for a config
+        path, doc = saved_doc(tmp_path, "hybrid")
+        doc["hyperparameters"].update(shape)
+        path.write_text(json.dumps(doc))
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "pred.csv").exists()
 
     @pytest.mark.parametrize("kind, key, value", [
         ("rbfn", "window", 10**9), ("grnn", "window", 10**9), ("rbfn", "centers", 10**9),

@@ -713,6 +713,72 @@ class TestPredictOutput:
             assert predict(kind, f"{kind}_again.csv") == first[kind], kind
 
 
+class TestRangeBeyondFloat64:
+    """A column whose max - min overflows float64 has no min-max scale: every
+    command that would scale by one exits 3, and writes nothing, instead of
+    crashing or writing NaN."""
+
+    @pytest.fixture()
+    def wide_csv(self, small_csv, tmp_path):
+        frame = dataio.load_series(small_csv)
+        values = frame.values.copy()
+        j = frame.columns.index("volume")
+        values[3, j], values[5, j] = 1.7e308, -1.7e308
+        path = tmp_path / "wide.csv"
+        dataio.write_series_csv(dataio.SeriesFrame.build(frame.dates, frame.columns, values), path)
+        return str(path)
+
+    def test_run_exits_3(self, small_config_doc, wide_csv, tmp_path, capsys):
+        small_config_doc["data"]["path"] = wide_csv
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(small_config_doc))
+        assert run_cli("run", "--config", str(config)) == 3
+        assert "column 'volume' spans -1.7e+308..1.7e+308" in capsys.readouterr().err
+        assert not os.path.exists(small_config_doc["output_dir"])
+
+    def test_ingest_windows_exit_3(self, wide_csv, tmp_path, capsys):
+        out = tmp_path / "windows.json"
+        assert run_cli("ingest", "--data", wide_csv, "--windows-out", str(out)) == 3
+        assert "column 'volume' spans" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_predict_from_such_a_bundle_exits_3(self, small_config_file, small_csv, tmp_path,
+                                               capsys):
+        bundle, out = tmp_path / "rbfn.json", tmp_path / "p.csv"
+        assert run_cli("train", "--config", small_config_file, "--model", "rbfn",
+                       "--out", str(bundle)) == 0
+        doc = json.loads(bundle.read_text())
+        doc["normalization"]["volume"] = [-1e308, 1e308]
+        bundle.write_text(json.dumps(doc))
+        assert run_cli("predict", "--bundle", str(bundle), "--data", small_csv,
+                       "--out", str(out)) == 3
+        assert "finite max - min" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFinitePrediction:
+    def test_predict_exits_4_naming_the_first_date(self, small_config_file, small_csv,
+                                                   tmp_path, capsys):
+        # a close of 1e300 inside a window overflows the hybrid's forward pass:
+        # every window that holds it predicts NaN, and predict writes no file
+        bundle, data, out = tmp_path / "hybrid.json", tmp_path / "spike.csv", tmp_path / "p.csv"
+        assert run_cli("train", "--config", small_config_file, "--model", "hybrid",
+                       "--out", str(bundle)) == 0
+        frame = dataio.load_series(small_csv)
+        values = frame.values.copy()
+        values[40, frame.columns.index("close")] = 1e300
+        dataio.write_series_csv(dataio.SeriesFrame.build(frame.dates, frame.columns, values), data)
+        capsys.readouterr()
+        # numpy's overflow warnings are errors under this suite's filterwarnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("predict", "--bundle", str(bundle), "--data", str(data),
+                           "--out", str(out))
+        assert code == 4
+        assert capsys.readouterr().err == (f"numerical error: non-finite prediction for "
+                                           f"{frame.dates[41].isoformat()}\n")
+        assert not out.exists()
+
+
 class TestUnreadableInputs:
     """Undecodable bytes and oversized CSV fields get a typed exit code,
     never a raw UnicodeDecodeError or csv.Error."""

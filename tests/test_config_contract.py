@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cryptocast import kernels
+from cryptocast import hybrid, kernels, optim, recurrent
 from cryptocast.config import (_CHECKS, SCENARIO_FEATURES, SCHEMA, DataConfig, ExperimentConfig,
                                check_setting, validate_config)
 from cryptocast.errors import ConfigError
@@ -61,12 +61,22 @@ class TestSchemaFile:
             assert [f.name for f in dataclasses.fields(cls)] == list(section(path)["properties"])
 
     def test_default_sigma_grid_is_the_schema_default(self):
-        # grnn_fit has no grid of its own: a config that names none fits
-        # over the schema's default
-        sigma_grid = inspect.signature(kernels.grnn_fit).parameters["sigma_grid"]
-        assert sigma_grid.default is inspect.Parameter.empty
+        # grnn_fit has no grid of its own (see below): a config that names
+        # none fits over the schema's default
         assert (check_setting("models", {}, "models")["grnn"]["sigma_grid"]
                 == default(["models", "grnn", "sigma_grid"]) == [0.01, 0.03, 0.1, 0.3, 1.0])
+
+    @pytest.mark.parametrize("entry_point", [
+        hybrid.init_hybrid, hybrid.hybrid_template, hybrid.hybrid_train, recurrent.init_birnn,
+        recurrent.birnn_train, optim.run_adam_training, kernels.rbfn_fit, kernels.grnn_fit,
+    ], ids=lambda fn: fn.__name__)
+    def test_model_entry_points_default_no_hyperparameter(self, entry_point):
+        # the schema states every default once; an entry point takes the
+        # resolved section or its values. rbfn_fit's `spread` is no config
+        # key: it overrides the spread heuristic for the interpolation tests
+        defaulted = [name for name, p in inspect.signature(entry_point).parameters.items()
+                     if p.default is not inspect.Parameter.empty]
+        assert defaulted == (["spread"] if entry_point is kernels.rbfn_fit else [])
 
 
 def code_rules_hold(doc: dict) -> bool:

@@ -249,6 +249,18 @@ class TestMinMax:
         with pytest.raises(DegenerateScaleError, match="close"):
             dataio.fit_minmax(frame)
 
+    def test_range_beyond_float64_rejected(self):
+        # max - min overflows to inf, which would scale every value to 0 or NaN
+        frame = make_frame(3, columns=("close",), values=np.array([[1.7e308], [0.0], [-1.7e308]]))
+        with pytest.raises(DegenerateScaleError, match="close' spans"):
+            dataio.fit_minmax(frame)
+
+    @pytest.mark.parametrize("pair", [[-1e308, 1e308], [-10**308, 10**308], [10**20, 10**20 + 1]],
+                             ids=["floats", "ints", "equal-as-floats"])
+    def test_stored_range_must_be_a_finite_positive_float(self, pair):
+        with pytest.raises(DomainError, match="finite max - min"):
+            dataio.NormStats.from_json_dict({"close": pair})
+
     def test_apply_endpoints(self):
         frame = make_frame(3, columns=("close",), values=np.array([[2.0], [4.0], [6.0]]))
         stats = dataio.fit_minmax(frame)

@@ -7,22 +7,26 @@ import pytest
 
 from cryptocast import cli, hybrid
 from cryptocast.bundle import ModelBundle, save_bundle
+from cryptocast.config import check_setting
 from cryptocast.data import (NormStats, SeriesFrame, WindowSet, apply_minmax, load_series,
                              make_windows, write_series_csv)
 from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
 from cryptocast.ops import FORWARD_CHUNK as B
 from cryptocast.ops import layer_norm_with_cache, xavier
-from cryptocast.optim import TrainConfig
 from cryptocast.params import named_arrays
 from cryptocast.rng import Rng
 
-SMALL = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
-                            layers=1, d_ffn=8, d_gru=4)
+def section(**keys):
+    """A resolved `models.hybrid` section: `keys` over the schema's defaults."""
+    return check_setting("models.hybrid", keys, "hybrid")
 
 
-def zero_model(config=SMALL, head_bias=0.0):
-    m = hybrid.init_hybrid(config, seed=0)
+SMALL = section(d_model=4, heads=2, layers=1, d_ffn=8, d_gru=4)
+
+
+def zero_model(hyper=SMALL, head_bias=0.0):
+    m = hybrid.init_hybrid(hyper, 2, seed=0)
     m.W_e = np.zeros_like(m.W_e)
     m.b_e = np.zeros_like(m.b_e)
     for layer in m.encoder_layers:
@@ -62,23 +66,21 @@ def encode(m, window, positional):
     """Encoder output (T, d) of one window, with or without positions."""
     H = hybrid._embed(window[None], m.W_e, m.b_e)
     if positional:
-        H = H + hybrid.positional_encoding(window.shape[0], m.config.d_model)
+        H = H + hybrid.positional_encoding(window.shape[0], len(m.b_e))
     for layer in m.encoder_layers:
-        H, _ = hybrid._encoder_layer_forward(H, layer, m.config.heads)
+        H, _ = hybrid._encoder_layer_forward(H, layer, m.heads)
     return H[0]
 
 
 # four heads of width 2 over two layers, with d_ffn != d_model: a head or
 # column mix-up in the stacked Q/K/V projection shows at these sizes
-MULTI = hybrid.HybridConfig(input_size=2, d_model=8, heads=4,
-                            layers=2, d_ffn=6, d_gru=3)
+MULTI = section(d_model=8, heads=4, layers=2, d_ffn=6, d_gru=3)
 
 
 def textbook_encode(m, X):
     """Encoder output of every window in X, written out from the definitions:
     a loop over windows and heads, exp-softmax and two-pass LayerNorm."""
-    cfg = m.config
-    T, d = X.shape[1], cfg.d_model
+    T, d = X.shape[1], len(m.b_e)
     pe = np.zeros((T, d))
     for pos in range(T):
         for j in range(d // 2):
@@ -95,9 +97,9 @@ def textbook_encode(m, X):
         H = x @ m.W_e.T + m.b_e + pe
         for layer in m.encoder_layers:
             heads = []
-            for w_q, w_k, w_v in head_blocks(layer, cfg.heads):
+            for w_q, w_k, w_v in head_blocks(layer, m.heads):
                 Q, K, V = H @ w_q, H @ w_k, H @ w_v
-                scores = Q @ K.T / np.sqrt(cfg.d_head)
+                scores = Q @ K.T / np.sqrt(d // m.heads)
                 weights = np.exp(scores - scores.max(axis=1, keepdims=True))
                 weights /= weights.sum(axis=1, keepdims=True)
                 heads.append(weights @ V)
@@ -172,18 +174,17 @@ class TestPositionalEncoding:
 
 class TestAttention:
     def test_single_timestep_weight_is_one(self):
-        m = hybrid.init_hybrid(SMALL, seed=4)
+        m = hybrid.init_hybrid(SMALL, 2, seed=4)
         maps = attention_probs(m, Rng(5).uniform(0, 1, (1, 2)))
         for layer_map in maps:
             assert np.allclose(layer_map, 1.0)
 
     def test_identical_timesteps_uniform_attention(self):
-        m = hybrid.init_hybrid(
-            hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
-                                layers=1, d_ffn=8, d_gru=4), seed=6)
+        m = hybrid.init_hybrid(section(d_model=4, heads=2, layers=1, d_ffn=8, d_gru=4),
+                               2, seed=6)
         layer = m.encoder_layers[0]
         H = np.tile(Rng(7).uniform(-1, 1, (1, 4)), (3, 1))
-        _, (*_, head_probs, _) = hybrid._mha_forward(H[None], layer, m.config.heads)
+        _, (*_, head_probs, _) = hybrid._mha_forward(H[None], layer, m.heads)
         for probs in head_probs[0]:
             assert np.allclose(probs, 1.0 / 3.0, atol=1e-12)
 
@@ -214,9 +215,8 @@ class TestAttention:
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_probability_rows_sum_to_one_everywhere(self):
-        cfg = hybrid.HybridConfig(input_size=3, d_model=8, heads=4,
-                                  layers=3, d_ffn=16, d_gru=8)
-        m = hybrid.init_hybrid(cfg, seed=8)
+        cfg = section(d_model=8, heads=4, layers=3, d_ffn=16, d_gru=8)
+        m = hybrid.init_hybrid(cfg, 3, seed=8)
         maps = attention_probs(m, Rng(9).uniform(0, 1, (6, 3)))
         assert len(maps) == 3
         for layer_map in maps:
@@ -226,7 +226,7 @@ class TestAttention:
 
 class TestMultiHead:
     def test_encode_matches_textbook_forward(self):
-        m = hybrid.init_hybrid(MULTI, seed=40)
+        m = hybrid.init_hybrid(MULTI, 2, seed=40)
         X = Rng(41).uniform(-1, 1, (5, 3, 2))
         H, _ = hybrid._encode(m, X)
         assert np.allclose(H, textbook_encode(m, X), rtol=0.0, atol=1e-12)
@@ -234,35 +234,34 @@ class TestMultiHead:
 
 class TestEncoderLayer:
     def test_output_rows_have_layernorm_statistics(self):
-        m = hybrid.init_hybrid(SMALL, seed=10)
+        m = hybrid.init_hybrid(SMALL, 2, seed=10)
         layer = m.encoder_layers[0]
         out = hybrid._encoder_layer_forward(Rng(11).uniform(-1, 1, (3, 4))[None], layer,
-                                            SMALL.heads)[0][0]
+                                            SMALL["heads"])[0][0]
         assert np.all(np.abs(out.mean(axis=1)) < 1e-8)
         assert np.all(np.abs((out**2).mean(axis=1) - 1.0) < 1e-4)
 
     def test_zero_ffn_reduces_to_single_norm_chain(self):
-        m = hybrid.init_hybrid(SMALL, seed=12)
+        m = hybrid.init_hybrid(SMALL, 2, seed=12)
         layer = m.encoder_layers[0]
         layer.W_1 = np.zeros_like(layer.W_1)
         layer.b_1 = np.zeros_like(layer.b_1)
         layer.W_2 = np.zeros_like(layer.W_2)
         layer.b_2 = np.zeros_like(layer.b_2)
         H = Rng(13).uniform(-1, 1, (3, 4))
-        attn = hybrid._mha_forward(H[None], layer, SMALL.heads)[0][0]
+        attn = hybrid._mha_forward(H[None], layer, SMALL["heads"])[0][0]
         h_attn, _ = layer_norm_with_cache(H + attn, layer.ln1_gamma, layer.ln1_beta,
                                           hybrid.LAYER_NORM_EPS)
         expected, _ = layer_norm_with_cache(h_attn, layer.ln2_gamma, layer.ln2_beta,
                                             hybrid.LAYER_NORM_EPS)
-        out = hybrid._encoder_layer_forward(H[None], layer, SMALL.heads)[0][0]
+        out = hybrid._encoder_layer_forward(H[None], layer, SMALL["heads"])[0][0]
         assert np.allclose(out, expected, atol=1e-14)
 
     def test_against_independent_reimplementation(self):
         # a from-first-principles rewrite of the whole layer (loops, no
         # shared helpers) must agree with the production path
-        m = hybrid.init_hybrid(
-            hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
-                                layers=1, d_ffn=8, d_gru=4), seed=14)
+        m = hybrid.init_hybrid(section(d_model=4, heads=2, layers=1, d_ffn=8, d_gru=4),
+                               2, seed=14)
         layer = m.encoder_layers[0]
         H = Rng(15).uniform(-1, 1, (2, 4))
 
@@ -305,28 +304,32 @@ class TestHybridForward:
         assert hybrid.hybrid_forward_batch(m, window[None])[0] == pytest.approx(0.625)
 
     def test_scalar_output_for_any_window_length(self):
-        m = hybrid.init_hybrid(SMALL, seed=17)
+        m = hybrid.init_hybrid(SMALL, 2, seed=17)
         for T in (1, 3, 6, 12):
             out = hybrid.hybrid_forward_batch(m, Rng(T).uniform(0, 1, (1, T, 2)))
             assert out.shape == (1,)
 
     def test_feature_mismatch(self):
-        m = hybrid.init_hybrid(SMALL, seed=18)
+        m = hybrid.init_hybrid(SMALL, 2, seed=18)
         with pytest.raises(DimensionError):
             hybrid.hybrid_forward_batch(m, np.zeros((1, 3, 5)))
 
     def test_invalid_head_split_rejected(self):
-        with pytest.raises(ConfigError):
-            hybrid.HybridConfig(input_size=2, d_model=30, heads=4,
-                                layers=1, d_ffn=8, d_gru=4).validate()
+        hyper = section(d_model=30, heads=4, layers=1, d_ffn=8, d_gru=4)
+        with pytest.raises(ConfigError, match="d_model=30 is not divisible by heads=4"):
+            hybrid.check_shape(hyper)
+        with pytest.raises(ConfigError, match="not divisible"):
+            hybrid.hybrid_template(hyper, 2)
 
     def test_odd_d_model_rejected(self):
-        with pytest.raises(ConfigError):
-            hybrid.HybridConfig(input_size=2, d_model=7, heads=1,
-                                layers=1, d_ffn=8, d_gru=4).validate()
+        hyper = section(d_model=7, heads=1, layers=1, d_ffn=8, d_gru=4)
+        with pytest.raises(ConfigError, match="d_model must be even for the sin/cos interleave"):
+            hybrid.check_shape(hyper)
+        with pytest.raises(ConfigError, match="must be even"):
+            hybrid.init_hybrid(hyper, 2, seed=0)
 
     def test_permutation_sensitivity_with_positions(self):
-        m = hybrid.init_hybrid(SMALL, seed=19)
+        m = hybrid.init_hybrid(SMALL, 2, seed=19)
         window = Rng(20).uniform(0, 1, (3, 2))
         permuted = window[[2, 0, 1]]
         assert hybrid.hybrid_forward_batch(m, window[None])[0] != pytest.approx(
@@ -336,7 +339,7 @@ class TestHybridForward:
         # with the positional encoding removed and a mean-pool readout, the
         # encoder treats the window as a set: permuting rows permutes the
         # outputs and leaves the pooled vector unchanged
-        m = hybrid.init_hybrid(SMALL, seed=21)
+        m = hybrid.init_hybrid(SMALL, 2, seed=21)
         window = Rng(22).uniform(0, 1, (3, 2))
         perm = [2, 0, 1]
         enc = encode(m, window, positional=False)
@@ -345,7 +348,7 @@ class TestHybridForward:
         assert np.allclose(enc.mean(axis=0), enc_perm.mean(axis=0), atol=1e-12)
 
     def test_positional_encoding_is_the_only_order_source(self):
-        m = hybrid.init_hybrid(SMALL, seed=23)
+        m = hybrid.init_hybrid(SMALL, 2, seed=23)
         window = Rng(24).uniform(0, 1, (3, 2))
         perm = [1, 2, 0]
         with_pe = encode(m, window, positional=True)
@@ -356,9 +359,8 @@ class TestHybridForward:
 
 # four heads over 30 steps: encoder blocks of 64 windows inside read-out
 # blocks of FORWARD_CHUNK
-LONG = hybrid.HybridConfig(input_size=2, d_model=8, heads=4,
-                           layers=2, d_ffn=6, d_gru=3)
-BE = hybrid.block_rows(LONG.heads, 30)
+LONG = section(d_model=8, heads=4, layers=2, d_ffn=6, d_gru=3)
+BE = hybrid.block_rows(LONG["heads"], 30)
 
 
 class TestBlockedInference:
@@ -366,18 +368,17 @@ class TestBlockedInference:
     the encoder in blocks of `block_rows`, through one reused set of buffers;
     no window may see another's block or a stale layer."""
 
-    DEEP = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
-                               layers=3, d_ffn=6, d_gru=3)
+    DEEP = section(d_model=4, heads=2, layers=3, d_ffn=6, d_gru=3)
 
     def test_block_rule(self):
         assert BE == 64
-        assert hybrid.block_rows(self.DEEP.heads, 5) == B
+        assert hybrid.block_rows(self.DEEP["heads"], 5) == B
         assert hybrid.block_rows(64, 1000) == 1
 
     @staticmethod
-    def assert_blocks_equal_single_window_calls(config, T, n, seed):
-        m = hybrid.init_hybrid(config, seed=seed)
-        X = Rng(n).uniform(-1, 1, (n, T, config.input_size))
+    def assert_blocks_equal_single_window_calls(hyper, T, n, seed):
+        m = hybrid.init_hybrid(hyper, 2, seed=seed)
+        X = Rng(n).uniform(-1, 1, (n, T, 2))
         single = np.array([hybrid.hybrid_forward_batch(m, X[i:i + 1])[0] for i in range(n)])
         assert np.allclose(hybrid.hybrid_forward_batch(m, X), single, rtol=0.0, atol=1e-12)
 
@@ -396,26 +397,26 @@ class TestBlockedInference:
         rng = Rng(34)
         X = rng.uniform(-1, 1, (B + 1, 5, 2))
         y = rng.uniform(-1, 1, (B + 1,))
-        m = hybrid.init_hybrid(self.DEEP, seed=35)
+        m = hybrid.init_hybrid(self.DEEP, 2, seed=35)
         loss, _ = hybrid.hybrid_loss_and_grads(m, X, y)
         expected = float(np.mean((hybrid.hybrid_forward_batch(m, X) - y) ** 2))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_empty_batch(self):
-        m = hybrid.init_hybrid(self.DEEP, seed=31)
+        m = hybrid.init_hybrid(self.DEEP, 2, seed=31)
         out = hybrid.hybrid_forward_batch(m, np.zeros((0, 5, 2)))
         assert out.shape == (0,)
 
     @pytest.mark.parametrize("n", [0, 1, B + 1])
     def test_feature_mismatch_at_any_size(self, n):
-        m = hybrid.init_hybrid(self.DEEP, seed=32)
+        m = hybrid.init_hybrid(self.DEEP, 2, seed=32)
         with pytest.raises(DimensionError):
             hybrid.hybrid_forward_batch(m, np.zeros((n, 5, 3)))
 
     def test_working_set_does_not_grow_with_n(self):
         # the whole batch at once would trace four times the peak at N=4,000
-        m = hybrid.init_hybrid(hybrid.HybridConfig(input_size=3, d_model=8, heads=2,
-                                                   layers=2, d_ffn=16, d_gru=8), seed=33)
+        m = hybrid.init_hybrid(section(d_model=8, heads=2, layers=2, d_ffn=16, d_gru=8),
+                               3, seed=33)
         peaks = {}
         for n in (1000, 4000):
             X = Rng(n).uniform(0, 1, (n, 10, 3))
@@ -432,33 +433,33 @@ class TestInitLayout:
     def test_init_places_per_head_draws_in_the_stacked_layout(self):
         # every head's q, k and v block comes from its own derived stream;
         # the blocks sit as all queries, then all keys, then all values
-        seed, cfg = 9, MULTI
-        d, dk = cfg.d_model, cfg.d_head
+        seed, cfg, k = 9, MULTI, 2
+        d, dk = cfg["d_model"], cfg["d_model"] // cfg["heads"]
         rng = Rng(seed)
-        expected = {"W_e": xavier(rng.derive("embed"), d, cfg.input_size), "b_e": np.zeros(d)}
-        for ell in range(cfg.layers):
+        expected = {"W_e": xavier(rng.derive("embed"), d, k), "b_e": np.zeros(d)}
+        for ell in range(cfg["layers"]):
             lr = rng.derive(f"encoder{ell}")
             prefix = f"encoder_layers.{ell}."
             expected[prefix + "W_QKV"] = np.hstack([xavier(lr.derive(f"{w}{h}"), d, dk)
-                                                    for w in "qkv" for h in range(cfg.heads)])
-            expected[prefix + "W_O"] = xavier(lr.derive("o"), cfg.heads * dk, d)
-            expected[prefix + "W_1"] = xavier(lr.derive("ffn1"), d, cfg.d_ffn)
-            expected[prefix + "b_1"] = np.zeros(cfg.d_ffn)
-            expected[prefix + "W_2"] = xavier(lr.derive("ffn2"), cfg.d_ffn, d)
+                                                    for w in "qkv" for h in range(cfg["heads"])])
+            expected[prefix + "W_O"] = xavier(lr.derive("o"), cfg["heads"] * dk, d)
+            expected[prefix + "W_1"] = xavier(lr.derive("ffn1"), d, cfg["d_ffn"])
+            expected[prefix + "b_1"] = np.zeros(cfg["d_ffn"])
+            expected[prefix + "W_2"] = xavier(lr.derive("ffn2"), cfg["d_ffn"], d)
             expected[prefix + "b_2"] = np.zeros(d)
             for norm in ("ln1", "ln2"):
                 expected[f"{prefix}{norm}_gamma"] = np.ones(d)
                 expected[f"{prefix}{norm}_beta"] = np.zeros(d)
         # the GRU draws r, z, then the candidate, each input block first
         gru_rng = rng.derive("gru")
-        blocks = [(xavier(gru_rng, d, cfg.d_gru), xavier(gru_rng, cfg.d_gru, cfg.d_gru))
-                  for _ in range(3)]
+        d_gru = cfg["d_gru"]
+        blocks = [(xavier(gru_rng, d, d_gru), xavier(gru_rng, d_gru, d_gru)) for _ in range(3)]
         expected["gru.W_x"] = np.hstack([x for x, _ in blocks])
         expected["gru.W_h"] = np.hstack([h for _, h in blocks])
-        expected["gru.b"] = np.zeros(3 * cfg.d_gru)
-        expected["W_p"] = xavier(rng.derive("head"), 1, cfg.d_gru)
+        expected["gru.b"] = np.zeros(3 * d_gru)
+        expected["W_p"] = xavier(rng.derive("head"), 1, d_gru)
         expected["b_p"] = np.zeros(1)
-        actual = named_arrays(hybrid.init_hybrid(cfg, seed))
+        actual = named_arrays(hybrid.init_hybrid(cfg, k, seed))
         assert sorted(actual) == sorted(expected)
         for name, a in expected.items():
             assert np.array_equal(actual[name], a), name
@@ -469,18 +470,17 @@ class TestHybridGradients:
         rng = Rng(25)
         X = rng.uniform(0, 1, (4, 3, 2))
         y = rng.uniform(0, 1, (4,))
-        m = hybrid.init_hybrid(SMALL, seed=26)
+        m = hybrid.init_hybrid(SMALL, 2, seed=26)
 
         err = grad_check(lambda: hybrid.hybrid_loss_and_grads(m, X, y), named_arrays(m), h=1e-5)
         assert err < 1e-4
 
     def test_two_layer_gradient_check(self):
-        cfg = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
-                                  layers=2, d_ffn=4, d_gru=3)
+        cfg = section(d_model=4, heads=2, layers=2, d_ffn=4, d_gru=3)
         rng = Rng(27)
         X = rng.uniform(0, 1, (3, 2, 2))
         y = rng.uniform(0, 1, (3,))
-        m = hybrid.init_hybrid(cfg, seed=28)
+        m = hybrid.init_hybrid(cfg, 2, seed=28)
 
         err = grad_check(lambda: hybrid.hybrid_loss_and_grads(m, X, y), named_arrays(m), h=1e-5)
         assert err < 1e-4
@@ -489,7 +489,7 @@ class TestHybridGradients:
         rng = Rng(44)
         X = rng.uniform(0, 1, (3, 3, 2))
         y = rng.uniform(0, 1, (3,))
-        m = hybrid.init_hybrid(MULTI, seed=45)
+        m = hybrid.init_hybrid(MULTI, 2, seed=45)
 
         err = grad_check(lambda: hybrid.hybrid_loss_and_grads(m, X, y), named_arrays(m), h=1e-5)
         assert err < 1e-4
@@ -498,12 +498,11 @@ class TestHybridGradients:
         # the training pass writes its encoder and GRU activations into
         # buffers and reuses them in place; its loss must still be the
         # inference pass's error (600 windows cross its block boundary)
-        cfg = hybrid.HybridConfig(input_size=2, d_model=4, heads=2,
-                                  layers=2, d_ffn=6, d_gru=3)
+        cfg = section(d_model=4, heads=2, layers=2, d_ffn=6, d_gru=3)
         rng = Rng(35)
         X = rng.uniform(0, 1, (600, 3, 2))
         y = rng.uniform(0, 1, (600,))
-        m = hybrid.init_hybrid(cfg, seed=36)
+        m = hybrid.init_hybrid(cfg, 2, seed=36)
         loss, _ = hybrid.hybrid_loss_and_grads(m, X, y)
         expected = float(np.mean((hybrid.hybrid_forward_batch(m, X) - y) ** 2))
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -511,22 +510,20 @@ class TestHybridGradients:
 
 class TestHybridTraining:
     def test_memorizes_small_fixture(self):
-        cfg = hybrid.HybridConfig(input_size=2, d_model=8, heads=2,
-                                  layers=1, d_ffn=16, d_gru=8)
+        cfg = section(d_model=8, heads=2, layers=1, d_ffn=16, d_gru=8, epochs=500, lr=0.01)
         data = make_window_set(8, 4, 2, seed=29)
-        m = hybrid.init_hybrid(cfg, seed=30)
-        trained, trace = hybrid.hybrid_train(
-            m, data, TrainConfig(epochs=500, lr=0.01, seed=31))
+        m = hybrid.init_hybrid(cfg, 2, seed=30)
+        trained, trace = hybrid.hybrid_train(m, data, cfg, seed=31)
         final = float(np.mean(
             (hybrid.hybrid_forward_batch(trained, data.X) - data.y) ** 2))
         assert final < 1e-3
 
     def test_deterministic_training(self):
         data = make_window_set(5, 3, 2, seed=32)
-        m = hybrid.init_hybrid(SMALL, seed=33)
-        cfg = TrainConfig(epochs=25, lr=0.01, seed=34)
-        t1, trace1 = hybrid.hybrid_train(m, data, cfg)
-        t2, trace2 = hybrid.hybrid_train(m, data, cfg)
+        m = hybrid.init_hybrid(SMALL, 2, seed=33)
+        cfg = dict(SMALL, epochs=25, lr=0.01)
+        t1, trace1 = hybrid.hybrid_train(m, data, cfg, seed=34)
+        t2, trace2 = hybrid.hybrid_train(m, data, cfg, seed=34)
         assert trace1 == trace2
         p2 = named_arrays(t2)
         for name, a in named_arrays(t1).items():
@@ -534,9 +531,9 @@ class TestHybridTraining:
 
     def test_training_does_not_mutate_input_model(self):
         data = make_window_set(5, 3, 2, seed=32)
-        m = hybrid.init_hybrid(SMALL, seed=33)
+        m = hybrid.init_hybrid(SMALL, 2, seed=33)
         before = {name: a.copy() for name, a in named_arrays(m).items()}
-        trained, _ = hybrid.hybrid_train(m, data, TrainConfig(epochs=5, lr=0.01, seed=34))
+        trained, _ = hybrid.hybrid_train(m, data, dict(SMALL, epochs=5, lr=0.01), seed=34)
         assert not np.array_equal(named_arrays(trained)["W_p"], before["W_p"])
         for name, a in named_arrays(m).items():
             assert np.array_equal(before[name], a), name
@@ -546,8 +543,8 @@ class TestHybridTraining:
         data.X = data.X[:0]
         data.y = data.y[:0]
         with pytest.raises(SizeError):
-            hybrid.hybrid_train(hybrid.init_hybrid(SMALL, seed=1), data,
-                                TrainConfig(epochs=1))
+            hybrid.hybrid_train(hybrid.init_hybrid(SMALL, 2, seed=1), data,
+                                dict(SMALL, epochs=1), seed=0)
 
 
 class TestPredictSeries:
@@ -567,11 +564,11 @@ class TestPredictSeries:
         return frame, stats
 
     def _predict(self, tmp_path, m, frame, stats):
-        """Exit code and, on success, the predictions CSV of windows of 3 steps as a frame."""
+        """Exit code and, on success, the predictions CSV of windows of 3 steps
+        as a frame; `m` has SMALL's shape."""
         bundle_path, data_path, out_path = (tmp_path / f for f in ("b.json", "s.csv", "p.csv"))
-        hyper = {k: v for k, v in dataclasses.asdict(m.config).items() if k != "input_size"}
         save_bundle(ModelBundle(
-            kind="hybrid", model=m, hyperparameters=hyper,
+            kind="hybrid", model=m, hyperparameters=SMALL,
             window=3, feature_columns=["close", "volume"], target_column="close",
             compose_fgi=False, fgi_weights=[0.5, 0.5], stats=stats), bundle_path)
         write_series_csv(frame, data_path)
@@ -581,9 +578,7 @@ class TestPredictSeries:
 
     def test_denormalization_endpoints(self, tmp_path):
         frame, stats = self._frame_and_stats()
-        m = zero_model(hybrid.HybridConfig(input_size=2, d_model=4,
-                                           heads=2, layers=1, d_ffn=8, d_gru=4),
-                       head_bias=0.0)
+        m = zero_model(head_bias=0.0)
         _, forecast = self._predict(tmp_path, m, frame, stats)
         assert np.allclose(forecast.column("predicted"), 10_000.0)  # normalized 0 -> min
         m.b_p = np.array([1.0])
@@ -592,14 +587,14 @@ class TestPredictSeries:
 
     def test_window_enumeration_count(self, tmp_path):
         frame, stats = self._frame_and_stats(n=6)  # T + 3 rows
-        m = hybrid.init_hybrid(SMALL, seed=36)
+        m = hybrid.init_hybrid(SMALL, 2, seed=36)
         _, forecast = self._predict(tmp_path, m, frame, stats)
         assert len(forecast.column("predicted")) == 3
         assert forecast.dates == frame.dates[3:]
 
     def test_round_trip_normalization(self, tmp_path):
         frame, stats = self._frame_and_stats()
-        m = hybrid.init_hybrid(SMALL, seed=37)
+        m = hybrid.init_hybrid(SMALL, 2, seed=37)
         _, forecast = self._predict(tmp_path, m, frame, stats)
         lo, hi = stats.for_column("close")
         renormalized = (forecast.column("predicted") - lo) / (hi - lo)
@@ -609,6 +604,6 @@ class TestPredictSeries:
 
     def test_frame_too_short(self, tmp_path):
         frame, stats = self._frame_and_stats(n=3)
-        m = hybrid.init_hybrid(SMALL, seed=38)
+        m = hybrid.init_hybrid(SMALL, 2, seed=38)
         code, _ = self._predict(tmp_path, m, frame, stats)
         assert code == 3

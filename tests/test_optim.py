@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from cryptocast.config import check_setting
 from cryptocast.errors import ConfigError, DimensionError, DivergenceError
-from cryptocast.optim import TrainConfig, adam_step, run_adam_training
+from cryptocast.optim import adam_step, run_adam_training
+
+
+def training(**keys):
+    """A resolved `models.bilstm` section: `keys` over the schema's defaults."""
+    return check_setting("models.bilstm", keys, "bilstm")
 
 
 def fresh_moments(params):
@@ -49,8 +55,11 @@ def test_shape_mismatch_rejected():
 
 @pytest.mark.parametrize("field, value", [("epochs", -1), ("lr", 0.0), ("batch_size", -1)])
 def test_invalid_train_config_is_a_config_error(field, value):
-    with pytest.raises(ConfigError, match=field):
-        TrainConfig(**{field: value}).validate()
+    # the schema bounds every neural kind's training keys; run_adam_training
+    # takes a section that has passed them
+    for kind in ("bilstm", "bigru", "hybrid"):
+        with pytest.raises(ConfigError, match=f"{kind}.{field}={value} violates"):
+            check_setting(f"models.{kind}", {field: value}, kind)
 
 
 def test_bias_correction_against_hand_formula():
@@ -86,7 +95,7 @@ def test_training_loop_zero_epochs_is_noop():
     def loss_grad(idx):
         return float(params["w"][0] ** 2), {"w": 2.0 * params["w"]}
 
-    trace = run_adam_training(params, loss_grad, 4, TrainConfig(epochs=0))
+    trace = run_adam_training(params, loss_grad, 4, training(epochs=0), seed=0)
     assert params["w"][0] == 2.0
     assert trace == []
 
@@ -97,7 +106,7 @@ def test_training_loop_descends_quadratic():
     def loss_grad(idx):
         return float(params["w"][0] ** 2), {"w": 2.0 * params["w"]}
 
-    trace = run_adam_training(params, loss_grad, 4, TrainConfig(epochs=300, lr=0.05))
+    trace = run_adam_training(params, loss_grad, 4, training(epochs=300, lr=0.05), seed=0)
     assert abs(params["w"][0]) < 0.05
     assert trace[-1] < trace[0]
 
@@ -113,7 +122,7 @@ def test_divergence_error_names_epoch():
         return 1.0, {"w": np.zeros(1)}
 
     with pytest.raises(DivergenceError, match="epoch 2"):
-        run_adam_training(params, loss_grad, 4, TrainConfig(epochs=10))
+        run_adam_training(params, loss_grad, 4, training(epochs=10), seed=0)
 
 
 def test_non_finite_gradient_names_epoch_and_parameter():
@@ -126,7 +135,7 @@ def test_non_finite_gradient_names_epoch_and_parameter():
         return 1.0, {"w": np.array([0.2]), "b": b_grad}
 
     with pytest.raises(DivergenceError, match=r"gradient for b at epoch 1"):
-        run_adam_training(params, loss_grad, 4, TrainConfig(epochs=10))
+        run_adam_training(params, loss_grad, 4, training(epochs=10), seed=0)
     assert len(seen) == 2
     assert all(np.all(np.isfinite(p)) for ps in seen for p in ps.values())
 
@@ -140,6 +149,6 @@ def test_minibatch_mode_is_deterministic():
             r = params["w"][0] - 3.0
             return float(r * r), {"w": np.array([2.0 * r])}
 
-        cfg = TrainConfig(epochs=20, lr=0.05, seed=5, batch_size=2)
-        out.append((run_adam_training(params, loss_grad, 6, cfg), params["w"][0]))
+        cfg = training(epochs=20, lr=0.05, batch_size=2)
+        out.append((run_adam_training(params, loss_grad, 6, cfg, seed=5), params["w"][0]))
     assert out[0] == out[1]

@@ -20,8 +20,7 @@ KINDS = {
     "bilstm": (recurrent, "birnn_loss_and_grads", lambda k: recurrent.init_birnn("lstm", k, 16, 3)),
     "bigru": (recurrent, "birnn_loss_and_grads", lambda k: recurrent.init_birnn("gru", k, 16, 3)),
     "hybrid": (hybrid, "hybrid_loss_and_grads", lambda k: hybrid.init_hybrid(
-        hybrid.HybridConfig(input_size=k, d_model=16, heads=2, layers=1, d_ffn=32, d_gru=16),
-        3)),
+        {"d_model": 16, "heads": 2, "layers": 1, "d_ffn": 32, "d_gru": 16}, k, 3)),
 }
 
 

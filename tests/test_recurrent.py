@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptocast import recurrent
+from cryptocast.config import check_setting
 from cryptocast.data import WindowSet
 from cryptocast.errors import ConfigError, DimensionError, SizeError
 from cryptocast.gradcheck import grad_check
 from cryptocast.ops import xavier
-from cryptocast.optim import TrainConfig
 from cryptocast.params import named_arrays
 from cryptocast.rng import Rng
 
@@ -323,13 +323,17 @@ class TestBiRnnGradients:
         assert err < 1e-4
 
 
+def training(**keys):
+    """A resolved `models.bilstm` section: `keys` over the schema's defaults."""
+    return check_setting("models.bilstm", keys, "bilstm")
+
+
 class TestBiRnnTraining:
     @pytest.mark.parametrize("kind", ["lstm", "gru"])
     def test_memorizes_small_fixture(self, kind):
         data = make_window_set(8, 4, 2, seed=21)
         m = recurrent.init_birnn(kind, 2, 8, seed=22)
-        trained, trace = recurrent.birnn_train(
-            m, data, TrainConfig(epochs=500, lr=0.02, seed=23))
+        trained, trace = recurrent.birnn_train(m, data, training(epochs=500, lr=0.02), seed=23)
         final = float(np.mean(
             (recurrent.birnn_forward_batch(trained, data.X) - data.y) ** 2))
         assert final < 1e-3
@@ -339,7 +343,7 @@ class TestBiRnnTraining:
         data = make_window_set(4, 3, 2)
         m = recurrent.init_birnn("gru", 2, 4, seed=1)
         before = {name: a.copy() for name, a in named_arrays(m).items()}
-        trained, trace = recurrent.birnn_train(m, data, TrainConfig(epochs=0))
+        trained, trace = recurrent.birnn_train(m, data, training(epochs=0), seed=0)
         assert trace == []
         for name, a in named_arrays(trained).items():
             assert np.array_equal(before[name], a)
@@ -348,16 +352,16 @@ class TestBiRnnTraining:
         data = make_window_set(4, 3, 2)
         m = recurrent.init_birnn("gru", 2, 4, seed=1)
         before = {name: a.copy() for name, a in named_arrays(m).items()}
-        recurrent.birnn_train(m, data, TrainConfig(epochs=5, lr=0.01))
+        recurrent.birnn_train(m, data, training(epochs=5, lr=0.01), seed=0)
         for name, a in named_arrays(m).items():
             assert np.array_equal(before[name], a)
 
     def test_deterministic_traces_and_parameters(self):
         data = make_window_set(6, 3, 3, seed=31)
         m = recurrent.init_birnn("lstm", 3, 5, seed=32)
-        cfg = TrainConfig(epochs=40, lr=0.01, seed=33)
-        t1, trace1 = recurrent.birnn_train(m, data, cfg)
-        t2, trace2 = recurrent.birnn_train(m, data, cfg)
+        cfg = training(epochs=40, lr=0.01)
+        t1, trace1 = recurrent.birnn_train(m, data, cfg, seed=33)
+        t2, trace2 = recurrent.birnn_train(m, data, cfg, seed=33)
         assert trace1 == trace2
         p2 = named_arrays(t2)
         for name, a in named_arrays(t1).items():
@@ -369,4 +373,4 @@ class TestBiRnnTraining:
         data.y = data.y[:0]
         m = recurrent.init_birnn("gru", 2, 4, seed=1)
         with pytest.raises(SizeError):
-            recurrent.birnn_train(m, data, TrainConfig(epochs=1))
+            recurrent.birnn_train(m, data, training(epochs=1), seed=0)
