@@ -6,9 +6,18 @@ data pipeline for price/volume/sentiment series, and nonparametric
 statistics for comparing the models' test errors.
 """
 
+import os
+
+# one BLAS thread unless the caller set a count: `run` forks a fit worker
+# per CPU, and a threaded BLAS would oversubscribe them and change the bits
+# of the hybrid's gradients and GRNN's kernel. Set before numpy is imported.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREADS):
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+
 __version__ = "0.1.0"
 
-from .config import ExperimentConfig, load_config_file, validate_config
+from .config import load_config_file, validate_config
 from .data import (
     NormStats,
     SeriesFrame,
@@ -79,7 +88,6 @@ __all__ = [
     "DimensionError",
     "DivergenceError",
     "DomainError",
-    "ExperimentConfig",
     "FriedmanResult",
     "GrnnModel",
     "HybridModel",

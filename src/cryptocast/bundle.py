@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, check_inputs, check_setting
+from .config import check_inputs, check_setting
 from .data import NormStats
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .jsonio import dumps_canonical
@@ -48,12 +48,13 @@ class ModelBundle:
     stats: NormStats
 
 
-def model_bundle(cfg: ExperimentConfig, stats: NormStats, kind: str, model,
+def model_bundle(cfg: dict, stats: NormStats, kind: str, model,
                  hyperparameters: dict) -> ModelBundle:
+    data = cfg["data"]
     return ModelBundle(
-        kind=kind, model=model, hyperparameters=hyperparameters, window=cfg.window,
-        feature_columns=list(cfg.data.feature_columns), target_column=cfg.data.target_column,
-        compose_fgi=cfg.data.compose_fgi, fgi_weights=list(cfg.data.fgi_weights), stats=stats,
+        kind=kind, model=model, hyperparameters=hyperparameters, window=cfg["window"],
+        feature_columns=list(data["feature_columns"]), target_column=data["target_column"],
+        compose_fgi=data["compose_fgi"], fgi_weights=list(data["fgi_weights"]), stats=stats,
     )
 
 

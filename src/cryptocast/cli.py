@@ -11,6 +11,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -34,9 +35,8 @@ from .pipeline import (
     csv_text,
     emit_artifacts,
     loss_csv,
-    predict_windows,
+    predict_prices,
     prepare_data,
-    report_json_dict,
     run_experiment,
     train_model,
 )
@@ -110,13 +110,13 @@ def _load_config(args):
     cfg = load_config_file(args.config)
     if args.seed is None:
         return cfg
-    return validate_config({**cfg.to_json_dict(), "output_dir": cfg.output_dir, "seed": args.seed})
+    return validate_config({**cfg, "seed": args.seed})
 
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     prepared = prepare_data(cfg)
-    model, trace, hyper = train_model(args.model, cfg, prepared, Rng(cfg.seed))
+    model, trace, hyper = train_model(args.model, cfg, prepared, Rng(cfg["seed"]))
     save_bundle(model_bundle(cfg, prepared.stats, args.model, model, hyper), args.out)
     print(f"trained {args.model} on {len(prepared.train_windows)} windows; "
           f"bundle written to {args.out}")
@@ -134,12 +134,7 @@ def _cmd_predict(args) -> int:
     frame = frame.select(bundle.feature_columns)
     normalized = dataio.apply_minmax(frame, bundle.stats)
     ws = dataio.make_windows(normalized, bundle.window, bundle.target_column)
-    raw = predict_windows(bundle.kind, bundle.model, ws)
-    predicted = dataio.invert_minmax(raw, bundle.target_column, bundle.stats)
-    finite = np.isfinite(predicted)
-    if not finite.all():
-        date = ws.target_dates[int(np.argmin(finite))]
-        raise NumericalError(f"non-finite prediction for {date.isoformat()}")
+    predicted = predict_prices(bundle.kind, bundle.model, ws, bundle.target_column, bundle.stats)
     actual = dataio.invert_minmax(ws.y, bundle.target_column, bundle.stats)
     # tolist() gives Python floats, whose repr is the cell text
     rows = [[date.isoformat(), repr(act), repr(pred)]
@@ -153,9 +148,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     frame = _load_predictions(args.predictions)
     m = compute_metrics(frame.column("actual"), frame.column("predicted"))
-    doc = {"mse": m.mse, "rmse": m.rmse, "mae": m.mae,
-           "mape_percent": m.mape_percent, "n": m.n}
-    text = dumps_canonical(doc)
+    text = dumps_canonical(asdict(m))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -168,15 +161,15 @@ def _cmd_evaluate(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if args.out:
-        cfg.output_dir = args.out
+        cfg["output_dir"] = args.out
     result = run_experiment(cfg)
     bundles = {}
     if args.save_models:
         bundles = {f"model_{kind}.json": bundle_bytes(model_bundle(
             cfg, result.prepared.stats, kind, run.model, run.hyperparameters))
             for kind, run in result.runs.items()}
-    manifest = emit_artifacts(result, cfg.output_dir, bundles)
-    print(f"run complete: {len(manifest['files'])} artifacts in {cfg.output_dir}")
+    manifest = emit_artifacts(result, cfg["output_dir"], bundles)
+    print(f"run complete: {len(manifest['files'])} artifacts in {cfg['output_dir']}")
     for kind in MODEL_ORDER:
         m = result.runs[kind].metrics
         print(f"  {kind:8s} rmse={m.rmse:.6g} mae={m.mae:.6g} mape={m.mape_percent:.4g}%")
@@ -224,9 +217,8 @@ def cmd_compare(paths: list[str], names: list[str] | None = None, alpha: float =
 
 def _cmd_compare(args) -> int:
     report = cmd_compare(args.inputs, args.names, args.alpha)
-    doc = report_json_dict(report)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(doc) + "\n")
+        fh.write(dumps_canonical(asdict(report)) + "\n")
     print(f"wrote comparison report to {args.out}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -240,8 +232,9 @@ def _cmd_compare(args) -> int:
 def _cmd_report(args) -> int:
     # a missing data file stays a data error, raised by load_series
     cfg = load_config_file(os.path.join(args.run_dir, "config.resolved.json"), check_files=False)
-    frame = dataio.with_composed_fgi(dataio.load_series(cfg.data.path), cfg.data.compose_fgi,
-                                     cfg.data.fgi_weights)
+    data = cfg["data"]
+    frame = dataio.with_composed_fgi(dataio.load_series(data["path"]), data["compose_fgi"],
+                                     data["fgi_weights"])
     fgi_by_date = {}
     if "fgi" in frame.columns:
         fgi = frame.column("fgi")

@@ -12,7 +12,6 @@ import json
 import operator
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from .data import check_fgi_weights
 from .errors import ConfigError, DomainError
@@ -101,38 +100,11 @@ def check_inputs(features: list[str], target: str, fgi_weights: list[float]) -> 
         raise ConfigError(str(exc)) from None
 
 
-@dataclass
-class DataConfig:
-    path: str
-    scenario: str
-    feature_columns: list[str]
-    target_column: str
-    compose_fgi: bool
-    fgi_weights: list[float]
-
-
-@dataclass
-class ExperimentConfig:
-    data: DataConfig
-    split_ratio: float
-    window: int
-    test_windows: str
-    seed: int
-    interval_level: float
-    alpha: float
-    output_dir: str
-    models: dict[str, dict]  # kind -> resolved section of the schema
-
-    def to_json_dict(self) -> dict:
-        # the output directory names where artifacts land, not what the experiment
-        # is; the snapshot must be byte-identical across reruns to any destination
-        return {key: v for key, v in asdict(self).items() if key != "output_dir"}
-
-
-def validate_config(raw: dict | str, base_dir: str = ".",
-                    check_files: bool = True) -> ExperimentConfig:
-    """Turn a raw JSON document (text or parsed dict) into a fully-defaulted
-    ExperimentConfig, rejecting unknown keys and inconsistent dimensions."""
+def validate_config(raw: dict | str, base_dir: str = ".", check_files: bool = True) -> dict:
+    """The resolved document of a raw JSON one (text or parsed dict): every
+    schema key present, defaults filled in, `data.feature_columns` filled
+    from the scenario and a relative `data.path` joined to `base_dir`.
+    Unknown keys and inconsistent dimensions are rejected."""
     if isinstance(raw, str):
         try:
             raw = json.loads(raw)
@@ -149,10 +121,10 @@ def validate_config(raw: dict | str, base_dir: str = ".",
     check_inputs(features, data["target_column"], data["fgi_weights"])
     # checked up front so bad configs never reach training
     check_shape(doc["models"]["hybrid"])
-    return ExperimentConfig(**{**doc, "data": DataConfig(**data)})
+    return doc
 
 
-def load_config_file(path: str, check_files: bool = True) -> ExperimentConfig:
+def load_config_file(path: str, check_files: bool = True) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -7,15 +7,16 @@ from __future__ import annotations
 import csv
 import io
 import os
+import shutil
+import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import data as dataio
-from .config import ExperimentConfig
-from .errors import CryptocastError, SizeError
+from .errors import CryptocastError, NumericalError, SizeError
 from .hybrid import hybrid_forward_batch, hybrid_template, hybrid_train, init_hybrid
 from .jsonio import dumps_canonical, sha256_hex
 from .kernels import (GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit,
@@ -130,7 +131,7 @@ class ModelRun:
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
+    config: dict  # the resolved document
     prepared: PreparedData
     runs: dict[str, ModelRun]
     report: ComparisonReport
@@ -138,30 +139,31 @@ class RunResult:
     test_dates: list
 
 
-def prepare_data(cfg: ExperimentConfig) -> PreparedData:
+def prepare_data(cfg: dict) -> PreparedData:
+    data = cfg["data"]
     with _stage("ingest"):
-        frame = dataio.load_series(cfg.data.path)
-        frame = dataio.with_composed_fgi(frame, cfg.data.compose_fgi, cfg.data.fgi_weights)
-        frame = frame.select(cfg.data.feature_columns)
+        frame = dataio.load_series(data["path"])
+        frame = dataio.with_composed_fgi(frame, data["compose_fgi"], data["fgi_weights"])
+        frame = frame.select(data["feature_columns"])
     with _stage("split"):
-        train, test = dataio.chronological_split(frame, cfg.split_ratio)
+        train, test = dataio.chronological_split(frame, cfg["split_ratio"])
     with _stage("normalize"):
         stats = dataio.fit_minmax(train)
         normalized = dataio.apply_minmax(frame, stats)
     with _stage("window"):
-        target = cfg.data.target_column
-        train_windows = dataio.make_windows(normalized.slice_rows(0, len(train)), cfg.window, target)
-        test_windows = dataio.build_eval_windows(normalized, len(train), cfg.window, target,
-                                                 cfg.test_windows)
+        target, window = data["target_column"], cfg["window"]
+        train_windows = dataio.make_windows(normalized.slice_rows(0, len(train)), window, target)
+        test_windows = dataio.build_eval_windows(normalized, len(train), window, target,
+                                                 cfg["test_windows"])
     return PreparedData(frame=frame, train=train, test=test, stats=stats,
                         train_windows=train_windows, test_windows=test_windows)
 
 
-def train_model(kind: str, cfg: ExperimentConfig, prepared: PreparedData,
+def train_model(kind: str, cfg: dict, prepared: PreparedData,
                 master: Rng):
     """Fit one model kind on the training windows; returns (model, trace,
     hyperparameters)."""
-    hyper = dict(cfg.models[kind])
+    hyper = dict(cfg["models"][kind])
     return (*MODELS[kind].fit(hyper, prepared.train_windows, master.derive(kind).seed), hyper)
 
 
@@ -170,18 +172,28 @@ def predict_windows(kind: str, model, ws: dataio.WindowSet) -> np.ndarray:
     return MODELS[kind].predict(model, ws)
 
 
-def _fit(kind: str, cfg: ExperimentConfig, prepared: PreparedData):
+def predict_prices(kind: str, model, ws: dataio.WindowSet, target: str,
+                   stats: dataio.NormStats) -> np.ndarray:
+    """Predictions for a window set in price units. A non-finite one raises
+    NumericalError naming the first date it predicts."""
+    predicted = dataio.invert_minmax(predict_windows(kind, model, ws), target, stats)
+    finite = np.isfinite(predicted)
+    if not finite.all():
+        date = ws.target_dates[int(np.argmin(finite))]
+        raise NumericalError(f"non-finite prediction for {date.isoformat()}")
+    return predicted
+
+
+def _fit(kind: str, cfg: dict, prepared: PreparedData):
     """Train one kind and predict its train and test windows; returns (model,
     trace, hyperparameters, train predictions, test predictions), the
     predictions in price units."""
-    target, stats = cfg.data.target_column, prepared.stats
+    target, stats = cfg["data"]["target_column"], prepared.stats
     with _stage(f"train:{kind}"):
-        model, trace, hyper = train_model(kind, cfg, prepared, Rng(cfg.seed))
+        model, trace, hyper = train_model(kind, cfg, prepared, Rng(cfg["seed"]))
     with _stage(f"predict:{kind}"):
-        train_pred = dataio.invert_minmax(
-            predict_windows(kind, model, prepared.train_windows), target, stats)
-        test_pred = dataio.invert_minmax(
-            predict_windows(kind, model, prepared.test_windows), target, stats)
+        train_pred = predict_prices(kind, model, prepared.train_windows, target, stats)
+        test_pred = predict_prices(kind, model, prepared.test_windows, target, stats)
     return model, trace, hyper, train_pred, test_pred
 
 
@@ -190,7 +202,7 @@ def _fit(kind: str, cfg: ExperimentConfig, prepared: PreparedData):
 FIT_ORDER = tuple(reversed(MODEL_ORDER))
 
 
-def _claimed_fits(counter, cfg: ExperimentConfig, prepared: PreparedData):
+def _claimed_fits(counter, cfg: dict, prepared: PreparedData):
     """(kind, fit or the exception it raised) for each kind in FIT_ORDER this
     process claims from the counter it shares with the other workers."""
     while True:
@@ -212,7 +224,7 @@ class HelperTraceback(Exception):
     traceback as text, which pickling the exception drops."""
 
 
-def _helper(counter, results, cfg: ExperimentConfig, prepared: PreparedData) -> None:
+def _helper(counter, results, cfg: dict, prepared: PreparedData) -> None:
     import traceback
 
     # the queue's feeder thread writes each result while the next fit runs
@@ -223,7 +235,7 @@ def _helper(counter, results, cfg: ExperimentConfig, prepared: PreparedData) -> 
         results.put((kind, outcome, helper_traceback))
 
 
-def _fit_all(cfg: ExperimentConfig, prepared: PreparedData) -> dict:
+def _fit_all(cfg: dict, prepared: PreparedData) -> dict:
     """{kind: _fit(kind, ...)} for every kind. The process is worker 0 and
     forks one helper per further CPU it may run on, up to one worker per
     kind; the workers claim kinds from one shared counter. Helpers send their
@@ -284,9 +296,9 @@ def _fit_all(cfg: ExperimentConfig, prepared: PreparedData) -> dict:
     return outcomes
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunResult:
+def run_experiment(cfg: dict) -> RunResult:
     prepared = prepare_data(cfg)
-    target = cfg.data.target_column
+    target = cfg["data"]["target_column"]
     stats = prepared.stats
 
     train_actual = dataio.invert_minmax(prepared.train_windows.y, target, stats)
@@ -300,7 +312,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         model, trace, hyper, train_pred, test_pred = fits[kind]
         with _stage(f"evaluate:{kind}"):
             residuals = train_actual - train_pred
-            band = prediction_interval(residuals, test_pred, cfg.interval_level)
+            band = prediction_interval(residuals, test_pred, cfg["interval_level"])
             metrics = compute_metrics(test_actual, test_pred)
         runs[kind] = ModelRun(
             kind=kind, model=model, hyperparameters=hyper, loss_trace=trace,
@@ -310,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     with _stage("compare"):
         abs_errors = {kind: np.abs(test_actual - runs[kind].test_pred)
                       for kind in MODEL_ORDER}
-        report = compare_models(abs_errors, alpha=cfg.alpha)
+        report = compare_models(abs_errors, alpha=cfg["alpha"])
 
     return RunResult(
         config=cfg, prepared=prepared, runs=runs, report=report,
@@ -364,35 +376,12 @@ def loss_csv(trace: list[float]) -> str:
     return csv_text(rows)
 
 
-def report_json_dict(report: ComparisonReport) -> dict:
-    return {
-        "models": list(report.models),
-        "alpha": report.alpha,
-        "bonferroni_m": report.bonferroni_m,
-        "friedman": {
-            "chi2": report.friedman.chi2,
-            "df": report.friedman.df,
-            "p_value": report.friedman.p_value,
-            "mean_ranks": report.friedman.mean_ranks.tolist(),
-        },
-        "pairwise": [
-            {
-                "model_1": p.model_1, "model_2": p.model_2,
-                "wilcoxon_r": p.r_stat, "n_effective": p.n_effective,
-                "p_raw": p.p_raw, "p_corrected": p.p_corrected,
-                "significant": p.significant,
-            }
-            for p in report.pairwise
-        ],
-    }
-
-
 def comparison_csv(report: ComparisonReport) -> str:
     rows = [["model_1", "model_2", "wilcoxon_r", "raw_p_value",
              "bonferroni_corrected_p_value", "significant"]]
     for p in report.pairwise:
         rows.append([
-            p.model_1, p.model_2, _float_cell(p.r_stat),
+            p.model_1, p.model_2, _float_cell(p.wilcoxon_r),
             _float_cell(p.p_raw), _float_cell(p.p_corrected),
             "TRUE" if p.significant else "FALSE",
         ])
@@ -403,10 +392,13 @@ def build_artifact_files(result: RunResult, out_dir: str) -> dict[str, bytes]:
     """All artifact files as bytes, keyed by filename, for the run directory
     `out_dir`. Content is fully deterministic for a given config and data
     file location relative to `out_dir`."""
-    snapshot = result.config.to_json_dict()
-    # relative to the run directory, where `report` resolves it, so the same
-    # run made from another directory writes the same bytes
-    snapshot["data"]["path"] = os.path.relpath(snapshot["data"]["path"], out_dir)
+    cfg = result.config
+    # the output directory names where artifacts land, not what the experiment
+    # is; the data path is relative to the run directory, where `report`
+    # resolves it. So the same run made to or from another directory writes
+    # the same bytes
+    snapshot = {key: value for key, value in cfg.items() if key != "output_dir"}
+    snapshot["data"] = {**cfg["data"], "path": os.path.relpath(cfg["data"]["path"], out_dir)}
     files: dict[str, bytes] = {}
     files["config.resolved.json"] = (dumps_canonical(snapshot) + "\n").encode("utf-8")
     files["metrics.csv"] = metrics_csv(result).encode("utf-8")
@@ -415,8 +407,7 @@ def build_artifact_files(result: RunResult, out_dir: str) -> dict[str, bytes]:
         trace = result.runs[kind].loss_trace
         if trace is not None:
             files[f"loss_{kind}.csv"] = loss_csv(trace).encode("utf-8")
-    files["stats.json"] = (
-        dumps_canonical(report_json_dict(result.report)) + "\n").encode("utf-8")
+    files["stats.json"] = (dumps_canonical(asdict(result.report)) + "\n").encode("utf-8")
     files["comparison.csv"] = comparison_csv(result.report).encode("utf-8")
     return files
 
@@ -424,31 +415,25 @@ def build_artifact_files(result: RunResult, out_dir: str) -> dict[str, bytes]:
 def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | None = None) -> dict:
     """Write all artifact files, and the `extra` files (such as model
     bundles) keyed by filename, then a manifest of the sha256 digests of
-    them all. On failure every file written so far is removed."""
+    them all. Every file is written into a staging directory inside
+    `out_dir` and moved into place, manifest last, only once all are
+    written, so a failed write leaves a previous run's files as they were."""
     files = {**build_artifact_files(result, out_dir), **(extra or {})}
     manifest = {
         "format": "run-manifest/1",
         "files": {name: "sha256:" + sha256_hex(content)
                   for name, content in sorted(files.items())},
     }
+    files["manifest.json"] = (dumps_canonical(manifest) + "\n").encode("utf-8")
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
     try:
-        for name, content in sorted(files.items()):
-            path = os.path.join(out_dir, name)
-            written.append(path)
-            with open(path, "wb") as fh:
+        for name, content in files.items():
+            with open(os.path.join(staging, name), "wb") as fh:
                 fh.write(content)
-        manifest_path = os.path.join(out_dir, "manifest.json")
-        written.append(manifest_path)
-        with open(manifest_path, "wb") as fh:
-            fh.write((dumps_canonical(manifest) + "\n").encode("utf-8"))
-    except BaseException:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        raise
+        for name in files:
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return manifest
 

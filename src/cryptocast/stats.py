@@ -261,7 +261,7 @@ def standard_normal_tail(x: float) -> float:
 class PairwiseComparison:
     model_1: str
     model_2: str
-    r_stat: float
+    wilcoxon_r: float
     n_effective: int
     p_raw: float
     p_corrected: float
@@ -294,7 +294,7 @@ def compare_models(abs_errors: dict[str, np.ndarray], alpha: float = 0.05) -> Co
             corrected = bonferroni_adjust([res.p_value], m_comparisons)[0]
             pairwise.append(PairwiseComparison(
                 model_1=models[i], model_2=models[j],
-                r_stat=res.r_stat, n_effective=res.n_effective,
+                wilcoxon_r=res.r_stat, n_effective=res.n_effective,
                 p_raw=res.p_value, p_corrected=corrected,
                 significant=corrected < alpha,
             ))

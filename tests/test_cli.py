@@ -185,6 +185,16 @@ class TestRun:
         snapshot = json.loads((tmp_path / "from_file" / "config.resolved.json").read_text())
         assert snapshot["seed"] == 5
 
+    def test_seed_override_leaves_the_loaded_config_unchanged(self, small_config_file,
+                                                              monkeypatch):
+        loaded = []
+        monkeypatch.setattr(cli, "load_config_file",
+                            lambda path: loaded.append(load_config_file(path)) or loaded[-1])
+        args = cli.build_parser().parse_args(["run", "--config", small_config_file,
+                                              "--seed", "5"])
+        assert cli._load_config(args)["seed"] == 5
+        assert loaded == [load_config_file(small_config_file)]
+
     def test_numerical_divergence_exits_4(self, small_config_file, monkeypatch):
         def explode(cfg):
             raise NumericalError("non-finite loss at epoch 3")
@@ -216,6 +226,31 @@ class TestRunFromTwoDirectories:
         (homes[1] / "series.csv").unlink()
         assert run_cli("report", "--run-dir", str(runs[0]), "--out", "plot.csv") == 0
         assert run_cli("report", "--run-dir", str(runs[1]), "--out", "plot.csv") == 3
+
+
+class TestBlasThreads:
+    BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def test_unset_thread_count_writes_the_pinned_bytes(self, tmp_path):
+        # a threaded BLAS splits the hybrid's gradient GEMMs otherwise, and
+        # with two or more CPUs the bits of the run change
+        dataio.write_series_csv(dataio.synthesize_series(7, 200), tmp_path / "s.csv")
+        (tmp_path / "c.json").write_text(json.dumps({"data": {"path": "s.csv"}, "window": 5,
+                                                     "models": {kind: {"epochs": 1} for kind in
+                                                                ("bilstm", "bigru", "hybrid")}}))
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = {key: value for key, value in os.environ.items() if key not in self.BLAS_THREADS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        manifests = []
+        for name, pinned in (("unset", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+            subprocess.run([sys.executable, "-m", "cryptocast", "run", "--config", "c.json",
+                            "--out", name], cwd=tmp_path, env={**env, **pinned},
+                           capture_output=True, check=True,
+                           # at most two CPUs, and so at most two BLAS threads
+                           preexec_fn=lambda: os.sched_setaffinity(
+                               0, sorted(os.sched_getaffinity(0))[:2]))
+            manifests.append((tmp_path / name / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
 
 class TestRunOnSeveralCpus:
@@ -776,6 +811,23 @@ class TestNonFinitePrediction:
         assert code == 4
         assert capsys.readouterr().err == (f"numerical error: non-finite prediction for "
                                            f"{frame.dates[41].isoformat()}\n")
+        assert not out.exists()
+
+    def test_run_exits_4_naming_the_kind_and_the_first_date(self, tmp_path, capsys):
+        # the same spike in a test row: the hybrid's predictions turn NaN in
+        # its predict stage, before compare sees a non-finite error
+        frame = dataio.synthesize_series(7, 120)
+        values = frame.values.copy()
+        values[110, frame.columns.index("close")] = 1e300
+        data, config, out = tmp_path / "spike.csv", tmp_path / "cfg.json", tmp_path / "out"
+        dataio.write_series_csv(dataio.SeriesFrame.build(frame.dates, frame.columns, values), data)
+        config.write_text(json.dumps({"data": {"path": str(data)}, "window": 5, "models": {
+            kind: {"epochs": 1} for kind in ("bilstm", "bigru", "hybrid")}}))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("run", "--config", str(config), "--out", str(out))
+        assert code == 4
+        assert capsys.readouterr().err == (f"numerical error: [stage: predict:hybrid] non-finite "
+                                           f"prediction for {frame.dates[111].isoformat()}\n")
         assert not out.exists()
 
 

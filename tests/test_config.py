@@ -18,25 +18,25 @@ def minimal(tmp_path, **overrides):
 class TestDefaults:
     def test_minimal_config_gets_all_defaults(self, tmp_path):
         cfg = validate_config(json.dumps(minimal(tmp_path)))
-        assert cfg.split_ratio == 0.8
-        assert cfg.window == 30
-        assert cfg.seed == 1234
-        assert cfg.test_windows == "strict"
-        assert cfg.interval_level == 0.95
-        assert cfg.data.feature_columns == ["close", "volume", "fgi"]
-        assert cfg.models["hybrid"]["d_model"] == 32 and cfg.models["hybrid"]["heads"] == 4
-        assert cfg.models["bilstm"]["hidden_size"] == 32
-        assert tuple(cfg.models["grnn"]["sigma_grid"]) == (0.01, 0.03, 0.1, 0.3, 1.0)
+        assert cfg["split_ratio"] == 0.8
+        assert cfg["window"] == 30
+        assert cfg["seed"] == 1234
+        assert cfg["test_windows"] == "strict"
+        assert cfg["interval_level"] == 0.95
+        assert cfg["data"]["feature_columns"] == ["close", "volume", "fgi"]
+        assert cfg["models"]["hybrid"]["d_model"] == 32 and cfg["models"]["hybrid"]["heads"] == 4
+        assert cfg["models"]["bilstm"]["hidden_size"] == 32
+        assert tuple(cfg["models"]["grnn"]["sigma_grid"]) == (0.01, 0.03, 0.1, 0.3, 1.0)
 
     def test_ethereum_scenario_adds_aux_column(self, tmp_path):
         cfg = validate_config(json.dumps(minimal(
             tmp_path, data={"path": str(tmp_path / "data.csv"),
                             "scenario": "ethereum"})))
-        assert cfg.data.feature_columns == ["close", "volume", "fgi", "btc_close"]
+        assert cfg["data"]["feature_columns"] == ["close", "volume", "fgi", "btc_close"]
 
     def test_split_ratio_echoes_into_snapshot(self, tmp_path):
         cfg = validate_config(json.dumps(minimal(tmp_path, split_ratio=0.8)))
-        assert cfg.to_json_dict()["split_ratio"] == 0.8
+        assert cfg["split_ratio"] == 0.8
 
 
 class TestRejection:
@@ -104,7 +104,7 @@ class TestFileLoading:
             "data": {"path": "prices.csv", "feature_columns": ["close"]},
         }))
         cfg = load_config_file(str(config_file))
-        assert cfg.data.path == str(tmp_path / "prices.csv")
+        assert cfg["data"]["path"] == str(tmp_path / "prices.csv")
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError):

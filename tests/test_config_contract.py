@@ -2,7 +2,6 @@
 agrees with a reference JSON Schema validator everywhere except the rules
 the schema cannot state."""
 
-import dataclasses
 import inspect
 import json
 import math
@@ -12,8 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cryptocast import hybrid, kernels, optim, recurrent
-from cryptocast.config import (_CHECKS, SCENARIO_FEATURES, SCHEMA, DataConfig, ExperimentConfig,
-                               check_setting, validate_config)
+from cryptocast.config import _CHECKS, SCENARIO_FEATURES, SCHEMA, check_setting, validate_config
 from cryptocast.errors import ConfigError
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -56,9 +54,8 @@ class TestSchemaFile:
             assert schema.get("additionalProperties", False) is False
             assert schema.get("$ref", "#/$defs/").startswith("#/$defs/")
 
-    def test_dataclass_fields_are_the_schema_properties(self):
-        for cls, path in ((ExperimentConfig, []), (DataConfig, ["data"])):
-            assert [f.name for f in dataclasses.fields(cls)] == list(section(path)["properties"])
+    def test_resolved_document_keys_are_the_schema_properties(self):
+        assert_schema_keys(validate_config({"data": {"path": "x.csv"}}, check_files=False))
 
     def test_default_sigma_grid_is_the_schema_default(self):
         # grnn_fit has no grid of its own (see below): a config that names
@@ -91,6 +88,13 @@ def code_rules_hold(doc: dict) -> bool:
     heads = hybrid.get("heads", default(["models", "hybrid", "heads"]))
     return (data.get("target_column", default(["data", "target_column"])) in features
             and abs(w1 + w2 - 1.0) <= 1e-9 and d_model % 2 == 0 and d_model % heads == 0)
+
+
+def assert_schema_keys(cfg):
+    """A resolved document has every top-level and `data` key of the schema,
+    and no other."""
+    assert set(cfg) == set(SCHEMA["properties"])
+    assert set(cfg["data"]) == set(section(["data"])["properties"])
 
 
 def assert_kept(raw, resolved):
@@ -183,12 +187,11 @@ class TestAgainstReference:
             assert not expected, f"rejected a valid document: {doc}"
             return
         assert expected, f"accepted an invalid document: {doc}"
-        snapshot = cfg.to_json_dict()
-        assert REFERENCE.is_valid(snapshot)
-        assert_kept({k: v for k, v in doc.items() if k not in ("data", "output_dir")},
-                    snapshot)
-        assert_kept({k: v for k, v in doc["data"].items() if k != "path"}, snapshot["data"])
-        assert validate_config(snapshot, check_files=False).to_json_dict() == snapshot
+        assert REFERENCE.is_valid(cfg)
+        assert_schema_keys(cfg)
+        assert_kept({k: v for k, v in doc.items() if k != "data"}, cfg)
+        assert_kept({k: v for k, v in doc["data"].items() if k != "path"}, cfg["data"])
+        assert validate_config(cfg, check_files=False) == cfg
 
 
 JSON = st.recursive(
@@ -206,11 +209,10 @@ class TestFuzz:
             cfg = validate_config(raw, check_files=False)
         except ConfigError:
             return
-        snapshot = cfg.to_json_dict()
-        assert isinstance(cfg, ExperimentConfig) and REFERENCE.is_valid(snapshot)
-        assert code_rules_hold(snapshot) and all(math.isfinite(x) for x in numbers(snapshot))
+        assert isinstance(cfg, dict) and REFERENCE.is_valid(cfg)
+        assert code_rules_hold(cfg) and all(math.isfinite(x) for x in numbers(cfg))
 
 
 def test_run_snapshot_round_trips(small_config_doc):
-    snapshot = validate_config(small_config_doc).to_json_dict()
-    assert validate_config(json.loads(json.dumps(snapshot))).to_json_dict() == snapshot
+    cfg = validate_config(small_config_doc)
+    assert validate_config(json.loads(json.dumps(cfg))) == cfg

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -42,20 +43,20 @@ class TestPrepareData:
         assert captured["max_date"] < min(prepared.test.dates)
 
     def test_borrow_policy_covers_all_test_rows(self, small_config):
-        small_config.test_windows = "borrow"
+        small_config["test_windows"] = "borrow"
         prepared = pipeline.prepare_data(small_config)
         assert len(prepared.test_windows) == 60
 
     def test_stage_annotation_on_bad_data(self, small_config, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("date,close,volume,fgi\n2021-01-01,oops,1,50\n")
-        small_config.data.path = str(bad)
+        small_config["data"]["path"] = str(bad)
         with pytest.raises(ParseError, match=r"stage: ingest"):
             pipeline.prepare_data(small_config)
 
     def test_fgi_composed_from_sentiment_and_trends(self, small_config, tmp_path):
         # a file without an fgi column but with its two ingredients
-        base = dataio.load_series(small_config.data.path)
+        base = dataio.load_series(small_config["data"]["path"])
         raw = dataio.SeriesFrame.build(
             base.dates, ["close", "volume", "sentiment", "trends"],
             np.column_stack([
@@ -66,7 +67,7 @@ class TestPrepareData:
         )
         path = tmp_path / "ingredients.csv"
         dataio.write_series_csv(raw, path)
-        small_config.data.path = str(path)
+        small_config["data"]["path"] = str(path)
         prepared = pipeline.prepare_data(small_config)
         assert "fgi" in prepared.frame.columns
         expected = 0.5 * ((raw.column("sentiment") + 1) / 2 * 100) \
@@ -76,10 +77,10 @@ class TestPrepareData:
     def test_single_lag_window(self, small_config):
         # window = 1 is the one-step-lag special case; the whole pipeline
         # must run on it (attention over a single timestep, one GRU step)
-        small_config.window = 1
-        small_config.models["bilstm"]["epochs"] = 3
-        small_config.models["bigru"]["epochs"] = 3
-        small_config.models["hybrid"]["epochs"] = 3
+        small_config["window"] = 1
+        small_config["models"]["bilstm"]["epochs"] = 3
+        small_config["models"]["bigru"]["epochs"] = 3
+        small_config["models"]["hybrid"]["epochs"] = 3
         result = pipeline.run_experiment(small_config)
         assert len(result.test_dates) == 59
         for kind in pipeline.MODEL_ORDER:
@@ -87,13 +88,13 @@ class TestPrepareData:
 
     def test_four_feature_scenario(self, small_config, tmp_path):
         # auxiliary price column alongside close/volume/fgi
-        base = dataio.load_series(small_config.data.path)
+        base = dataio.load_series(small_config["data"]["path"])
         enriched = base.with_column("btc_close", base.column("close") * 13.7)
         path = tmp_path / "aux.csv"
         dataio.write_series_csv(enriched, path)
-        small_config.data.path = str(path)
-        small_config.data.scenario = "ethereum"
-        small_config.data.feature_columns = ["close", "volume", "fgi", "btc_close"]
+        small_config["data"]["path"] = str(path)
+        small_config["data"]["scenario"] = "ethereum"
+        small_config["data"]["feature_columns"] = ["close", "volume", "fgi", "btc_close"]
         prepared = pipeline.prepare_data(small_config)
         assert prepared.train_windows.X.shape[2] == 4
         result = pipeline.run_experiment(small_config)
@@ -128,7 +129,7 @@ class TestModelTable:
 
     def test_every_kind_reaches_the_patched_module_globals(self, small_config, monkeypatch):
         for kind in ("bilstm", "bigru", "hybrid"):
-            small_config.models[kind]["epochs"] = 2
+            small_config["models"][kind]["epochs"] = 2
         calls = []
 
         def counting(name, fn):
@@ -142,7 +143,7 @@ class TestModelTable:
         prepared = pipeline.prepare_data(small_config)
         for kind in pipeline.MODELS:
             calls.clear()
-            model, _, _ = pipeline.train_model(kind, small_config, prepared, Rng(small_config.seed))
+            model, _, _ = pipeline.train_model(kind, small_config, prepared, Rng(small_config["seed"]))
             pipeline.predict_windows(kind, model, prepared.test_windows)
             assert set(calls) == self.REACHED[kind], kind
 
@@ -182,7 +183,7 @@ class TestRunExperiment:
 
     def test_seed_changes_results(self, small_config):
         result_a = pipeline.run_experiment(small_config)
-        small_config.seed = small_config.seed + 1
+        small_config["seed"] = small_config["seed"] + 1
         result_b = pipeline.run_experiment(small_config)
         assert not np.array_equal(result_a.runs["hybrid"].test_pred,
                                   result_b.runs["hybrid"].test_pred)
@@ -262,21 +263,37 @@ class TestArtifacts:
                     rewritten.append(",".join(parsed) + "\n")
             assert "".join(rewritten) == path.read_text(), path.name
 
-    def test_failed_emission_removes_partial_files(self, small_config, tmp_path, monkeypatch):
+    # no directory of that name exists, so writing this extra file fails
+    # once every artifact file has been written
+    UNWRITABLE = {"missing/zz.json": b"{}"}
+
+    def test_failed_emission_removes_partial_files(self, small_config, tmp_path):
         result = pipeline.run_experiment(small_config)
         out = tmp_path / "partial"
+        with pytest.raises(FileNotFoundError):
+            pipeline.emit_artifacts(result, str(out), self.UNWRITABLE)
+        assert list(out.iterdir()) == []
 
-        real_dumps = pipeline.dumps_canonical
+    def test_failed_emission_keeps_the_previous_run(self, small_config, tmp_path):
+        result = pipeline.run_experiment(small_config)
+        out = tmp_path / "previous"
+        pipeline.emit_artifacts(result, str(out))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        small_config["seed"] += 1
+        with pytest.raises(FileNotFoundError):
+            pipeline.emit_artifacts(pipeline.run_experiment(small_config), str(out),
+                                    self.UNWRITABLE)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
-        def failing_dumps(obj):
-            # the manifest is serialized last, after every artifact file has
-            # already been written; failing here exercises the cleanup path
-            if isinstance(obj, dict) and obj.get("format") == "run-manifest/1":
-                raise OSError("disk full")
-            return real_dumps(obj)
-
-        monkeypatch.setattr(pipeline, "dumps_canonical", failing_dumps)
-        with pytest.raises(OSError):
-            pipeline.emit_artifacts(result, str(out))
-        leftover = list(out.iterdir()) if out.exists() else []
-        assert leftover == []
+    def test_emission_leaves_the_config_data_path_absolute(self, small_config, tmp_path):
+        result = pipeline.run_experiment(small_config)
+        path = result.config["data"]["path"]
+        pipeline.emit_artifacts(result, str(tmp_path / "out"))
+        assert result.config["data"]["path"] == path and os.path.isabs(path)
+        # the snapshot is the config without output_dir, its data path
+        # relative to the run directory
+        snapshot = json.loads((tmp_path / "out" / "config.resolved.json").read_text())
+        expected = {key: value for key, value in result.config.items() if key != "output_dir"}
+        expected["data"] = {**result.config["data"],
+                            "path": os.path.relpath(path, tmp_path / "out")}
+        assert snapshot == expected
