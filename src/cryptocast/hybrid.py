@@ -10,7 +10,7 @@ All gradients are hand-derived and validated against finite differences;
 there is no autodiff here.
 
 Every pass computes in the dtype of the model's arrays. Training steps run
-in float32, on a float32 copy of the float64 model (`optim.float32_loss_grad`);
+in float32, on a float32 copy of the float64 model (`optim.run_adam_training`);
 the trained model, and so every inference pass, is float64.
 """
 
@@ -26,8 +26,8 @@ from .data import WindowSet
 from .errors import ConfigError, DimensionError
 from .ops import (Buffers, blocks, buffers_for, layer_norm_backward, layer_norm_with_cache,
                   softmax_backward, softmax_rows, sum_leading, xavier)
-from .optim import float32_loss_grad, run_adam_training
-from .params import copy_arrays, named_arrays, zeros_like
+from .optim import run_adam_training
+from .params import named_arrays, zeros_like
 from .recurrent import (CELLS, CellParams, cell_template, init_cell, run_states,
                         sequence_backward, sequence_forward)
 from .rng import Rng
@@ -341,11 +341,6 @@ def hybrid_loss_and_grads(m: HybridModel, X: np.ndarray, y: np.ndarray,
 
 
 def hybrid_train(m: HybridModel, data: WindowSet, hyper: dict, seed: int):
-    """Adam training through the whole stack under the `epochs`, `lr` and
-    `batch_size` of `hyper`, each step in float32 against the float64
-    weights; returns (trained float64 copy, trace). The activation buffers
-    live exactly as long as this call."""
-    model = copy_arrays(m)
-    loss_grad = float32_loss_grad(model, hybrid_loss_and_grads, data)
-    trace = run_adam_training(named_arrays(model), loss_grad, len(data), hyper, seed)
-    return model, trace
+    """Adam training through the whole stack under `hyper` (`optim.run_adam_training`);
+    returns (trained float64 copy, loss per epoch)."""
+    return run_adam_training(m, hybrid_loss_and_grads, data, hyper, seed)

@@ -7,7 +7,7 @@ its (m, v) moment arrays, so a step allocates only its temporaries.
 The neural kinds train in mixed precision (Micikevicius et al., arXiv
 1710.03740): the model's arrays, Adam and its moments are float64, and each
 step's loss and gradients are computed in float32 on a copy of the model
-refreshed from those arrays (`float32_loss_grad`).
+refreshed from those arrays (`run_adam_training`).
 """
 
 from __future__ import annotations
@@ -51,21 +51,24 @@ def adam_step(params: dict, grads: dict, moments: dict, t: int, lr: float) -> No
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
-def run_adam_training(params: dict, loss_grad, n_samples: int, hyper: dict,
-                      seed: int) -> list[float]:
-    """Drive Adam over `loss_grad(idx) -> (loss, grads)`, training the
-    arrays in `params` in place, for the `epochs` at rate `lr` that `hyper`
-    (a resolved `models.<kind>` section) sets.
-
-    `params` and `grads` map parameter names to arrays; `loss_grad` reads the
-    current values from the arrays themselves. `idx` is the integer index
-    array of the samples to use this step. Full-batch when `batch_size` is
-    0, otherwise mini-batches shuffled from `seed`. A non-finite loss or
-    gradient raises DivergenceError naming the epoch. Returns the per-epoch
-    loss.
-    """
+def run_adam_training(model, loss_and_grads, data, hyper: dict, seed: int):
+    """Adam on a copy of `model` over the windows of `data` (a `WindowSet`)
+    for the `epochs` at rate `lr` of `hyper`, a resolved `models.<kind>`
+    section: full-batch when `batch_size` is 0, otherwise mini-batches
+    shuffled from `seed`. Each step refreshes the float32 twin of the copy
+    and takes `loss_and_grads(twin, X, y, buffers=...)` on its windows,
+    which that function casts to float32 one batch at a time; the twin and
+    its buffers live as long as this call. A non-finite loss or gradient
+    raises DivergenceError naming the epoch. Returns (trained float64 copy,
+    loss per epoch); `model` is left as it was."""
+    n_samples = len(data)
     if n_samples < 1:
         raise SizeError("training requires at least one sample")
+    model = map_arrays(model, lambda name, a: a.copy())
+    params = named_arrays(model)
+    twin = map_arrays(model, lambda name, a: a.astype(np.float32))
+    working = named_arrays(twin)
+    buffers = Buffers(np.float32)
     moments = {name: (np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
     rng = Rng(seed)
     batch_size, lr = hyper["batch_size"], hyper["lr"]
@@ -77,7 +80,10 @@ def run_adam_training(params: dict, loss_grad, n_samples: int, hyper: dict,
         step = n_samples if full_batch else batch_size
         losses = []
         for start in range(0, n_samples, step):
-            loss, grads = loss_grad(order[start:start + step])
+            idx = order[start:start + step]
+            for name, p in params.items():
+                np.copyto(working[name], p)
+            loss, grads = loss_and_grads(twin, data.X[idx], data.y[idx], buffers=buffers)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             for name in params:
@@ -87,25 +93,4 @@ def run_adam_training(params: dict, loss_grad, n_samples: int, hyper: dict,
             adam_step(params, grads, moments, t, lr)
             losses.append(float(loss))
         trace.append(losses[0] if full_batch else float(np.mean(losses)))
-    return trace
-
-
-def float32_loss_grad(model, loss_and_grads, data):
-    """`loss_grad(idx)` for `run_adam_training` over the float64 arrays of
-    `model`: each call copies them into a float32 twin of the model and
-    returns `loss_and_grads(twin, X, y, buffers=...)` on the windows `idx`
-    of `data`, so the loss and gradients are float32. `loss_and_grads`
-    casts each gathered batch to the twin's dtype, so no float32 copy of
-    the whole window set is kept; the twin and its activation buffers live
-    as long as the returned function."""
-    master = named_arrays(model)
-    twin = map_arrays(model, lambda name, a: a.astype(np.float32))
-    working = named_arrays(twin)
-    buffers = Buffers(np.float32)
-
-    def loss_grad(idx):
-        for name, a in master.items():
-            np.copyto(working[name], a)
-        return loss_and_grads(twin, data.X[idx], data.y[idx], buffers=buffers)
-
-    return loss_grad
+    return model, trace

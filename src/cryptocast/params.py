@@ -41,11 +41,6 @@ def named_arrays(obj) -> dict[str, np.ndarray]:
     return out
 
 
-def copy_arrays(obj):
-    """Copy of `obj` with its own copy of every parameter array."""
-    return map_arrays(obj, lambda name, a: a.copy())
-
-
 def zeros_like(obj):
     """Copy of `obj` with every parameter zeroed: a gradient accumulator."""
     return map_arrays(obj, lambda name, a: np.zeros_like(a))

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -412,12 +414,26 @@ def build_artifact_files(result: RunResult, out_dir: str) -> dict[str, bytes]:
     return files
 
 
+def _listed_files(out_dir: str) -> dict:
+    """Digest by name of each file the `run-manifest/1` in `out_dir` lists."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json"), "rb") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        return {}
+    manifest = isinstance(doc, dict) and doc.get("format") == "run-manifest/1"
+    return doc["files"] if manifest and isinstance(doc.get("files"), dict) else {}
+
+
 def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | None = None) -> dict:
     """Write all artifact files, and the `extra` files (such as model
     bundles) keyed by filename, then a manifest of the sha256 digests of
     them all. Every file is written into a staging directory inside
     `out_dir` and moved into place, manifest last, only once all are
-    written, so a failed write leaves a previous run's files as they were."""
+    written, so a failed write leaves a previous run's files as they were.
+    Then each plain file name the previous manifest lists and this run did
+    not write is removed if it still holds the listed content."""
+    listed = _listed_files(out_dir)
     files = {**build_artifact_files(result, out_dir), **(extra or {})}
     manifest = {
         "format": "run-manifest/1",
@@ -435,5 +451,11 @@ def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | No
             os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+    for name in listed.keys() - files.keys():
+        path = os.path.join(out_dir, name)
+        with suppress(OSError):
+            if (name == os.path.basename(name) and name not in ("", ".", "..")
+                    and listed[name] == "sha256:" + sha256_hex(Path(path).read_bytes())):
+                os.remove(path)
     return manifest
 

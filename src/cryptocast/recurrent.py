@@ -35,7 +35,7 @@ activations live in arrays a training run reuses from call to call
 (`ops.Buffers`). Inference keeps only the running state.
 
 Every pass computes in the dtype of the model's arrays. Training steps run
-in float32, on a float32 copy of the float64 model (`optim.float32_loss_grad`);
+in float32, on a float32 copy of the float64 model (`optim.run_adam_training`);
 the trained model, and so every inference pass, is float64.
 """
 
@@ -50,8 +50,8 @@ import numpy as np
 from .data import WindowSet
 from .errors import ConfigError, DimensionError
 from .ops import Buffers, blocks, buffers_for, sigmoid, xavier
-from .optim import float32_loss_grad, run_adam_training
-from .params import copy_arrays, named_arrays
+from .optim import run_adam_training
+from .params import named_arrays
 from .rng import Rng
 
 
@@ -331,11 +331,6 @@ def birnn_loss_and_grads(m: BiRnnModel, X: np.ndarray, y: np.ndarray,
 
 
 def birnn_train(m: BiRnnModel, data: WindowSet, hyper: dict, seed: int):
-    """Full BPTT training with Adam under the `epochs`, `lr` and
-    `batch_size` of `hyper`, each step in float32 against the float64
-    weights; returns (trained float64 copy, loss per epoch). The activation
-    buffers live exactly as long as this call."""
-    model = copy_arrays(m)
-    loss_grad = float32_loss_grad(model, birnn_loss_and_grads, data)
-    trace = run_adam_training(named_arrays(model), loss_grad, len(data), hyper, seed)
-    return model, trace
+    """Full BPTT training with Adam under `hyper` (`optim.run_adam_training`);
+    returns (trained float64 copy, loss per epoch)."""
+    return run_adam_training(m, birnn_loss_and_grads, data, hyper, seed)

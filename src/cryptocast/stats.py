@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, NumericalError, SizeError
 
 EXACT_WILCOXON_LIMIT = 25
 
@@ -26,7 +26,8 @@ class MetricReport:
 def compute_metrics(y, yhat) -> MetricReport:
     """MSE, RMSE, MAE, and MAPE (in percent) of predictions against actuals.
 
-    MAPE divides by the actual values, so every actual must be nonzero.
+    MAPE divides by the actual values, so every actual must be nonzero. The
+    first metric that is not finite raises NumericalError naming it.
     """
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -38,13 +39,17 @@ def compute_metrics(y, yhat) -> MetricReport:
         raise DomainError("MAPE undefined: at least one actual value is zero")
     err = y - yhat
     mse = float((err**2).mean())
-    return MetricReport(
+    report = MetricReport(
         mse=mse,
         rmse=float(math.sqrt(mse)),
         mae=float(np.abs(err).mean()),
         mape_percent=float((np.abs(err) / np.abs(y)).mean() * 100.0),
         n=int(y.size),
     )
+    for name, value in vars(report).items():
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite {name}: {value}")
+    return report
 
 
 @dataclass

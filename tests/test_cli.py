@@ -168,6 +168,20 @@ class TestRun:
         path.write_text(json.dumps(small_config_doc))
         assert run_cli("run", "--config", str(path)) == 3
 
+    def test_rerun_without_save_models_removes_the_bundles(self, small_config_file, small_csv,
+                                                         tmp_path, capsys):
+        out_dir = tmp_path / "rerun"
+        assert run_cli("run", "--config", small_config_file, "--out", str(out_dir),
+                       "--save-models") == 0
+        assert run_cli("run", "--config", small_config_file, "--out", str(out_dir)) == 0
+        assert sorted(out_dir.glob("model_*.json")) == []
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["manifest.json", *json.loads((out_dir / "manifest.json").read_text())["files"]])
+        capsys.readouterr()
+        assert run_cli("predict", "--bundle", str(out_dir / "model_hybrid.json"),
+                       "--data", small_csv, "--out", str(tmp_path / "p.csv")) == 3
+        assert "cannot open bundle" in capsys.readouterr().err
+
     def test_seed_override_is_checked_like_the_config(self, small_config_file, tmp_path, capsys):
         # a negative seed would write a snapshot that report then rejects
         out_dir = tmp_path / "neg"
@@ -828,6 +842,35 @@ class TestNonFinitePrediction:
         assert code == 4
         assert capsys.readouterr().err == (f"numerical error: [stage: predict:hybrid] non-finite "
                                            f"prediction for {frame.dates[111].isoformat()}\n")
+        assert not out.exists()
+
+
+class TestOverflowingMetric:
+    def test_evaluate_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        predictions, out = tmp_path / "p.csv", tmp_path / "m.json"
+        predictions.write_text("date,actual,predicted\n2021-01-01,1.0,1e200\n"
+                               "2021-01-02,2.0,1e200\n")
+        with np.errstate(over="ignore"):
+            code = run_cli("evaluate", "--predictions", str(predictions), "--out", str(out))
+        assert code == 4
+        assert capsys.readouterr().err == "numerical error: non-finite mse: inf\n"
+        assert not out.exists()
+
+    def test_run_exits_4_naming_the_kind(self, tmp_path, capsys):
+        # every 7th close 1e160: the predictions stay finite, but their
+        # errors square past float64
+        frame = dataio.synthesize_series(7, 200)
+        values = frame.values.copy()
+        values[::7, frame.columns.index("close")] = 1e160
+        data, config, out = tmp_path / "spike.csv", tmp_path / "cfg.json", tmp_path / "out"
+        dataio.write_series_csv(dataio.SeriesFrame.build(frame.dates, frame.columns, values), data)
+        config.write_text(json.dumps({"data": {"path": str(data)}, "window": 5, "models": {
+            kind: {"epochs": 1} for kind in ("bilstm", "bigru", "hybrid")}}))
+        with np.errstate(over="ignore"):
+            code = run_cli("run", "--config", str(config), "--out", str(out))
+        assert code == 4
+        assert capsys.readouterr().err == ("numerical error: [stage: evaluate:rbfn] "
+                                           "non-finite mse: inf\n")
         assert not out.exists()
 
 

@@ -1,14 +1,51 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from cryptocast.config import check_setting
+from cryptocast.data import WindowSet
 from cryptocast.errors import ConfigError, DimensionError, DivergenceError
+from cryptocast.ops import Buffers
 from cryptocast.optim import adam_step, run_adam_training
 
 
 def training(**keys):
     """A resolved `models.bilstm` section: `keys` over the schema's defaults."""
     return check_setting("models.bilstm", keys, "bilstm")
+
+
+@dataclass
+class OneArray:
+    """The smallest model `run_adam_training` trains: one named array."""
+    w: np.ndarray
+
+
+def windows(n):
+    """`n` all-zero windows; the losses below read only the model."""
+    return WindowSet(X=np.zeros((n, 1, 1)), y=np.zeros(n), window=1, target_dates=[])
+
+
+def train(w, loss_grad, n, hyper, seed=0):
+    """Train `OneArray(w)` through `loss_grad(w) -> (loss, grad)` of the
+    twin's array; returns (trained w, trace). Every step is checked to
+    get the float32 twin and float32 buffers, and the given model to be
+    left bit-identical."""
+    model = OneArray(np.array(w, dtype=np.float64))
+    before = model.w.copy()
+
+    def loss_and_grads(twin, X, y, buffers):
+        assert twin.w.dtype == np.float32 and X.shape[1:] == (1, 1) and len(X) == len(y)
+        assert isinstance(buffers, Buffers) and buffers.dtype == np.float32
+        loss, grad = loss_grad(twin.w)
+        return loss, {"w": grad}
+
+    try:
+        trained, trace = run_adam_training(model, loss_and_grads, windows(n), hyper, seed)
+    finally:
+        assert model.w.dtype == np.float64 and model.w.tobytes() == before.tobytes()
+    assert trained.w.dtype == np.float64 and trained.w is not model.w
+    return trained.w, trace
 
 
 def fresh_moments(params):
@@ -90,65 +127,53 @@ def test_update_is_written_into_the_given_arrays():
 
 
 def test_training_loop_zero_epochs_is_noop():
-    params = {"w": np.array([2.0])}
-
-    def loss_grad(idx):
-        return float(params["w"][0] ** 2), {"w": 2.0 * params["w"]}
-
-    trace = run_adam_training(params, loss_grad, 4, training(epochs=0), seed=0)
-    assert params["w"][0] == 2.0
+    w, trace = train([2.0], lambda w: (float(w[0] ** 2), 2.0 * w), 4, training(epochs=0))
+    assert w[0] == 2.0
     assert trace == []
 
 
 def test_training_loop_descends_quadratic():
-    params = {"w": np.array([2.0])}
-
-    def loss_grad(idx):
-        return float(params["w"][0] ** 2), {"w": 2.0 * params["w"]}
-
-    trace = run_adam_training(params, loss_grad, 4, training(epochs=300, lr=0.05), seed=0)
-    assert abs(params["w"][0]) < 0.05
+    w, trace = train([2.0], lambda w: (float(w[0] ** 2), 2.0 * w), 4,
+                     training(epochs=300, lr=0.05))
+    assert abs(w[0]) < 0.05
     assert trace[-1] < trace[0]
 
 
 def test_divergence_error_names_epoch():
-    params = {"w": np.array([1.0])}
     calls = {"n": 0}
 
-    def loss_grad(idx):
+    def loss_grad(w):
         calls["n"] += 1
         if calls["n"] >= 3:
-            return float("nan"), {"w": np.zeros(1)}
-        return 1.0, {"w": np.zeros(1)}
+            return float("nan"), np.zeros(1)
+        return 1.0, np.zeros(1)
 
     with pytest.raises(DivergenceError, match="epoch 2"):
-        run_adam_training(params, loss_grad, 4, training(epochs=10), seed=0)
+        train([1.0], loss_grad, 4, training(epochs=10))
 
 
 def test_non_finite_gradient_names_epoch_and_parameter():
-    params = {"w": np.array([1.0]), "b": np.array([0.5, -0.5])}
     seen = []
 
-    def loss_grad(idx):
-        seen.append({name: p.copy() for name, p in params.items()})
-        b_grad = np.array([0.1, np.inf]) if len(seen) >= 2 else np.array([0.1, 0.1])
-        return 1.0, {"w": np.array([0.2]), "b": b_grad}
+    def loss_grad(w):
+        seen.append(w.copy())
+        grad = np.array([0.1, np.inf]) if len(seen) >= 2 else np.array([0.1, 0.1])
+        return 1.0, grad
 
-    with pytest.raises(DivergenceError, match=r"gradient for b at epoch 1"):
-        run_adam_training(params, loss_grad, 4, training(epochs=10), seed=0)
+    with pytest.raises(DivergenceError, match=r"gradient for w at epoch 1"):
+        train([0.5, -0.5], loss_grad, 4, training(epochs=10))
     assert len(seen) == 2
-    assert all(np.all(np.isfinite(p)) for ps in seen for p in ps.values())
+    assert all(np.all(np.isfinite(w)) for w in seen)
 
 
 def test_minibatch_mode_is_deterministic():
     out = []
     for _ in range(2):
-        params = {"w": np.array([0.0])}
-
-        def loss_grad(idx):
-            r = params["w"][0] - 3.0
-            return float(r * r), {"w": np.array([2.0 * r])}
+        def loss_grad(w):
+            r = w[0] - 3.0
+            return float(r * r), np.array([2.0 * r])
 
         cfg = training(epochs=20, lr=0.05, batch_size=2)
-        out.append((run_adam_training(params, loss_grad, 6, cfg, seed=5), params["w"][0]))
+        w, trace = train([0.0], loss_grad, 6, cfg, seed=5)
+        out.append((trace, w[0]))
     assert out[0] == out[1]

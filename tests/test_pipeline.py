@@ -285,6 +285,37 @@ class TestArtifacts:
                                     self.UNWRITABLE)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    def test_a_rerun_removes_only_unchanged_files_it_no_longer_writes(self, small_config,
+                                                                      tmp_path):
+        result = pipeline.run_experiment(small_config)
+        out = tmp_path / "rerun"
+        pipeline.emit_artifacts(result, str(out), {"model_a.json": b"a", "model_b.json": b"b"})
+        # a listed file rewritten since, a file no manifest lists and a
+        # listed name outside the directory all stay
+        (out / "model_b.json").write_bytes(b"rewritten")
+        (out / "notes.txt").write_bytes(b"mine")
+        (tmp_path / "x").write_bytes(b"outside")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"]["../x"] = "sha256:" + sha256_hex(b"outside")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        files = pipeline.emit_artifacts(result, str(out))["files"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["manifest.json", "model_b.json", "notes.txt", *files])
+        assert (out / "model_b.json").read_bytes() == b"rewritten"
+        assert (tmp_path / "x").read_bytes() == b"outside"
+
+    @pytest.mark.parametrize("previous", [b'{"format": "run-manifest/2", "files": {}}',
+                                          b"[", b"[1]"])
+    def test_a_manifest_of_another_format_removes_nothing(self, small_config, tmp_path,
+                                                          previous):
+        out = tmp_path / "rerun"
+        out.mkdir()
+        (out / "model_a.json").write_bytes(b"a")
+        listed = {"model_a.json": "sha256:" + sha256_hex(b"a")}
+        (out / "manifest.json").write_bytes(previous.replace(b"{}", json.dumps(listed).encode()))
+        pipeline.emit_artifacts(pipeline.run_experiment(small_config), str(out))
+        assert (out / "model_a.json").read_bytes() == b"a"
+
     def test_emission_leaves_the_config_data_path_absolute(self, small_config, tmp_path):
         result = pipeline.run_experiment(small_config)
         path = result.config["data"]["path"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cryptocast import data as dataio
-from cryptocast import hybrid, optim, pipeline, recurrent
+from cryptocast import hybrid, pipeline, recurrent
 from cryptocast.config import validate_config
 from cryptocast.errors import DimensionError
 from cryptocast.ops import Buffers
@@ -22,6 +22,8 @@ KINDS = {
     "hybrid": (hybrid, "hybrid_loss_and_grads", lambda k: hybrid.init_hybrid(
         {"d_model": 16, "heads": 2, "layers": 1, "d_ffn": 32, "d_gru": 16}, k, 3)),
 }
+
+TRAIN = {recurrent: recurrent.birnn_train, hybrid: hybrid.hybrid_train}
 
 
 @pytest.fixture(scope="module")
@@ -43,15 +45,16 @@ def test_float32_gradients_match_float64(kind, readme_windows, monkeypatch):
 
     def recording(*args, **kwargs):
         result = loss_and_grads(*args, **kwargs)
-        seen.append((kwargs["buffers"], result[1]))
+        seen.append((kwargs["buffers"], result))
         return result
 
     monkeypatch.setattr(module, name, recording)
-    loss32, grads32 = optim.float32_loss_grad(model, getattr(module, name), readme_windows)(
-        np.arange(len(readme_windows)))
-    buffers, returned = seen[0]
+    # the first step of a full-batch epoch computes on a float32 twin of
+    # `model` itself, over every window
+    TRAIN[module](model, readme_windows, {"epochs": 1, "lr": 1e-3, "batch_size": 0}, seed=0)
+    buffers, (loss32, grads32) = seen[0]
     assert buffers._arrays and all(a.dtype == np.float32 for a in buffers._arrays.values())
-    assert all(g.dtype == np.float32 for g in returned.values())
+    assert all(g.dtype == np.float32 for g in grads32.values())
     assert loss32 == pytest.approx(loss64, rel=1e-5)
     assert grads32.keys() == grads64.keys()
     for param, g64 in grads64.items():

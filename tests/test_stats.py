@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptocast import stats
-from cryptocast.errors import DomainError, SizeError
+from cryptocast.errors import DomainError, NumericalError, SizeError
 from cryptocast.rng import Rng
 
 
@@ -47,6 +47,14 @@ class TestMetrics:
     def test_length_mismatch(self):
         with pytest.raises(SizeError):
             stats.compute_metrics([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("y, yhat, name", [
+        ([1.0, 2.0], [1e200, 1e200], "mse: inf"),  # errors of 1e200 square past float64
+        ([5e-324, 1.0], [1.0, 1.0], "mape_percent: inf"),  # 1 / 5e-324 overflows
+    ])
+    def test_first_overflowing_metric_is_named(self, y, yhat, name):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match=f"non-finite {name}"):
+            stats.compute_metrics(y, yhat)
 
 
 class TestPredictionInterval:
