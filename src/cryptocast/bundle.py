@@ -33,29 +33,19 @@ from .pipeline import MODELS
 
 BUNDLE_FORMAT = "model-bundle/6"
 F8LE = np.dtype("<f8")
+# the config's `data` keys a bundle records at its top level
+DATA_KEYS = ("feature_columns", "target_column", "compose_fgi", "fgi_weights")
 
 
 @dataclass
 class ModelBundle:
+    """A model of `kind` and the config it was trained under, read by key: a
+    resolved config, or the `window`, DATA_KEYS and `models.<kind>` a file records."""
+
     kind: str
     model: object
-    hyperparameters: dict
-    window: int
-    feature_columns: list[str]
-    target_column: str
-    compose_fgi: bool
-    fgi_weights: list[float]
+    config: dict
     stats: NormStats
-
-
-def model_bundle(cfg: dict, stats: NormStats, kind: str, model,
-                 hyperparameters: dict) -> ModelBundle:
-    data = cfg["data"]
-    return ModelBundle(
-        kind=kind, model=model, hyperparameters=hyperparameters, window=cfg["window"],
-        feature_columns=list(data["feature_columns"]), target_column=data["target_column"],
-        compose_fgi=data["compose_fgi"], fgi_weights=list(data["fgi_weights"]), stats=stats,
-    )
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -65,24 +55,17 @@ def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes("C")).decode("ascii")}
 
 
-def bundle_to_json(b: ModelBundle) -> str:
-    return dumps_canonical({
-        "format": BUNDLE_FORMAT,
-        "model": b.kind,
-        "hyperparameters": b.hyperparameters,
-        "window": b.window,
-        "feature_columns": b.feature_columns,
-        "target_column": b.target_column,
-        "compose_fgi": b.compose_fgi,
-        "fgi_weights": b.fgi_weights,
-        "normalization": b.stats.to_json_dict(),
-        "parameters": {name: _encode_array(a) for name, a in named_arrays(b.model).items()},
-    })
-
-
 def bundle_bytes(b: ModelBundle) -> bytes:
     """The bytes of a bundle's file."""
-    return (bundle_to_json(b) + "\n").encode("utf-8")
+    return (dumps_canonical({
+        "format": BUNDLE_FORMAT,
+        "model": b.kind,
+        "hyperparameters": b.config["models"][b.kind],
+        "window": b.config["window"],
+        **{key: b.config["data"][key] for key in DATA_KEYS},
+        "normalization": b.stats.to_json_dict(),
+        "parameters": {name: _encode_array(a) for name, a in named_arrays(b.model).items()},
+    }) + "\n").encode("utf-8")
 
 
 def save_bundle(b: ModelBundle, path) -> None:
@@ -171,16 +154,12 @@ def load_bundle(path) -> ModelBundle:
     try:
         # the envelope and hyperparameters obey the config's schema and rules
         window = check_setting("window", doc["window"], "window")
-        feature_columns = check_setting("data.feature_columns", doc["feature_columns"],
-                                        "feature_columns")
-        target_column = check_setting("data.target_column", doc["target_column"],
-                                      "target_column")
-        compose_fgi = check_setting("data.compose_fgi", doc["compose_fgi"], "compose_fgi")
-        fgi_weights = check_setting("data.fgi_weights", doc["fgi_weights"], "fgi_weights")
-        check_inputs(feature_columns, target_column, fgi_weights)
+        data = {key: check_setting(f"data.{key}", doc[key], key) for key in DATA_KEYS}
+        check_inputs(data)
+        features = data["feature_columns"]
         hyper = check_setting(f"models.{kind}", doc["hyperparameters"], "hyperparameters")
         stats = NormStats.from_json_dict(doc["normalization"])
-        missing = [c for c in feature_columns if c not in stats.columns]
+        missing = [c for c in features if c not in stats.columns]
         if missing:
             raise ValueError(f"normalization lacks feature columns {missing}")
         params = doc["parameters"]
@@ -198,7 +177,7 @@ def load_bundle(path) -> ModelBundle:
             if hyper[key] > len(params):
                 raise ValueError(f"{key}={hyper[key]} needs more parameters than the "
                                  f"{len(params)} arrays the file holds")
-        template = spec.template(hyper, window, len(feature_columns))
+        template = spec.template(hyper, window, len(features))
     except KeyError as exc:
         raise DataError(f"bundle {path} lacks field {exc}") from None
     except (TypeError, ValueError, OverflowError, MemoryError, ConfigError,
@@ -209,6 +188,5 @@ def load_bundle(path) -> ModelBundle:
         model = map_arrays(template, lambda name, a: arrays[name])
     except NumericalError as exc:
         raise DataError(f"bundle {path}: {exc}") from None
-    return ModelBundle(kind=kind, model=model, hyperparameters=hyper, window=window,
-                       feature_columns=feature_columns, target_column=target_column,
-                       compose_fgi=compose_fgi, fgi_weights=fgi_weights, stats=stats)
+    return ModelBundle(kind, model, {"window": window, "data": data, "models": {kind: hyper}},
+                       stats)

@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import data as dataio
-from .bundle import bundle_bytes, load_bundle, model_bundle, save_bundle
+from .bundle import ModelBundle, bundle_bytes, load_bundle, save_bundle
 from .config import check_setting, load_config_file, validate_config
 from .errors import (
     AlignmentError,
@@ -34,11 +34,13 @@ from .pipeline import (
     comparison_csv,
     csv_text,
     emit_artifacts,
+    load_inputs,
     loss_csv,
     predict_prices,
     prepare_data,
     run_experiment,
     train_model,
+    writing,
 )
 from .rng import Rng
 from .stats import compare_models, compute_metrics
@@ -58,6 +60,12 @@ def _load_predictions(path) -> dataio.SeriesFrame:
     return frame
 
 
+def _write(path, text: str) -> None:
+    """Write one output file of a command (see `pipeline.writing`)."""
+    with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -69,26 +77,26 @@ def _cmd_synth(args) -> int:
         price_cycle=args.price_cycle, fgi_lead=args.fgi_lead,
     )
     frame = dataio.synthesize_series(args.seed, args.n, params)
-    dataio.write_series_csv(frame, args.out)
+    with writing(args.out):
+        dataio.write_series_csv(frame, args.out)
     print(f"wrote {len(frame)} rows to {args.out}")
     return EXIT_OK
 
 
 def _cmd_ingest(args) -> int:
+    window = check_setting("window", args.window, "--window")
     frame = dataio.load_series(args.data)
     print(f"{args.data}: {len(frame)} rows, "
           f"{frame.dates[0].isoformat()}..{frame.dates[-1].isoformat()}, "
           f"columns {frame.columns}")
+    if args.windows_out:
+        ws = dataio.make_windows(dataio.apply_minmax(frame, dataio.fit_minmax(frame)), window,
+                                 args.target)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(frame.to_json_dict()) + "\n")
+        _write(args.json, dumps_canonical(frame.to_json_dict()) + "\n")
         print(f"wrote frame artifact to {args.json}")
     if args.windows_out:
-        stats = dataio.fit_minmax(frame)
-        normalized = dataio.apply_minmax(frame, stats)
-        ws = dataio.make_windows(normalized, args.window, args.target)
-        with open(args.windows_out, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(ws.to_json_dict()) + "\n")
+        _write(args.windows_out, dumps_canonical(ws.to_json_dict()) + "\n")
         print(f"wrote {len(ws)} windows to {args.windows_out}")
     return EXIT_OK
 
@@ -97,7 +105,8 @@ def _cmd_fgi(args) -> int:
     frame = dataio.load_series(args.data)
     enriched = dataio.add_fgi_column(frame, args.sentiment_column, args.trends_column,
                                      args.w1, args.w2)
-    dataio.write_series_csv(enriched, args.out)
+    with writing(args.out):
+        dataio.write_series_csv(enriched, args.out)
     bands = [dataio.classify_fgi(float(v)) for v in enriched.column("fgi")]
     counts = {band: bands.count(band) for band in dataio.FGI_BANDS}
     print(f"wrote {args.out}; band counts: " +
@@ -116,31 +125,29 @@ def _load_config(args):
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     prepared = prepare_data(cfg)
-    model, trace, hyper = train_model(args.model, cfg, prepared, Rng(cfg["seed"]))
-    save_bundle(model_bundle(cfg, prepared.stats, args.model, model, hyper), args.out)
+    model, trace = train_model(args.model, cfg, prepared, Rng(cfg["seed"]))
+    with writing(args.out):
+        save_bundle(ModelBundle(args.model, model, cfg, prepared.stats), args.out)
     print(f"trained {args.model} on {len(prepared.train_windows)} windows; "
           f"bundle written to {args.out}")
     if trace is not None and args.loss_out:
-        with open(args.loss_out, "w", encoding="utf-8") as fh:
-            fh.write(loss_csv(trace))
+        _write(args.loss_out, loss_csv(trace))
         print(f"loss trace written to {args.loss_out}")
     return EXIT_OK
 
 
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.bundle)
-    frame = dataio.with_composed_fgi(dataio.load_series(args.data), bundle.compose_fgi,
-                                     bundle.fgi_weights)
-    frame = frame.select(bundle.feature_columns)
-    normalized = dataio.apply_minmax(frame, bundle.stats)
-    ws = dataio.make_windows(normalized, bundle.window, bundle.target_column)
-    predicted = predict_prices(bundle.kind, bundle.model, ws, bundle.target_column, bundle.stats)
-    actual = dataio.invert_minmax(ws.y, bundle.target_column, bundle.stats)
+    cfg, stats = bundle.config, bundle.stats
+    target = cfg["data"]["target_column"]
+    normalized = dataio.apply_minmax(load_inputs(args.data, cfg["data"]), stats)
+    ws = dataio.make_windows(normalized, cfg["window"], target)
+    predicted = predict_prices(bundle.kind, bundle.model, ws, target, stats)
+    actual = dataio.invert_minmax(ws.y, target, stats)
     # tolist() gives Python floats, whose repr is the cell text
     rows = [[date.isoformat(), repr(act), repr(pred)]
             for date, act, pred in zip(ws.target_dates, actual.tolist(), predicted.tolist())]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text([["date", "actual", "predicted"], *rows]))
+    _write(args.out, csv_text([["date", "actual", "predicted"], *rows]))
     print(f"wrote {len(ws)} predictions to {args.out}")
     return EXIT_OK
 
@@ -150,8 +157,7 @@ def _cmd_evaluate(args) -> int:
     m = compute_metrics(frame.column("actual"), frame.column("predicted"))
     text = dumps_canonical(asdict(m))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.out, text + "\n")
         print(f"wrote metrics to {args.out}")
     else:
         print(text)
@@ -165,9 +171,8 @@ def _cmd_run(args) -> int:
     result = run_experiment(cfg)
     bundles = {}
     if args.save_models:
-        bundles = {f"model_{kind}.json": bundle_bytes(model_bundle(
-            cfg, result.prepared.stats, kind, run.model, run.hyperparameters))
-            for kind, run in result.runs.items()}
+        bundles = {f"model_{kind}.json": bundle_bytes(ModelBundle(
+            kind, run.model, cfg, result.prepared.stats)) for kind, run in result.runs.items()}
     manifest = emit_artifacts(result, cfg["output_dir"], bundles)
     print(f"run complete: {len(manifest['files'])} artifacts in {cfg['output_dir']}")
     for kind in MODEL_ORDER:
@@ -207,8 +212,14 @@ def cmd_compare(paths: list[str], names: list[str] | None = None, alpha: float =
             raise AlignmentError(
                 f"{path} dates do not align with {paths[0]}: first mismatch {first_bad}"
             )
-    abs_errors = {name: np.abs(frame.column("actual") - frame.column("predicted"))
-                  for name, frame in zip(names, frames)}
+    abs_errors = {}
+    for path, name, frame in zip(paths, names, frames):
+        errors = np.abs(frame.column("actual") - frame.column("predicted"))
+        finite = np.isfinite(errors)
+        if not finite.all():
+            date = frame.dates[int(np.argmin(finite))]
+            raise NumericalError(f"{path}: non-finite absolute error for {date.isoformat()}")
+        abs_errors[name] = errors
     try:
         return compare_models(abs_errors, alpha=alpha)
     except DomainError as exc:
@@ -217,12 +228,10 @@ def cmd_compare(paths: list[str], names: list[str] | None = None, alpha: float =
 
 def _cmd_compare(args) -> int:
     report = cmd_compare(args.inputs, args.names, args.alpha)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(asdict(report)) + "\n")
+    _write(args.out, dumps_canonical(asdict(report)) + "\n")
     print(f"wrote comparison report to {args.out}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(comparison_csv(report))
+        _write(args.csv, comparison_csv(report))
         print(f"wrote pairwise table to {args.csv}")
     fr = report.friedman
     print(f"friedman chi2={fr.chi2:.4f} df={fr.df} p={fr.p_value:.4g}")
@@ -260,9 +269,8 @@ def _cmd_report(args) -> int:
                          repr(float(hi)), fgi_by_date.get(date, "")])
     if not rows:
         raise DataError(f"no predictions_*.csv files found in {args.run_dir}")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_text([["date", "series", "value", "band_lo", "band_hi", "fgi_category"],
-                           *rows]))
+    _write(args.out, csv_text([["date", "series", "value", "band_lo", "band_hi", "fgi_category"],
+                               *rows]))
     print(f"wrote {len(rows)} plot rows to {args.out}")
     return EXIT_OK
 

@@ -88,14 +88,15 @@ def check_setting(path: str, value, name: str):
     return _resolve(schema, value, name)
 
 
-def check_inputs(features: list[str], target: str, fgi_weights: list[float]) -> None:
-    """The rules on a model's inputs that JSON Schema cannot state, for a
-    config and a bundle alike: the target is a feature, and the fgi weights
-    sum to 1."""
+def check_inputs(data: dict) -> None:
+    """The rules on a model's inputs that JSON Schema cannot state, for the
+    `data` section of a config and of a bundle alike: the target is a
+    feature, and the fgi weights sum to 1."""
+    target, features = data["target_column"], data["feature_columns"]
     if target not in features:
         raise ConfigError(f"target column {target!r} must be among {features}")
     try:
-        check_fgi_weights(*fgi_weights)
+        check_fgi_weights(*data["fgi_weights"])
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -117,8 +118,8 @@ def validate_config(raw: dict | str, base_dir: str = ".", check_files: bool = Tr
         data["path"] = os.path.normpath(os.path.join(base_dir, data["path"]))
     if check_files and not os.path.exists(data["path"]):
         raise ConfigError(f"data.path {data['path']!r} does not exist")
-    features = data.setdefault("feature_columns", list(SCENARIO_FEATURES[data["scenario"]]))
-    check_inputs(features, data["target_column"], data["fgi_weights"])
+    data.setdefault("feature_columns", list(SCENARIO_FEATURES[data["scenario"]]))
+    check_inputs(data)
     # checked up front so bad configs never reach training
     check_shape(doc["models"]["hybrid"])
     return doc

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import data as dataio
-from .errors import CryptocastError, NumericalError, SizeError
+from .errors import ConfigError, CryptocastError, NumericalError, SizeError
 from .hybrid import hybrid_forward_batch, hybrid_template, hybrid_train, init_hybrid
 from .jsonio import dumps_canonical, sha256_hex
 from .kernels import (GrnnModel, RbfnModel, grnn_fit, grnn_predict_batch, rbfn_fit,
@@ -121,9 +121,7 @@ class PreparedData:
 
 @dataclass
 class ModelRun:
-    kind: str
     model: object
-    hyperparameters: dict
     loss_trace: list[float] | None
     train_pred: np.ndarray      # original scale, train windows
     test_pred: np.ndarray       # original scale, test windows
@@ -141,12 +139,18 @@ class RunResult:
     test_dates: list
 
 
+def load_inputs(path, data: dict) -> dataio.SeriesFrame:
+    """The data file at `path` as a model's inputs under a config's `data`
+    section: the fgi column composed if it asks, its feature columns selected."""
+    frame = dataio.with_composed_fgi(dataio.load_series(path), data["compose_fgi"],
+                                     data["fgi_weights"])
+    return frame.select(data["feature_columns"])
+
+
 def prepare_data(cfg: dict) -> PreparedData:
     data = cfg["data"]
     with _stage("ingest"):
-        frame = dataio.load_series(data["path"])
-        frame = dataio.with_composed_fgi(frame, data["compose_fgi"], data["fgi_weights"])
-        frame = frame.select(data["feature_columns"])
+        frame = load_inputs(data["path"], data)
     with _stage("split"):
         train, test = dataio.chronological_split(frame, cfg["split_ratio"])
     with _stage("normalize"):
@@ -161,12 +165,10 @@ def prepare_data(cfg: dict) -> PreparedData:
                         train_windows=train_windows, test_windows=test_windows)
 
 
-def train_model(kind: str, cfg: dict, prepared: PreparedData,
-                master: Rng):
-    """Fit one model kind on the training windows; returns (model, trace,
-    hyperparameters)."""
-    hyper = dict(cfg["models"][kind])
-    return (*MODELS[kind].fit(hyper, prepared.train_windows, master.derive(kind).seed), hyper)
+def train_model(kind: str, cfg: dict, prepared: PreparedData, master: Rng):
+    """Fit one model kind on the training windows; returns (model, trace)."""
+    return MODELS[kind].fit(cfg["models"][kind], prepared.train_windows,
+                            master.derive(kind).seed)
 
 
 def predict_windows(kind: str, model, ws: dataio.WindowSet) -> np.ndarray:
@@ -187,16 +189,15 @@ def predict_prices(kind: str, model, ws: dataio.WindowSet, target: str,
 
 
 def _fit(kind: str, cfg: dict, prepared: PreparedData):
-    """Train one kind and predict its train and test windows; returns (model,
-    trace, hyperparameters, train predictions, test predictions), the
-    predictions in price units."""
+    """Train one kind and predict its train and test windows in price units;
+    returns (model, trace, train predictions, test predictions)."""
     target, stats = cfg["data"]["target_column"], prepared.stats
     with _stage(f"train:{kind}"):
-        model, trace, hyper = train_model(kind, cfg, prepared, Rng(cfg["seed"]))
+        model, trace = train_model(kind, cfg, prepared, Rng(cfg["seed"]))
     with _stage(f"predict:{kind}"):
         train_pred = predict_prices(kind, model, prepared.train_windows, target, stats)
         test_pred = predict_prices(kind, model, prepared.test_windows, target, stats)
-    return model, trace, hyper, train_pred, test_pred
+    return model, trace, train_pred, test_pred
 
 
 # the hybrid's fit is the longest and the kernel kinds' the shortest, so
@@ -311,15 +312,13 @@ def run_experiment(cfg: dict) -> RunResult:
     fits = _fit_all(cfg, prepared)
     runs: dict[str, ModelRun] = {}
     for kind in MODEL_ORDER:
-        model, trace, hyper, train_pred, test_pred = fits[kind]
+        model, trace, train_pred, test_pred = fits[kind]
         with _stage(f"evaluate:{kind}"):
             residuals = train_actual - train_pred
             band = prediction_interval(residuals, test_pred, cfg["interval_level"])
             metrics = compute_metrics(test_actual, test_pred)
-        runs[kind] = ModelRun(
-            kind=kind, model=model, hyperparameters=hyper, loss_trace=trace,
-            train_pred=train_pred, test_pred=test_pred, band=band, metrics=metrics,
-        )
+        runs[kind] = ModelRun(model=model, loss_trace=trace, train_pred=train_pred,
+                              test_pred=test_pred, band=band, metrics=metrics)
 
     with _stage("compare"):
         abs_errors = {kind: np.abs(test_actual - runs[kind].test_pred)
@@ -414,6 +413,16 @@ def build_artifact_files(result: RunResult, out_dir: str) -> dict[str, bytes]:
     return files
 
 
+@contextmanager
+def writing(path):
+    """Writes to the output `path` inside the block. An output location is
+    part of the invocation, so an OSError is a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _listed_files(out_dir: str) -> dict:
     """Digest by name of each file the `run-manifest/1` in `out_dir` lists."""
     try:
@@ -432,7 +441,8 @@ def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | No
     `out_dir` and moved into place, manifest last, only once all are
     written, so a failed write leaves a previous run's files as they were.
     Then each plain file name the previous manifest lists and this run did
-    not write is removed if it still holds the listed content."""
+    not write is removed if it still holds the listed content. A directory
+    that cannot be written is a ConfigError naming it."""
     listed = _listed_files(out_dir)
     files = {**build_artifact_files(result, out_dir), **(extra or {})}
     manifest = {
@@ -441,16 +451,17 @@ def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | No
                   for name, content in sorted(files.items())},
     }
     files["manifest.json"] = (dumps_canonical(manifest) + "\n").encode("utf-8")
-    os.makedirs(out_dir, exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
-    try:
-        for name, content in files.items():
-            with open(os.path.join(staging, name), "wb") as fh:
-                fh.write(content)
-        for name in files:
-            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    with writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+        try:
+            for name, content in files.items():
+                with open(os.path.join(staging, name), "wb") as fh:
+                    fh.write(content)
+            for name in files:
+                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     for name in listed.keys() - files.keys():
         path = os.path.join(out_dir, name)
         with suppress(OSError):

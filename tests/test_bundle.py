@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import datetime as dt
+import hashlib
 import json
 import re
 
@@ -14,7 +15,7 @@ from cryptocast.cli import main as cli_main
 from cryptocast.data import NormStats, WindowSet
 from cryptocast.errors import CryptocastError, DataError
 from cryptocast.hybrid import init_hybrid
-from cryptocast.params import named_arrays
+from cryptocast.params import map_arrays, named_arrays
 from cryptocast.pipeline import MODELS, predict_windows
 from cryptocast.recurrent import init_birnn
 from cryptocast.rng import Rng
@@ -36,10 +37,11 @@ HYPER = {
 
 
 def wrap(kind, model, hyper):
+    data = {"feature_columns": ["close", "volume"], "target_column": "close",
+            "compose_fgi": True, "fgi_weights": [0.5, 0.5]}
     return bundleio.ModelBundle(
-        kind=kind, model=model, hyperparameters=hyper, window=4,
-        feature_columns=["close", "volume"], target_column="close", compose_fgi=True,
-        fgi_weights=[0.5, 0.5], stats=STATS,
+        kind=kind, model=model, config={"window": 4, "data": data, "models": {kind: hyper}},
+        stats=STATS,
     )
 
 
@@ -101,7 +103,7 @@ class TestRoundTrips:
         assert np.array_equal(predict_windows(kind, model, ws),
                               predict_windows(kind, loaded.model, ws))
         assert loaded.stats.for_column("close") == (1.0, 2.0)
-        assert loaded.window == 4
+        assert loaded.config["window"] == 4
 
     def test_predict_windows_dispatch_consistency(self, tmp_path):
         # the pipeline-level dispatcher works identically on reloaded models
@@ -117,6 +119,26 @@ class TestRoundTrips:
         )
         assert np.array_equal(predict_windows("bigru", model, ws),
                               predict_windows("bigru", loaded.model, ws))
+
+
+class TestGoldenBytes:
+    """The exact bytes of two bundles whose arrays are filled by hand from
+    their kind's template, so no training or platform arithmetic is
+    involved: a refactor of the writer must not move a byte."""
+
+    DIGESTS = {
+        "rbfn": "3e8693dc4ae09e865175d16ef60c9ae2ed491a54949549930e9c98da87c6aba3",
+        "hybrid": "ae120923ec17e39f847b31571deec235efc9091c616f9c3148de9aa8a398a716",
+    }
+
+    @pytest.mark.parametrize("kind", list(DIGESTS))
+    def test_bundle_bytes(self, kind):
+        template = MODELS[kind].template(HYPER[kind], WINDOW, INPUTS)
+        # eighths from 1/8 to 7/8: exact in binary and positive, as spreads must be
+        model = map_arrays(template, lambda name, a: (
+            (np.arange(a.size) % 7 + 1) / 8).reshape(a.shape))
+        digest = hashlib.sha256(bundleio.bundle_bytes(wrap(kind, model, HYPER[kind])))
+        assert digest.hexdigest() == self.DIGESTS[kind]
 
 
 class TestLoadTemplate:
@@ -459,7 +481,7 @@ class TestEnvelopeChecks:
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["window"] = 4.0
         path.write_text(json.dumps(doc))
-        window = bundleio.load_bundle(path).window
+        window = bundleio.load_bundle(path).config["window"]
         assert type(window) is int and window == 4
 
     def test_hybrid_window_must_match_envelope(self, tmp_path):
@@ -645,7 +667,7 @@ _BASE_TEXT = {}
 def base_text(kind):
     """A saved /6 bundle of `kind`, made once per session."""
     if kind not in _BASE_TEXT:
-        _BASE_TEXT[kind] = bundleio.bundle_to_json(wrap(kind, fitted(kind), HYPER[kind]))
+        _BASE_TEXT[kind] = bundleio.bundle_bytes(wrap(kind, fitted(kind), HYPER[kind])).decode()
     return _BASE_TEXT[kind]
 
 
@@ -727,17 +749,19 @@ class TestLoadBundleFuzz:
             b = bundleio.load_bundle(path)
         except CryptocastError:
             return
+        window, data = b.config["window"], b.config["data"]
+        features = data["feature_columns"]
         assert b.kind in MODELS
-        assert type(b.window) is int and b.window >= 1
-        assert len(set(b.feature_columns)) == len(b.feature_columns)
-        assert b.target_column in b.feature_columns
-        assert set(b.feature_columns) <= set(b.stats.columns)
+        assert type(window) is int and window >= 1
+        assert len(set(features)) == len(features)
+        assert data["target_column"] in features
+        assert set(features) <= set(b.stats.columns)
         assert np.all(np.isfinite(b.stats.mins)) and np.all(np.isfinite(b.stats.maxs))
         assert np.all(b.stats.mins < b.stats.maxs)
         arrays = named_arrays(b.model)
         spec = MODELS[b.kind]
-        expected = spec.shapes_of(spec.template(b.hyperparameters, b.window,
-                                                len(b.feature_columns)))
+        expected = spec.shapes_of(spec.template(b.config["models"][b.kind], window,
+                                                len(features)))
         assert arrays.keys() == expected.keys()
         free = {}
         for name, shape in expected.items():

@@ -56,6 +56,14 @@ class TestIngest:
         bad.write_text("date,close\n2021-01-02,1\n2021-01-01,2\n")
         assert run_cli("ingest", "--data", str(bad)) == 3
 
+    def test_window_follows_the_config_rule(self, small_csv, tmp_path, capsys):
+        # like --alpha and --seed: a config rule, so exit 2 and no file
+        out = tmp_path / "w.json"
+        assert run_cli("ingest", "--data", small_csv, "--windows-out", str(out),
+                       "--window", "0") == 2
+        assert capsys.readouterr().err == "config error: --window=0 violates minimum: 1\n"
+        assert not out.exists()
+
 
 class TestFgi:
     def test_composes_column(self, tmp_path, capsys):
@@ -748,13 +756,14 @@ class TestPredictOutput:
         assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "other")) == 0
         for kind in cli.MODELS:
             b = load_bundle(str(bundles / f"model_{kind}.json"))
-            frame = dataio.with_composed_fgi(dataio.load_series(small_csv), b.compose_fgi,
-                                             b.fgi_weights).select(b.feature_columns)
-            ws = dataio.make_windows(dataio.apply_minmax(frame, b.stats), b.window,
-                                     b.target_column)
+            data, target = b.config["data"], b.config["data"]["target_column"]
+            frame = dataio.with_composed_fgi(dataio.load_series(small_csv), data["compose_fgi"],
+                                             data["fgi_weights"]).select(data["feature_columns"])
+            ws = dataio.make_windows(dataio.apply_minmax(frame, b.stats), b.config["window"],
+                                     target)
             predicted = dataio.invert_minmax(pipeline.predict_windows(kind, b.model, ws),
-                                             b.target_column, b.stats)
-            actual = dataio.invert_minmax(ws.y, b.target_column, b.stats)
+                                             target, b.stats)
+            actual = dataio.invert_minmax(ws.y, target, b.stats)
             rows = [[d.isoformat(), repr(float(a)), repr(float(p))]
                     for d, a, p in zip(ws.target_dates, actual, predicted)]
             expected = pipeline.csv_text([["date", "actual", "predicted"], *rows])
@@ -872,6 +881,70 @@ class TestOverflowingMetric:
         assert capsys.readouterr().err == ("numerical error: [stage: evaluate:rbfn] "
                                            "non-finite mse: inf\n")
         assert not out.exists()
+
+    def test_compare_exits_4_naming_the_file_and_date(self, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows to inf, as in `evaluate`
+        rows = "".join(f"2021-01-{d:02d},{100.0 + d},{101.0 + d % 3}\n" for d in range(2, 7))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("date,actual,predicted\n2021-01-01,1e308,1.0\n" + rows)
+        b.write_text("date,actual,predicted\n2021-01-01,1e308,-1e308\n" + rows)
+        out, table = tmp_path / "r.json", tmp_path / "r.csv"
+        with np.errstate(over="ignore"):
+            code = run_cli("compare", "--inputs", str(a), str(b), "--out", str(out),
+                           "--csv", str(table))
+        assert code == 4
+        assert capsys.readouterr().err == (f"numerical error: {b}: non-finite absolute error "
+                                           f"for 2021-01-01\n")
+        assert not out.exists() and not table.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A directory holding a 200-row series `s.csv`, a one-epoch config
+    `c.json` over it, the `run --save-models` directory `run/` they make and
+    a `raw.csv` that `fgi` reads."""
+    root = tmp_path_factory.mktemp("tiny")
+    dataio.write_series_csv(dataio.synthesize_series(7, 200), root / "s.csv")
+    (root / "c.json").write_text(json.dumps({"data": {"path": "s.csv"}, "window": 5, "models": {
+        kind: {"epochs": 1} for kind in ("bilstm", "bigru", "hybrid")}}))
+    (root / "raw.csv").write_text("date,close,sentiment,trends\n2021-01-01,10,0.0,50\n")
+    assert run_cli("run", "--config", str(root / "c.json"), "--out", str(root / "run"),
+                   "--save-models") == 0
+    return root
+
+
+class TestUnwritableOutput:
+    """An output location is part of the invocation: one that cannot be
+    written exits 2 naming it, with no traceback and nothing written."""
+
+    # each command's arguments, ending in the flag of the output it writes
+    ARGV = {
+        "synth": ["--seed", "1", "--n", "50", "--out"],
+        "ingest": ["--data", "{root}/s.csv", "--json"],
+        "fgi": ["--data", "{root}/raw.csv", "--out"],
+        "train": ["--config", "{root}/c.json", "--model", "rbfn", "--out"],
+        "predict": ["--bundle", "{root}/run/model_rbfn.json", "--data", "{root}/s.csv", "--out"],
+        "evaluate": ["--predictions", "{root}/run/predictions_rbfn.csv", "--out"],
+        "run": ["--config", "{root}/c.json", "--out"],
+        "compare": ["--inputs", "{root}/run/predictions_rbfn.csv",
+                    "{root}/run/predictions_grnn.csv", "--out"],
+        "report": ["--run-dir", "{root}/run", "--out"],
+    }
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_output_in_a_missing_directory_exits_2(self, tiny_run, tmp_path, capsys, command):
+        missing = tmp_path / "nodir"
+        if command == "run":
+            # run makes its output directory, so make the parent a file
+            missing.write_text("")
+        out = missing / "x"
+        argv = [arg.format(root=tiny_run) for arg in self.ARGV[command]]
+        capsys.readouterr()
+        assert run_cli(command, *argv, str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert missing.is_file() if command == "run" else not missing.exists()
 
 
 class TestUnreadableInputs:

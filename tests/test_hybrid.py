@@ -567,10 +567,12 @@ class TestPredictSeries:
         """Exit code and, on success, the predictions CSV of windows of 3 steps
         as a frame; `m` has SMALL's shape."""
         bundle_path, data_path, out_path = (tmp_path / f for f in ("b.json", "s.csv", "p.csv"))
+        data = {"feature_columns": ["close", "volume"], "target_column": "close",
+                "compose_fgi": False, "fgi_weights": [0.5, 0.5]}
         save_bundle(ModelBundle(
-            kind="hybrid", model=m, hyperparameters=SMALL,
-            window=3, feature_columns=["close", "volume"], target_column="close",
-            compose_fgi=False, fgi_weights=[0.5, 0.5], stats=stats), bundle_path)
+            kind="hybrid", model=m,
+            config={"window": 3, "data": data, "models": {"hybrid": SMALL}},
+            stats=stats), bundle_path)
         write_series_csv(frame, data_path)
         code = cli.main(["predict", "--bundle", str(bundle_path), "--data", str(data_path),
                          "--out", str(out_path)])

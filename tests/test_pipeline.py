@@ -8,7 +8,7 @@ from cryptocast import data as dataio
 from cryptocast import hybrid, optim, pipeline, recurrent
 from cryptocast.cli import build_parser
 from cryptocast.config import validate_config
-from cryptocast.errors import ParseError
+from cryptocast.errors import ConfigError, ParseError
 from cryptocast.jsonio import sha256_hex
 from cryptocast.rng import Rng
 
@@ -143,7 +143,7 @@ class TestModelTable:
         prepared = pipeline.prepare_data(small_config)
         for kind in pipeline.MODELS:
             calls.clear()
-            model, _, _ = pipeline.train_model(kind, small_config, prepared, Rng(small_config["seed"]))
+            model, _ = pipeline.train_model(kind, small_config, prepared, Rng(small_config["seed"]))
             pipeline.predict_windows(kind, model, prepared.test_windows)
             assert set(calls) == self.REACHED[kind], kind
 
@@ -264,13 +264,14 @@ class TestArtifacts:
             assert "".join(rewritten) == path.read_text(), path.name
 
     # no directory of that name exists, so writing this extra file fails
-    # once every artifact file has been written
+    # once every artifact file has been written, a ConfigError naming the
+    # run directory
     UNWRITABLE = {"missing/zz.json": b"{}"}
 
     def test_failed_emission_removes_partial_files(self, small_config, tmp_path):
         result = pipeline.run_experiment(small_config)
         out = tmp_path / "partial"
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ConfigError, match=f"cannot write {out}: "):
             pipeline.emit_artifacts(result, str(out), self.UNWRITABLE)
         assert list(out.iterdir()) == []
 
@@ -280,7 +281,7 @@ class TestArtifacts:
         pipeline.emit_artifacts(result, str(out))
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         small_config["seed"] += 1
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ConfigError, match=f"cannot write {out}: "):
             pipeline.emit_artifacts(pipeline.run_experiment(small_config), str(out),
                                     self.UNWRITABLE)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before

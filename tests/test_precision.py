@@ -67,7 +67,7 @@ def test_trained_model_is_float64(kind, small_config_doc):
     cfg = validate_config(json.dumps(small_config_doc))
     cfg["models"][kind]["epochs"] = 2
     prepared = pipeline.prepare_data(cfg)
-    model, trace, _ = pipeline.train_model(kind, cfg, prepared, Rng(cfg["seed"]))
+    model, trace = pipeline.train_model(kind, cfg, prepared, Rng(cfg["seed"]))
     assert len(trace) == 2
     assert all(a.dtype == np.float64 for a in named_arrays(model).values())
     assert pipeline.predict_windows(kind, model, prepared.test_windows).dtype == np.float64
