@@ -8,15 +8,18 @@ report. Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
+from contextlib import suppress
 from dataclasses import asdict
 
 import numpy as np
 
 from . import data as dataio
-from .bundle import ModelBundle, bundle_bytes, load_bundle, save_bundle
+# save_bundle stays importable here: perfbench's tracer wraps `cli.save_bundle`
+from .bundle import ModelBundle, bundle_bytes, load_bundle, save_bundle  # noqa: F401
 from .config import check_setting, load_config_file, validate_config
 from .errors import (
     AlignmentError,
@@ -60,10 +63,29 @@ def _load_predictions(path) -> dataio.SeriesFrame:
     return frame
 
 
-def _write(path, text: str) -> None:
-    """Write one output file of a command (see `pipeline.writing`)."""
-    with writing(path), open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write(outputs: dict) -> None:
+    """Write a command's output files, text or bytes by path: all of them,
+    or none when one cannot be written (a ConfigError naming it, see
+    `pipeline.writing`). Each file is written to a staged file next to its
+    target, and the staged files replace their targets only once every one
+    is written."""
+    staged = {}
+    try:
+        for path, content in outputs.items():
+            with writing(path):
+                if os.path.isdir(path):  # os.replace would fail only after others moved
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                head, tail = os.path.split(path)
+                staged[path] = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+                with open(staged[path], "xb") as fh:
+                    fh.write(content.encode("utf-8") if isinstance(content, str) else content)
+        for path, stage in staged.items():
+            with writing(path):
+                os.replace(stage, path)
+    finally:
+        for stage in staged.values():
+            with suppress(FileNotFoundError):
+                os.remove(stage)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +111,17 @@ def _cmd_ingest(args) -> int:
     print(f"{args.data}: {len(frame)} rows, "
           f"{frame.dates[0].isoformat()}..{frame.dates[-1].isoformat()}, "
           f"columns {frame.columns}")
+    outputs = {}
+    if args.json:
+        outputs[args.json] = dumps_canonical(frame.to_json_dict()) + "\n"
     if args.windows_out:
         ws = dataio.make_windows(dataio.apply_minmax(frame, dataio.fit_minmax(frame)), window,
                                  args.target)
+        outputs[args.windows_out] = dumps_canonical(ws.to_json_dict()) + "\n"
+    _write(outputs)
     if args.json:
-        _write(args.json, dumps_canonical(frame.to_json_dict()) + "\n")
         print(f"wrote frame artifact to {args.json}")
     if args.windows_out:
-        _write(args.windows_out, dumps_canonical(ws.to_json_dict()) + "\n")
         print(f"wrote {len(ws)} windows to {args.windows_out}")
     return EXIT_OK
 
@@ -126,13 +151,15 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     prepared = prepare_data(cfg)
     model, trace = train_model(args.model, cfg, prepared, Rng(cfg["seed"]))
-    with writing(args.out):
-        save_bundle(ModelBundle(args.model, model, cfg, prepared.stats), args.out)
+    outputs = {args.out: bundle_bytes(ModelBundle(args.model, model, cfg, prepared.stats))}
+    loss_out = args.loss_out if trace is not None else None
+    if loss_out:
+        outputs[loss_out] = loss_csv(trace)
+    _write(outputs)
     print(f"trained {args.model} on {len(prepared.train_windows)} windows; "
           f"bundle written to {args.out}")
-    if trace is not None and args.loss_out:
-        _write(args.loss_out, loss_csv(trace))
-        print(f"loss trace written to {args.loss_out}")
+    if loss_out:
+        print(f"loss trace written to {loss_out}")
     return EXIT_OK
 
 
@@ -147,7 +174,7 @@ def _cmd_predict(args) -> int:
     # tolist() gives Python floats, whose repr is the cell text
     rows = [[date.isoformat(), repr(act), repr(pred)]
             for date, act, pred in zip(ws.target_dates, actual.tolist(), predicted.tolist())]
-    _write(args.out, csv_text([["date", "actual", "predicted"], *rows]))
+    _write({args.out: csv_text([["date", "actual", "predicted"], *rows])})
     print(f"wrote {len(ws)} predictions to {args.out}")
     return EXIT_OK
 
@@ -157,7 +184,7 @@ def _cmd_evaluate(args) -> int:
     m = compute_metrics(frame.column("actual"), frame.column("predicted"))
     text = dumps_canonical(asdict(m))
     if args.out:
-        _write(args.out, text + "\n")
+        _write({args.out: text + "\n"})
         print(f"wrote metrics to {args.out}")
     else:
         print(text)
@@ -228,10 +255,12 @@ def cmd_compare(paths: list[str], names: list[str] | None = None, alpha: float =
 
 def _cmd_compare(args) -> int:
     report = cmd_compare(args.inputs, args.names, args.alpha)
-    _write(args.out, dumps_canonical(asdict(report)) + "\n")
+    outputs = {args.out: dumps_canonical(asdict(report)) + "\n"}
+    if args.csv:
+        outputs[args.csv] = comparison_csv(report)
+    _write(outputs)
     print(f"wrote comparison report to {args.out}")
     if args.csv:
-        _write(args.csv, comparison_csv(report))
         print(f"wrote pairwise table to {args.csv}")
     fr = report.friedman
     print(f"friedman chi2={fr.chi2:.4f} df={fr.df} p={fr.p_value:.4g}")
@@ -269,8 +298,8 @@ def _cmd_report(args) -> int:
                          repr(float(hi)), fgi_by_date.get(date, "")])
     if not rows:
         raise DataError(f"no predictions_*.csv files found in {args.run_dir}")
-    _write(args.out, csv_text([["date", "series", "value", "band_lo", "band_hi", "fgi_category"],
-                               *rows]))
+    _write({args.out: csv_text([["date", "series", "value", "band_lo", "band_hi",
+                                 "fgi_category"], *rows])})
     print(f"wrote {len(rows)} plot rows to {args.out}")
     return EXIT_OK
 

@@ -24,8 +24,9 @@ import numpy as np
 from . import ops
 from .data import WindowSet
 from .errors import ConfigError, DimensionError
-from .ops import (Buffers, blocks, buffers_for, layer_norm_backward, layer_norm_with_cache,
-                  softmax_backward, softmax_rows, sum_leading, xavier)
+from .ops import (FORWARD_CHUNK, Buffers, blocks, buffers_for, layer_norm_backward,
+                  layer_norm_with_cache, run_blocks, softmax_backward, softmax_rows, sum_leading,
+                  threads_for, xavier)
 from .optim import run_adam_training
 from .params import named_arrays, zeros_like
 from .recurrent import (CELLS, CellParams, cell_template, init_cell, run_states,
@@ -260,9 +261,10 @@ def _encoder_layer_backward(dH_out: np.ndarray, cache, layer: EncoderLayerParams
 def _encode(m: HybridModel, X: np.ndarray, buffers: Buffers | None = None, slots: int | None = None):
     """Encoder output (N, T, d_model) and each layer's backward cache.
     Layer i writes its activations under buffer slot i % `slots` (every
-    layer its own slot by default). Inference passes slots=2: a layer never
-    overwrites its own input, and each cache is overwritten two layers on,
-    so the working set does not grow with depth."""
+    layer its own slot by default). Inference passes slots=1, so the working
+    set does not grow with depth: each layer overwrites the previous one's
+    cache, and its input, the previous layer's output, only once it has read
+    it for the last time (in the first residual sum)."""
     buffers = buffers_for(buffers, X.dtype)
     slots = len(m.encoder_layers) if slots is None else slots
     H = _embed(X, m.W_e, m.b_e, out=buffers.empty("H", X.shape[:2] + m.b_e.shape))
@@ -281,25 +283,42 @@ def block_rows(heads: int, window: int) -> int:
     return ops.block_rows(heads * window * window)
 
 
+def _thread_buffers(m: HybridModel, X: np.ndarray, rows: int) -> Buffers:
+    """Buffers holding every array `_encode` asks for over up to `rows`
+    windows shaped like X's, allocated here, on the calling thread, by an
+    encoding of no windows (see `ops.run_blocks`)."""
+    buffers = Buffers(X.dtype, rows)
+    _encode(m, X[:0], buffers, slots=1)
+    return buffers
+
+
 def hybrid_forward_batch(m: HybridModel, X: np.ndarray) -> np.ndarray:
     """Predictions for an (N, T, k) batch. The GRU read-out runs in blocks
     of `ops.FORWARD_CHUNK` windows, the encoder in sub-blocks of
-    `block_rows`, all through one block-sized set of buffers, so the
-    working set does not grow with N."""
+    `block_rows`, on one thread per CPU (`ops.run_blocks`) once N exceeds
+    one read-out block, each thread through one sub-block-sized set of
+    buffers of its own, so the working set does not grow with N."""
     X = np.asarray(X, dtype=m.W_e.dtype)
     _check_features(X, m.W_e)
     out = np.empty(X.shape[0], X.dtype)
-    buffers = Buffers(X.dtype)
     rows = block_rows(m.heads, X.shape[1])
+    # threads only past one read-out block, as in the recurrent passes
+    threads = threads_for(len(blocks(FORWARD_CHUNK, rows))) if len(X) > FORWARD_CHUNK else 1
+    # a set per thread: the calling thread's is filled as it is used, the
+    # others' are allocated here
+    buffers = [Buffers(X.dtype)] + [_thread_buffers(m, X, rows) for _ in range(1, threads)]
     for chunk in blocks(len(X)):
         Xc = X[chunk]
         if len(Xc) <= rows:  # one sub-block: the read-out takes its encoding as it is
-            H = _encode(m, Xc, buffers, slots=2)[0]
+            H = _encode(m, Xc, buffers[0], slots=1)[0]
         else:
-            H = buffers.empty("encoded", Xc.shape[:2] + m.b_e.shape)
-            for sub in blocks(len(Xc), rows):
-                H[sub] = _encode(m, Xc[sub], buffers, slots=2)[0]
-        out[chunk] = m.W_p[0] @ run_states(CELLS["gru"], m.gru, H)["h"] + m.b_p[0]
+            H = buffers[0].empty("encoded", Xc.shape[:2] + m.b_e.shape)
+
+            def encode(sub: slice, worker: int) -> None:
+                H[sub] = _encode(m, Xc[sub], buffers[worker], slots=1)[0]
+
+            run_blocks(encode, blocks(len(Xc), rows), threads)
+        out[chunk] = m.W_p[0] @ run_states(CELLS["gru"], [(m.gru, H)])[0]["h"] + m.b_p[0]
     return out
 
 

@@ -23,9 +23,15 @@ from .rng import Rng
 RIDGE_JITTER = 1e-8
 
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between rows of a (p,k) and b (q,k)."""
-    aa = (a * a).sum(axis=1)[:, None]
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of a (p,k), as a (p,1) column."""
+    return (a * a).sum(axis=1)[:, None]
+
+
+def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray, aa: np.ndarray | None = None) -> np.ndarray:
+    """Squared Euclidean distances between rows of a (p,k) and b (q,k);
+    `aa` is `_sq_norms(a)` when the caller already has it."""
+    aa = _sq_norms(a) if aa is None else aa
     bb = (b * b).sum(axis=1)[None, :]
     ab2 = a @ b.T
     ab2 *= 2.0
@@ -54,11 +60,12 @@ def kmeans(X: np.ndarray, n_clusters: int, rng: Rng):
         raise SizeError(f"cannot place {n_clusters} centers on {n} samples")
     best_centers = None
     best_inertia = np.inf
+    xx = _sq_norms(X)
     for _ in range(KMEANS_RESTARTS):
         pick = rng.sample_without_replacement(n, n_clusters)
         centers = X[pick].copy()
         for _ in range(KMEANS_MAX_ITER):
-            sq = _pairwise_sq_dists(X, centers)
+            sq = _pairwise_sq_dists(X, centers, xx)
             assign = sq.argmin(axis=1)
             nearest = sq[np.arange(n), assign]
             new_centers = centers.copy()
@@ -72,7 +79,7 @@ def kmeans(X: np.ndarray, n_clusters: int, rng: Rng):
                 centers = new_centers
                 break
             centers = new_centers
-        sq = _pairwise_sq_dists(X, centers)
+        sq = _pairwise_sq_dists(X, centers, xx)
         inertia = float(sq.min(axis=1).sum())
         if inertia < best_inertia:
             best_inertia = inertia

@@ -10,10 +10,15 @@ Every exported operation keeps results finite for finite inputs. `Buffers`
 holds the activation arrays that a training run reuses from call to call
 and an inference pass from block to block; `FORWARD_CHUNK` is the block
 size of every inference pass, or its cap where a model sizes its own blocks
-by `block_rows`.
+by `block_rows`. `run_blocks` runs a pass's blocks on one thread per CPU;
+each block computes as it would alone, so the result does not depend on the
+number of threads.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -39,6 +44,61 @@ def blocks(n: int, rows: int = FORWARD_CHUNK):
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
+def threads_for(spans: int) -> int:
+    """Threads for `spans` blocks: one per CPU the process may run on, at
+    most one per block, one where the CPUs are unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return max(1, min(spans, len(affinity(0)) if affinity is not None else 1))
+
+
+def run_blocks(work, spans: list, threads: int) -> None:
+    """Call `work(span, worker)` for every span, on min(`threads`, spans)
+    threads: the calling thread, worker 0, and one started here per further
+    worker. `worker` numbers the thread, so a caller can keep per-thread
+    state under it. Threads claim spans in order, and each call may write
+    only its own span's part of an output. numpy releases the GIL inside
+    BLAS calls and ufunc loops, so the threads' arithmetic overlaps. Every
+    thread is joined before this returns or raises; once a call fails no
+    further span is claimed, and the exception of the earliest failed span
+    is raised.
+
+    Each started thread allocates from a glibc malloc arena of its own,
+    which keeps its peak after the thread ends; so large arrays a worker
+    reuses are best allocated by the calling thread beforehand."""
+    claims = iter(enumerate(spans))
+    lock = threading.Lock()
+    errors: dict[int, BaseException] = {}
+
+    def claim_and_work(worker: int) -> None:
+        while True:
+            with lock:
+                claim = None if errors else next(claims, None)
+            if claim is None:
+                return
+            index, span = claim
+            try:
+                work(span, worker)
+            except BaseException as exc:
+                errors[index] = exc
+                return
+
+    started = []
+    for worker in range(1, min(threads, len(spans))):
+        thread = threading.Thread(target=claim_and_work, args=(worker,))
+        try:
+            thread.start()
+        except RuntimeError:  # no thread to spare: the threads started claim every span
+            break
+        started.append(thread)
+    try:
+        claim_and_work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def as_float(x) -> np.ndarray:
     """`x` as an array of its own dtype when that is float32 or float64,
     otherwise as float64."""
@@ -52,20 +112,23 @@ class Buffers:
     of one inference pass, keyed by role and by every axis but the first. A
     request with a shorter first axis gets the leading, still contiguous,
     part of the array held, so a smaller last mini-batch or block touches no
-    new memory; a longer one replaces it. Sample-last arrays, whose batch is
+    new memory; a longer one replaces it. A new array's first axis is at
+    least `rows` long. Sample-last arrays, whose batch is
     the last axis, get one array per batch size. Contents are uninitialised
     on first use and stale afterwards, so every user writes an array before
     reading it."""
 
-    def __init__(self, dtype=np.float64):
+    def __init__(self, dtype=np.float64, rows: int = 0):
         self.dtype = np.dtype(dtype)
+        self.rows = rows
         self._arrays: dict[tuple, np.ndarray] = {}
 
     def empty(self, name: str, shape: tuple) -> np.ndarray:
         key = (name, shape[1:])
         held = self._arrays.get(key)
         if held is None or held.shape[0] < shape[0]:
-            held = self._arrays[key] = np.empty(shape, self.dtype)
+            held = self._arrays[key] = np.empty((max(shape[0], self.rows), *shape[1:]),
+                                                self.dtype)
         return held[:shape[0]]
 
 

@@ -227,9 +227,10 @@ class HelperTraceback(Exception):
     traceback as text, which pickling the exception drops."""
 
 
-def _helper(counter, results, cfg: dict, prepared: PreparedData) -> None:
+def _helper(counter, results, cfg: dict, prepared: PreparedData, cpus: list) -> None:
     import traceback
 
+    _pin(cpus)
     # the queue's feeder thread writes each result while the next fit runs
     for kind, outcome in _claimed_fits(counter, cfg, prepared):
         helper_traceback = None
@@ -238,22 +239,32 @@ def _helper(counter, results, cfg: dict, prepared: PreparedData) -> None:
         results.put((kind, outcome, helper_traceback))
 
 
+def _pin(cpus: list) -> None:
+    """Run this process on `cpus` only, where the system lets it."""
+    with suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 def _fit_all(cfg: dict, prepared: PreparedData) -> dict:
     """{kind: _fit(kind, ...)} for every kind. The process is worker 0 and
     forks one helper per further CPU it may run on, up to one worker per
-    kind; the workers claim kinds from one shared counter. Helpers send their
-    fits back, and every helper is joined before this returns or raises. A
-    failed fit raises once every claimed kind is done: the error of the
-    earliest failed kind in MODEL_ORDER, as one worker alone would raise it.
-    No helper is forked where the CPU set is unknown, or in a daemonic
-    process, which may not have children."""
+    kind; the workers claim kinds from one shared counter. While they fit,
+    worker w of n runs on the CPUs at positions w, w + n, ... of the sorted
+    set, so the inference threads inside a fit (`ops.run_blocks`) do not
+    compete with the other workers; the process's own set is restored
+    before this returns or raises. Helpers send their fits back, and every helper is joined before
+    this returns or raises. A failed fit raises once every claimed kind is
+    done: the error of the earliest failed kind in MODEL_ORDER, as one
+    worker alone would raise it. No helper is forked where the CPU set is
+    unknown, or in a daemonic process, which may not have children."""
     import multiprocessing  # here: no other command pays for importing it
 
     affinity = getattr(os, "sched_getaffinity", None)
-    helpers = 0
-    if affinity is not None and not multiprocessing.current_process().daemon:
-        helpers = min(len(affinity(0)), len(MODELS)) - 1
-    if helpers <= 0:
+    cpus = sorted(affinity(0)) if affinity is not None else []
+    workers = 1
+    if not multiprocessing.current_process().daemon:
+        workers = min(len(cpus), len(MODELS))
+    if workers <= 1:
         return {kind: _fit(kind, cfg, prepared) for kind in MODEL_ORDER}
     # fork, not spawn or forkserver: a helper starts in milliseconds with the
     # prepared data already in memory, and re-imports nothing
@@ -261,8 +272,9 @@ def _fit_all(cfg: dict, prepared: PreparedData) -> dict:
     counter, results = ctx.Value("i", 0), ctx.Queue()
     started = []
     try:
-        for _ in range(helpers):
-            process = ctx.Process(target=_helper, args=(counter, results, cfg, prepared))
+        for worker in range(1, workers):
+            process = ctx.Process(target=_helper, args=(counter, results, cfg, prepared,
+                                                        cpus[worker::workers]))
             try:
                 process.start()
             except OSError:  # no process to spare: the workers started claim every kind
@@ -271,6 +283,7 @@ def _fit_all(cfg: dict, prepared: PreparedData) -> dict:
         # the helpers now hold the only write ends, so reading past their
         # last result ends in EOF once every helper has exited
         results._writer.close()
+        _pin(cpus[::workers])
         outcomes = dict(_claimed_fits(counter, cfg, prepared))
         while len(outcomes) < len(MODEL_ORDER):
             try:
@@ -285,6 +298,7 @@ def _fit_all(cfg: dict, prepared: PreparedData) -> dict:
             process.terminate()
         raise
     finally:
+        _pin(cpus)
         for process in started:
             process.join()
         results.close()

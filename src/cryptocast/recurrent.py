@@ -49,7 +49,7 @@ import numpy as np
 
 from .data import WindowSet
 from .errors import ConfigError, DimensionError
-from .ops import Buffers, blocks, buffers_for, sigmoid, xavier
+from .ops import Buffers, blocks, buffers_for, run_blocks, sigmoid, threads_for, xavier
 from .optim import run_adam_training
 from .params import named_arrays
 from .rng import Rng
@@ -218,26 +218,34 @@ def sequence_backward(cell: Cell, cache, dh: np.ndarray, need_dx: bool = False):
     return grads, dX
 
 
-def run_states(cell: Cell, p: CellParams, X: np.ndarray) -> dict:
-    """Inference pass of one cell over an (N, T, k) batch: only the running
-    state is kept, each step's input is projected on its own, and samples go
-    through in blocks of `ops.FORWARD_CHUNK`. Returns the final carried state
-    arrays (d, N) by name, zero-started."""
-    Ux, Uh, b = p.W_x.T, p.W_h.T, p.b
-    n, T, _ = X.shape
-    d = Uh.shape[1]
-    final = {name: np.zeros((d, n), Uh.dtype) for name, carried in cell.state if carried}
-    for cols in blocks(n):
+def run_states(cell: Cell, passes: list) -> list[dict]:
+    """Inference passes of one cell kind, each a (CellParams, (N, T, k)
+    batch) pair: only the running state is kept, each step's input is
+    projected on its own, and samples go through in blocks of
+    `ops.FORWARD_CHUNK`. Once a pass has more than one block, the blocks of
+    all passes run on one thread per CPU (`ops.run_blocks`). Returns each
+    pass's final carried state arrays (d, N) by name, zero-started."""
+    finals = [{name: np.zeros((p.W_h.shape[0], len(X)), p.W_h.dtype)
+               for name, carried in cell.state if carried} for p, X in passes]
+    spans = [(i, cols) for i, (_, X) in enumerate(passes) for cols in blocks(len(X))]
+
+    def run_block(span: tuple, worker: int) -> None:
+        i, cols = span
+        p, X = passes[i]
+        Ux, Uh, b = p.W_x.T, p.W_h.T, p.b
         width = cols.stop - cols.start
         g = np.empty((Ux.shape[0], width), Uh.dtype)
         views = [v for name, carried in cell.state
-                 for v in ((final[name][:, cols],) * 2 if carried
-                           else (np.empty((d, width), Uh.dtype),))]
-        for t in range(T):
+                 for v in ((finals[i][name][:, cols],) * 2 if carried
+                           else (np.empty((Uh.shape[1], width), Uh.dtype),))]
+        for t in range(X.shape[1]):
             np.matmul(Ux, X[cols, t].T, out=g)
             g += b[:, None]
             cell.forward(Uh, g, *views)
-    return final
+
+    # a thread per pass costs more than it saves on a pass of one block
+    run_blocks(run_block, spans, threads_for(len(spans)) if len(spans) > len(passes) else 1)
+    return finals
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +296,8 @@ def birnn_states(m: BiRnnModel, X: np.ndarray):
     """Final hidden states (N, d) of both directions for an (N, T, k) batch."""
     X = _checked(m, X)
     cell = CELLS[m.cell_kind]
-    return (run_states(cell, m.forward, X)["h"].T,
-            run_states(cell, m.backward, X[:, ::-1])["h"].T)
+    forward, backward = run_states(cell, [(m.forward, X), (m.backward, X[:, ::-1])])
+    return forward["h"].T, backward["h"].T
 
 
 def birnn_forward_batch(m: BiRnnModel, X: np.ndarray) -> np.ndarray:

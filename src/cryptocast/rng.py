@@ -55,17 +55,20 @@ class Rng:
         # 53 random bits -> double in [0, 1)
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        if size is None:
-            return low + (high - low) * self.next_float()
-        # next_float n times over, in uint64 arithmetic: the i-th draw mixes
-        # state + i * golden, and the state advances by n * golden
-        n = int(np.prod(size))
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """next_u64 n times over, as one uint64 array: the i-th draw mixes
+        state + i * golden, and the state advances by n * golden."""
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
+        return z
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+        if size is None:
+            return low + (high - low) * self.next_float()
+        z = self._next_u64s(int(np.prod(size)))
         return (low + (high - low) * ((z >> np.uint64(11)) * 2.0**-53)).reshape(size)
 
     def _next_normal(self) -> float:
@@ -103,11 +106,25 @@ class Rng:
         return draw % n
 
     def permutation(self, n: int) -> np.ndarray:
-        idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
+        """Fisher-Yates shuffle of range(n), swapping i with integer(i + 1)
+        for i from n - 1 down to 1. The n - 1 draws come as one array; in
+        the rare case that one of them would be rejected for bias, the
+        state is rewound and the draws are taken one by one, as `integer`
+        takes them."""
+        state = self._state
+        sizes = np.arange(n, 1, -1, dtype=np.uint64)
+        draws = self._next_u64s(len(sizes))
+        # integer(m) rejects a draw of at least 2**64 - (2**64 % m)
+        excess = (np.uint64(_MASK64) % sizes + np.uint64(1)) % sizes
+        if np.any(draws > np.uint64(_MASK64) - excess):
+            self._state = state
+            picks = [self.integer(i + 1) for i in range(n - 1, 0, -1)]
+        else:
+            picks = (draws % sizes).tolist()
+        idx = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), picks):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int_)
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         if k > n:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -43,3 +44,19 @@ def small_config_file(small_config_doc, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(small_config_doc))
     return str(path)
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Sets the CPUs the program finds in its affinity mask to the ids
+    given. `run` pins its fit workers to CPUs of that set and restores the
+    set it found, so the process's real mask is put back afterwards."""
+    real = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    restore = getattr(os, "sched_setaffinity", None)
+
+    def pin(*ids):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(ids), raising=False)
+
+    yield pin
+    if real is not None:
+        restore(0, real)

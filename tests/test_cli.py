@@ -280,12 +280,6 @@ class TestRunOnSeveralCpus:
     further CPU of the affinity mask, which these tests set."""
 
     @pytest.fixture()
-    def cpus(self, monkeypatch):
-        def pin(*ids):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(ids), raising=False)
-        return pin
-
-    @pytest.fixture()
     def fitters(self, tmp_path):
         """A file each fit appends the id of its process to."""
         return tmp_path / "fitters"
@@ -355,6 +349,26 @@ class TestRunOnSeveralCpus:
 
         monkeypatch.setattr(os, "fork", no_fork)
         assert run(tmp_path / "out") == (0, "")
+
+    def test_each_worker_fits_on_cpus_of_its_own(self, tmp_path, cpus, monkeypatch, patch_fits,
+                                                  run):
+        pins = tmp_path / "pins"
+
+        def record(pid, mask):
+            with open(pins, "a") as fh:
+                fh.write(f"{os.getpid()} {sorted(mask)}\n")
+
+        monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
+        cpus(0, 1, 2)
+        patch_fits(lambda kind: None, processes=3)
+        assert run(tmp_path / "out") == (0, "")
+        by_process = {}
+        for line in pins.read_text().splitlines():
+            pid, mask = line.split(" ", 1)
+            by_process.setdefault(int(pid), []).append(mask)
+        # the parent runs on its share while it fits, then on the whole set again
+        assert by_process.pop(os.getpid()) == ["[0]", "[0, 1, 2]"]
+        assert sorted(by_process.values()) == [["[1]"], ["[2]"]]
 
     def test_a_failed_fork_leaves_every_kind_to_the_parent(self, tmp_path, cpus, monkeypatch,
                                                            run):
@@ -945,6 +959,58 @@ class TestUnwritableOutput:
         assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert missing.is_file() if command == "run" else not missing.exists()
+
+
+class TestTwoOutputs:
+    """A command with two outputs writes both or neither: each is staged
+    next to its target and moved into place once both are written."""
+
+    # each command's arguments and the flags of its two outputs
+    ARGV = {
+        "compare": (["--inputs", "{root}/run/predictions_rbfn.csv",
+                     "{root}/run/predictions_grnn.csv"], "--out", "--csv"),
+        "train": (["--config", "{root}/c.json", "--model", "bilstm"], "--out", "--loss-out"),
+        "ingest": (["--data", "{root}/s.csv"], "--json", "--windows-out"),
+    }
+
+    def argv(self, command, root, first, second):
+        args, first_flag, second_flag = self.ARGV[command]
+        return [command, *(arg.format(root=root) for arg in args),
+                first_flag, str(first), second_flag, str(second)]
+
+    @pytest.mark.parametrize("unwritable", ["first", "second"])
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_an_unwritable_output_leaves_the_other_as_it_was(self, tiny_run, tmp_path, capsys,
+                                                             command, unwritable):
+        kept = tmp_path / "out" / "kept"
+        kept.parent.mkdir()
+        kept.write_text("previous\n")
+        missing = tmp_path / "nodir" / "x"
+        outputs = (missing, kept) if unwritable == "first" else (kept, missing)
+        capsys.readouterr()
+        assert run_cli(*self.argv(command, tiny_run, *outputs)) == 2
+        out, err = capsys.readouterr()
+        assert "wrote" not in out and "written" not in out
+        assert err == f"config error: cannot write {missing}: No such file or directory\n"
+        assert kept.read_text() == "previous\n"
+        assert [path.name for path in kept.parent.iterdir()] == ["kept"]
+
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_both_outputs_written_and_nothing_else(self, tiny_run, tmp_path, command):
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.write_text("previous\n")
+        assert run_cli(*self.argv(command, tiny_run, first, second)) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["first", "second"]
+        assert first.read_text() != "previous\n" and second.stat().st_size > 0
+
+    def test_a_directory_target_replaces_nothing(self, tiny_run, tmp_path, capsys):
+        kept = tmp_path / "kept"
+        kept.write_text("previous\n")
+        capsys.readouterr()
+        assert run_cli(*self.argv("compare", tiny_run, kept, tmp_path)) == 2
+        assert capsys.readouterr().err == f"config error: cannot write {tmp_path}: Is a directory\n"
+        assert kept.read_text() == "previous\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["kept"]
 
 
 class TestUnreadableInputs:

@@ -391,8 +391,8 @@ class TestBlockedInference:
         self.assert_blocks_equal_single_window_calls(LONG, 30, n, seed=37)
 
     def test_layers_sharing_a_slot_match_the_training_pass(self):
-        # three layers over two inference slots, so the third writes over
-        # the first's buffers; the training pass keeps one slot per layer
+        # three layers over one inference slot, so each writes over the
+        # previous one's buffers; the training pass keeps one slot per layer
         # and must give the same error
         rng = Rng(34)
         X = rng.uniform(-1, 1, (B + 1, 5, 2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cryptocast.rng import Rng
+from cryptocast.rng import _GOLDEN, _MASK64, _MIX1, _MIX2, Rng, _mix
 
 
 def test_same_seed_same_stream():
@@ -53,6 +53,52 @@ def test_derive_is_order_independent_and_tagged():
 def test_permutation_is_a_permutation():
     perm = Rng(3).permutation(50)
     assert sorted(perm.tolist()) == list(range(50))
+
+
+def scalar_permutation(rng, n):
+    """Fisher-Yates with one `integer` draw per swap."""
+    idx = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.integer(i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 99, 2**64 - 1, 12345])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 16, 17, 100, 470, 3170])
+def test_permutation_is_the_scalar_stream(seed, n):
+    drawn, scalar = Rng(seed), Rng(seed)
+    drawn.next_u64(), scalar.next_u64()  # start mid-stream, not at the seed
+    perm, expected = drawn.permutation(n), scalar_permutation(scalar, n)
+    assert perm.dtype == expected.dtype and perm.tolist() == expected.tolist()
+    assert drawn.next_u64() == scalar.next_u64()
+
+
+def _unshift(y, s):
+    """The x with x ^ (x >> s) == y."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def _unmix(z):
+    """The input `_mix` maps to z."""
+    z = _unshift(z, 31) * pow(_MIX2, -1, 1 << 64) & _MASK64
+    z = _unshift(z, 27) * pow(_MIX1, -1, 1 << 64) & _MASK64
+    return _unshift(z, 30)
+
+
+def test_a_rejected_draw_takes_the_scalar_stream():
+    # of permutation(10)'s draws, the eighth is integer(3)'s; 2**64 % 3 == 1,
+    # so integer(3) rejects the largest draw, which this state makes it
+    assert _mix(_unmix(_MASK64)) == _MASK64
+    state = (_unmix(_MASK64) - 8 * _GOLDEN) & _MASK64
+    drawn, scalar = Rng(0), Rng(0)
+    drawn._state = scalar._state = state
+    assert drawn.permutation(10).tolist() == scalar_permutation(scalar, 10).tolist()
+    # nine draws and the one that replaced the rejected draw
+    assert drawn._state == scalar._state == (state + 10 * _GOLDEN) & _MASK64
 
 
 def test_integer_range():
