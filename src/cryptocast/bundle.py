@@ -29,7 +29,7 @@ from .data import NormStats
 from .errors import ConfigError, DataError, DomainError, NumericalError
 from .jsonio import dumps_canonical
 from .params import map_arrays, named_arrays
-from .pipeline import MODELS
+from .pipeline import MODELS, write_files
 
 BUNDLE_FORMAT = "model-bundle/6"
 F8LE = np.dtype("<f8")
@@ -69,8 +69,7 @@ def bundle_bytes(b: ModelBundle) -> bytes:
 
 
 def save_bundle(b: ModelBundle, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(bundle_bytes(b))
+    write_files({path: bundle_bytes(b)})
 
 
 def _declared_shape(path, name: str, entry) -> tuple[int, ...]:

@@ -8,11 +8,9 @@ report. Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import os
 import sys
-from contextlib import suppress
 from dataclasses import asdict
 
 import numpy as np
@@ -20,7 +18,7 @@ import numpy as np
 from . import data as dataio
 # save_bundle stays importable here: perfbench's tracer wraps `cli.save_bundle`
 from .bundle import ModelBundle, bundle_bytes, load_bundle, save_bundle  # noqa: F401
-from .config import check_setting, load_config_file, validate_config
+from .config import check_setting, check_weights, load_config_file, validate_config
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -43,7 +41,7 @@ from .pipeline import (
     prepare_data,
     run_experiment,
     train_model,
-    writing,
+    write_files,
 )
 from .rng import Rng
 from .stats import compare_models, compute_metrics
@@ -63,31 +61,6 @@ def _load_predictions(path) -> dataio.SeriesFrame:
     return frame
 
 
-def _write(outputs: dict) -> None:
-    """Write a command's output files, text or bytes by path: all of them,
-    or none when one cannot be written (a ConfigError naming it, see
-    `pipeline.writing`). Each file is written to a staged file next to its
-    target, and the staged files replace their targets only once every one
-    is written."""
-    staged = {}
-    try:
-        for path, content in outputs.items():
-            with writing(path):
-                if os.path.isdir(path):  # os.replace would fail only after others moved
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                head, tail = os.path.split(path)
-                staged[path] = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-                with open(staged[path], "xb") as fh:
-                    fh.write(content.encode("utf-8") if isinstance(content, str) else content)
-        for path, stage in staged.items():
-            with writing(path):
-                os.replace(stage, path)
-    finally:
-        for stage in staged.values():
-            with suppress(FileNotFoundError):
-                os.remove(stage)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -99,8 +72,7 @@ def _cmd_synth(args) -> int:
         price_cycle=args.price_cycle, fgi_lead=args.fgi_lead,
     )
     frame = dataio.synthesize_series(args.seed, args.n, params)
-    with writing(args.out):
-        dataio.write_series_csv(frame, args.out)
+    write_files({args.out: dataio.series_csv(frame)})
     print(f"wrote {len(frame)} rows to {args.out}")
     return EXIT_OK
 
@@ -118,7 +90,7 @@ def _cmd_ingest(args) -> int:
         ws = dataio.make_windows(dataio.apply_minmax(frame, dataio.fit_minmax(frame)), window,
                                  args.target)
         outputs[args.windows_out] = dumps_canonical(ws.to_json_dict()) + "\n"
-    _write(outputs)
+    write_files(outputs)
     if args.json:
         print(f"wrote frame artifact to {args.json}")
     if args.windows_out:
@@ -127,11 +99,10 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_fgi(args) -> int:
+    w1, w2 = check_weights([args.w1, args.w2], "--w1/--w2")
     frame = dataio.load_series(args.data)
-    enriched = dataio.add_fgi_column(frame, args.sentiment_column, args.trends_column,
-                                     args.w1, args.w2)
-    with writing(args.out):
-        dataio.write_series_csv(enriched, args.out)
+    enriched = dataio.add_fgi_column(frame, args.sentiment_column, args.trends_column, w1, w2)
+    write_files({args.out: dataio.series_csv(enriched)})
     bands = [dataio.classify_fgi(float(v)) for v in enriched.column("fgi")]
     counts = {band: bands.count(band) for band in dataio.FGI_BANDS}
     print(f"wrote {args.out}; band counts: " +
@@ -155,7 +126,7 @@ def _cmd_train(args) -> int:
     loss_out = args.loss_out if trace is not None else None
     if loss_out:
         outputs[loss_out] = loss_csv(trace)
-    _write(outputs)
+    write_files(outputs)
     print(f"trained {args.model} on {len(prepared.train_windows)} windows; "
           f"bundle written to {args.out}")
     if loss_out:
@@ -174,7 +145,7 @@ def _cmd_predict(args) -> int:
     # tolist() gives Python floats, whose repr is the cell text
     rows = [[date.isoformat(), repr(act), repr(pred)]
             for date, act, pred in zip(ws.target_dates, actual.tolist(), predicted.tolist())]
-    _write({args.out: csv_text([["date", "actual", "predicted"], *rows])})
+    write_files({args.out: csv_text([["date", "actual", "predicted"], *rows])})
     print(f"wrote {len(ws)} predictions to {args.out}")
     return EXIT_OK
 
@@ -184,7 +155,7 @@ def _cmd_evaluate(args) -> int:
     m = compute_metrics(frame.column("actual"), frame.column("predicted"))
     text = dumps_canonical(asdict(m))
     if args.out:
-        _write({args.out: text + "\n"})
+        write_files({args.out: text + "\n"})
         print(f"wrote metrics to {args.out}")
     else:
         print(text)
@@ -258,7 +229,7 @@ def _cmd_compare(args) -> int:
     outputs = {args.out: dumps_canonical(asdict(report)) + "\n"}
     if args.csv:
         outputs[args.csv] = comparison_csv(report)
-    _write(outputs)
+    write_files(outputs)
     print(f"wrote comparison report to {args.out}")
     if args.csv:
         print(f"wrote pairwise table to {args.csv}")
@@ -298,7 +269,7 @@ def _cmd_report(args) -> int:
                          repr(float(hi)), fgi_by_date.get(date, "")])
     if not rows:
         raise DataError(f"no predictions_*.csv files found in {args.run_dir}")
-    _write({args.out: csv_text([["date", "series", "value", "band_lo", "band_hi",
+    write_files({args.out: csv_text([["date", "series", "value", "band_lo", "band_hi",
                                  "fgi_category"], *rows])})
     print(f"wrote {len(rows)} plot rows to {args.out}")
     return EXIT_OK

@@ -88,6 +88,16 @@ def check_setting(path: str, value, name: str):
     return _resolve(schema, value, name)
 
 
+def check_weights(weights, name: str) -> list:
+    """`weights` checked as `data.fgi_weights`: by its schema entry, then summing to 1."""
+    weights = check_setting("data.fgi_weights", weights, name)
+    try:
+        check_fgi_weights(*weights)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    return weights
+
+
 def check_inputs(data: dict) -> None:
     """The rules on a model's inputs that JSON Schema cannot state, for the
     `data` section of a config and of a bundle alike: the target is a
@@ -95,10 +105,7 @@ def check_inputs(data: dict) -> None:
     target, features = data["target_column"], data["feature_columns"]
     if target not in features:
         raise ConfigError(f"target column {target!r} must be among {features}")
-    try:
-        check_fgi_weights(*data["fgi_weights"])
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    check_weights(data["fgi_weights"], "fgi_weights")
 
 
 def validate_config(raw: dict | str, base_dir: str = ".", check_files: bool = True) -> dict:

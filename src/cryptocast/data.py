@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError,
@@ -174,12 +176,20 @@ def _read_series(path, reader) -> SeriesFrame:
     return SeriesFrame.build(dates, feature_names, np.array(rows, dtype=np.float64))
 
 
+def series_csv(frame: SeriesFrame) -> str:
+    """The frame as data-CSV text: the csv module's default dialect, so each
+    line ends in CRLF, and each value the repr of its float."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["date"] + frame.columns)
+    for i, date in enumerate(frame.dates):
+        writer.writerow([date.isoformat()] + [repr(float(v)) for v in frame.values[i]])
+    return out.getvalue()
+
+
 def write_series_csv(frame: SeriesFrame, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date"] + frame.columns)
-        for i, date in enumerate(frame.dates):
-            writer.writerow([date.isoformat()] + [repr(float(v)) for v in frame.values[i]])
+        fh.write(series_csv(frame))
 
 
 def check_fgi_weights(w1: float, w2: float) -> None:
@@ -364,11 +374,8 @@ def make_windows(frame: SeriesFrame, window: int, target_column: str) -> WindowS
     if n <= window:
         raise SizeError(f"frame has {n} rows; need more than window={window}")
     target = frame.column(target_column)
-    n_samples = n - window
-    k = len(frame.columns)
-    X = np.empty((n_samples, window, k), dtype=np.float64)
-    for j in range(n_samples):
-        X[j] = frame.values[j:j + window]
+    # sample j holds rows j..j+window-1: an owned, C-contiguous (n - window, window, k) array
+    X = sliding_window_view(frame.values[:-1], window, axis=0).transpose(0, 2, 1).copy()
     y = target[window:].copy()
     return WindowSet(
         X=X, y=y, window=window,

@@ -5,11 +5,10 @@ evaluate, compare, and emit deterministic artifacts.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
-import shutil
-import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -428,13 +427,38 @@ def build_artifact_files(result: RunResult, out_dir: str) -> dict[str, bytes]:
 
 
 @contextmanager
-def writing(path):
+def _writing(path):
     """Writes to the output `path` inside the block. An output location is
     part of the invocation, so an OSError is a ConfigError naming it."""
     try:
         yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def write_files(outputs: dict) -> None:
+    """Write a command's output files, text or bytes by path: all of them,
+    or none when one cannot be written (a ConfigError naming it, see
+    `_writing`). Each file is written to a staged file next to its
+    target, and the staged files replace their targets only once every one
+    is written."""
+    staged = {}
+    try:
+        for path, content in outputs.items():
+            with _writing(path):
+                if os.path.isdir(path):  # os.replace would fail only after others moved
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                head, tail = os.path.split(path)
+                staged[path] = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+                with open(staged[path], "xb") as fh:
+                    fh.write(content.encode("utf-8") if isinstance(content, str) else content)
+        for path, stage in staged.items():
+            with _writing(path):
+                os.replace(stage, path)
+    finally:
+        for stage in staged.values():
+            with suppress(FileNotFoundError):
+                os.remove(stage)
 
 
 def _listed_files(out_dir: str) -> dict:
@@ -451,12 +475,10 @@ def _listed_files(out_dir: str) -> dict:
 def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | None = None) -> dict:
     """Write all artifact files, and the `extra` files (such as model
     bundles) keyed by filename, then a manifest of the sha256 digests of
-    them all. Every file is written into a staging directory inside
-    `out_dir` and moved into place, manifest last, only once all are
-    written, so a failed write leaves a previous run's files as they were.
-    Then each plain file name the previous manifest lists and this run did
-    not write is removed if it still holds the listed content. A directory
-    that cannot be written is a ConfigError naming it."""
+    them all, through `write_files` with the manifest last: so a failed
+    write leaves a previous run's files as they were. Then each plain file
+    name the previous manifest lists and this run did not write is removed
+    if it still holds the listed content."""
     listed = _listed_files(out_dir)
     files = {**build_artifact_files(result, out_dir), **(extra or {})}
     manifest = {
@@ -465,17 +487,9 @@ def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | No
                   for name, content in sorted(files.items())},
     }
     files["manifest.json"] = (dumps_canonical(manifest) + "\n").encode("utf-8")
-    with writing(out_dir):
+    with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
-        staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
-        try:
-            for name, content in files.items():
-                with open(os.path.join(staging, name), "wb") as fh:
-                    fh.write(content)
-            for name in files:
-                os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
+    write_files({os.path.join(out_dir, name): content for name, content in files.items()})
     for name in listed.keys() - files.keys():
         path = os.path.join(out_dir, name)
         with suppress(OSError):
@@ -483,4 +497,3 @@ def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | No
                     and listed[name] == "sha256:" + sha256_hex(Path(path).read_bytes())):
                 os.remove(path)
     return manifest
-

@@ -86,6 +86,23 @@ class TestFgi:
         src.write_text("date,close,sentiment,trends\n2021-01-01,10,2.0,50\n")
         assert run_cli("fgi", "--data", str(src), "--out", str(tmp_path / "x.csv")) == 3
 
+    @pytest.mark.parametrize("data", ["raw.csv", "missing.csv"])
+    @pytest.mark.parametrize("w1, w2, message", [
+        ("0.7", "0.7", "fgi weights must be nonnegative and sum to 1, got 0.7, 0.7"),
+        ("nan", "0.5", "--w1/--w2[0] must be a finite JSON number, got nan"),
+        ("inf", "0.5", "--w1/--w2[0] must be a finite JSON number, got inf"),
+        ("0.5", "-0.5", "--w1/--w2[1]=-0.5 violates minimum: 0"),
+    ], ids=["sum", "nan", "inf", "negative"])
+    def test_weights_follow_the_config_rule(self, tmp_path, capsys, data, w1, w2, message):
+        """--w1/--w2 are checked like a config's data.fgi_weights, before
+        --data is read: a config error, exit 2, and no file."""
+        (tmp_path / "raw.csv").write_text("date,close,sentiment,trends\n2021-01-01,10,0.0,50\n")
+        out = tmp_path / "x.csv"
+        assert run_cli("fgi", "--data", str(tmp_path / data), "--out", str(out),
+                       "--w1", w1, "--w2", w2) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
 
 class TestRun:
     def test_artifacts_and_exit_zero(self, small_config_file, tmp_path, capsys):

@@ -264,27 +264,34 @@ class TestArtifacts:
             assert "".join(rewritten) == path.read_text(), path.name
 
     # no directory of that name exists, so writing this extra file fails
-    # once every artifact file has been written, a ConfigError naming the
-    # run directory
+    # once every artifact file has been staged, a ConfigError naming it
     UNWRITABLE = {"missing/zz.json": b"{}"}
 
     def test_failed_emission_removes_partial_files(self, small_config, tmp_path):
         result = pipeline.run_experiment(small_config)
         out = tmp_path / "partial"
-        with pytest.raises(ConfigError, match=f"cannot write {out}: "):
+        with pytest.raises(ConfigError, match=f"cannot write {out}/missing/zz.json: "):
             pipeline.emit_artifacts(result, str(out), self.UNWRITABLE)
         assert list(out.iterdir()) == []
 
-    def test_failed_emission_keeps_the_previous_run(self, small_config, tmp_path):
+    @pytest.mark.parametrize("blocked", ["missing/zz.json", "stats.json"],
+                             ids=["missing-dir", "stats-dir"])
+    def test_failed_emission_keeps_the_previous_run(self, small_config, tmp_path, blocked):
         result = pipeline.run_experiment(small_config)
         out = tmp_path / "previous"
         pipeline.emit_artifacts(result, str(out))
-        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        extra = {}
+        if blocked == "stats.json":
+            # a directory where the rerun writes a file
+            (out / "stats.json").unlink()
+            (out / "stats.json").mkdir()
+        else:
+            extra = self.UNWRITABLE
+        before = {path.name: path.is_dir() or path.read_bytes() for path in out.iterdir()}
         small_config["seed"] += 1
-        with pytest.raises(ConfigError, match=f"cannot write {out}: "):
-            pipeline.emit_artifacts(pipeline.run_experiment(small_config), str(out),
-                                    self.UNWRITABLE)
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        with pytest.raises(ConfigError, match=f"cannot write {out}/{blocked}: "):
+            pipeline.emit_artifacts(pipeline.run_experiment(small_config), str(out), extra)
+        assert {path.name: path.is_dir() or path.read_bytes() for path in out.iterdir()} == before
 
     def test_a_rerun_removes_only_unchanged_files_it_no_longer_writes(self, small_config,
                                                                       tmp_path):
