@@ -72,7 +72,7 @@ def _cmd_synth(args) -> int:
         price_cycle=args.price_cycle, fgi_lead=args.fgi_lead,
     )
     frame = dataio.synthesize_series(args.seed, args.n, params)
-    write_files({args.out: dataio.series_csv(frame)})
+    write_files([(args.out, dataio.series_csv(frame))])
     print(f"wrote {len(frame)} rows to {args.out}")
     return EXIT_OK
 
@@ -83,13 +83,13 @@ def _cmd_ingest(args) -> int:
     print(f"{args.data}: {len(frame)} rows, "
           f"{frame.dates[0].isoformat()}..{frame.dates[-1].isoformat()}, "
           f"columns {frame.columns}")
-    outputs = {}
+    outputs = []
     if args.json:
-        outputs[args.json] = dumps_canonical(frame.to_json_dict()) + "\n"
+        outputs.append((args.json, dumps_canonical(frame.to_json_dict()) + "\n"))
     if args.windows_out:
         ws = dataio.make_windows(dataio.apply_minmax(frame, dataio.fit_minmax(frame)), window,
                                  args.target)
-        outputs[args.windows_out] = dumps_canonical(ws.to_json_dict()) + "\n"
+        outputs.append((args.windows_out, dumps_canonical(ws.to_json_dict()) + "\n"))
     write_files(outputs)
     if args.json:
         print(f"wrote frame artifact to {args.json}")
@@ -102,7 +102,7 @@ def _cmd_fgi(args) -> int:
     w1, w2 = check_weights([args.w1, args.w2], "--w1/--w2")
     frame = dataio.load_series(args.data)
     enriched = dataio.add_fgi_column(frame, args.sentiment_column, args.trends_column, w1, w2)
-    write_files({args.out: dataio.series_csv(enriched)})
+    write_files([(args.out, dataio.series_csv(enriched))])
     bands = [dataio.classify_fgi(float(v)) for v in enriched.column("fgi")]
     counts = {band: bands.count(band) for band in dataio.FGI_BANDS}
     print(f"wrote {args.out}; band counts: " +
@@ -122,16 +122,25 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     prepared = prepare_data(cfg)
     model, trace = train_model(args.model, cfg, prepared, Rng(cfg["seed"]))
-    outputs = {args.out: bundle_bytes(ModelBundle(args.model, model, cfg, prepared.stats))}
+    outputs = [(args.out, bundle_bytes(ModelBundle(args.model, model, cfg, prepared.stats)))]
     loss_out = args.loss_out if trace is not None else None
     if loss_out:
-        outputs[loss_out] = loss_csv(trace)
+        outputs.append((loss_out, loss_csv(trace)))
     write_files(outputs)
     print(f"trained {args.model} on {len(prepared.train_windows)} windows; "
           f"bundle written to {args.out}")
     if loss_out:
         print(f"loss trace written to {loss_out}")
     return EXIT_OK
+
+
+def predictions_text(dates, actual, predicted) -> str:
+    """predict's output CSV for dates and float values: csv_text's bytes, in
+    one join, as neither a date nor a float repr holds a character csv_text
+    would quote."""
+    return "date,actual,predicted\n" + "".join([
+        f"{date.isoformat()},{act!r},{pred!r}\n"
+        for date, act, pred in zip(dates, actual, predicted)])
 
 
 def _cmd_predict(args) -> int:
@@ -143,9 +152,8 @@ def _cmd_predict(args) -> int:
     predicted = predict_prices(bundle.kind, bundle.model, ws, target, stats)
     actual = dataio.invert_minmax(ws.y, target, stats)
     # tolist() gives Python floats, whose repr is the cell text
-    rows = [[date.isoformat(), repr(act), repr(pred)]
-            for date, act, pred in zip(ws.target_dates, actual.tolist(), predicted.tolist())]
-    write_files({args.out: csv_text([["date", "actual", "predicted"], *rows])})
+    write_files([(args.out, predictions_text(ws.target_dates, actual.tolist(),
+                                             predicted.tolist()))])
     print(f"wrote {len(ws)} predictions to {args.out}")
     return EXIT_OK
 
@@ -155,7 +163,7 @@ def _cmd_evaluate(args) -> int:
     m = compute_metrics(frame.column("actual"), frame.column("predicted"))
     text = dumps_canonical(asdict(m))
     if args.out:
-        write_files({args.out: text + "\n"})
+        write_files([(args.out, text + "\n")])
         print(f"wrote metrics to {args.out}")
     else:
         print(text)
@@ -226,9 +234,9 @@ def cmd_compare(paths: list[str], names: list[str] | None = None, alpha: float =
 
 def _cmd_compare(args) -> int:
     report = cmd_compare(args.inputs, args.names, args.alpha)
-    outputs = {args.out: dumps_canonical(asdict(report)) + "\n"}
+    outputs = [(args.out, dumps_canonical(asdict(report)) + "\n")]
     if args.csv:
-        outputs[args.csv] = comparison_csv(report)
+        outputs.append((args.csv, comparison_csv(report)))
     write_files(outputs)
     print(f"wrote comparison report to {args.out}")
     if args.csv:
@@ -269,8 +277,8 @@ def _cmd_report(args) -> int:
                          repr(float(hi)), fgi_by_date.get(date, "")])
     if not rows:
         raise DataError(f"no predictions_*.csv files found in {args.run_dir}")
-    write_files({args.out: csv_text([["date", "series", "value", "band_lo", "band_hi",
-                                 "fgi_category"], *rows])})
+    write_files([(args.out, csv_text([["date", "series", "value", "band_lo", "band_hi",
+                                       "fgi_category"], *rows]))])
     print(f"wrote {len(rows)} plot rows to {args.out}")
     return EXIT_OK
 

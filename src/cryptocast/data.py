@@ -13,6 +13,8 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -144,19 +146,54 @@ def _read_series(path, reader) -> SeriesFrame:
     if not feature_names:
         raise SchemaError(f"{path} declares no value columns")
     col_index = [header.index(name) for name in feature_names]
-    dates: list[dt.date] = []
-    rows: list[list[float]] = []
-    for row_number, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+    lines: list[list[str]] = []
+    try:
+        lines.extend(reader)
+    except (UnicodeDecodeError, csv.Error):
+        # a bad cell in the rows read before the unreadable one comes first
+        _raise_first_error(path, lines, date_index, feature_names, col_index)
+        raise
+    rows = [row for row in lines if _has_text(row)]
+    if not rows:
+        raise SizeError(f"{path} contains no data rows")
+    width = 1 + len(col_index)
+    try:
+        # each row's date cell and value cells, one row after another; a
+        # short row is an IndexError
+        cells = list(chain.from_iterable(map(itemgetter(date_index, *col_index), rows)))
+        dates = [dt.date.fromisoformat(cell.strip()) for cell in cells[::width]]
+        del cells[::width]
+        # numpy converts each cell by float(), so it takes and refuses what
+        # float() does and gives its values
+        values = np.array(cells, dtype=np.float64).reshape(len(rows), width - 1)
+        ok = bool(np.isfinite(values).all())
+    except (ValueError, IndexError):
+        ok = False
+    if not ok:
+        _raise_first_error(path, lines, date_index, feature_names, col_index)
+        raise AssertionError(f"{path}: numpy refused a cell that float() reads")
+    return SeriesFrame.build(dates, feature_names, values)
+
+
+def _has_text(row: list[str]) -> bool:
+    """False for a blank row or one of whitespace cells, which is skipped."""
+    return bool("".join(row).strip())
+
+
+def _raise_first_error(path, lines, date_index: int, feature_names, col_index) -> None:
+    """Raise the ParseError of the first bad date or cell of the data rows
+    `lines` (the header's row 1 excluded), each row's date before its cells
+    in column order; return if there is none."""
+    for row_number, row in enumerate(lines, start=2):
+        if not _has_text(row):
             continue
         try:
-            date = dt.date.fromisoformat(row[date_index].strip())
+            dt.date.fromisoformat(row[date_index].strip())
         except (ValueError, IndexError):
             raise ParseError(
                 f"{path} row {row_number}: unparseable date "
                 f"{row[date_index] if len(row) > date_index else '<missing>'!r}"
             ) from None
-        parsed: list[float] = []
         for name, j in zip(feature_names, col_index):
             try:
                 value = float(row[j])
@@ -168,12 +205,6 @@ def _read_series(path, reader) -> SeriesFrame:
                 raise ParseError(
                     f"{path} row {row_number}: non-finite value for column {name!r}"
                 )
-            parsed.append(value)
-        dates.append(date)
-        rows.append(parsed)
-    if not rows:
-        raise SizeError(f"{path} contains no data rows")
-    return SeriesFrame.build(dates, feature_names, np.array(rows, dtype=np.float64))
 
 
 def series_csv(frame: SeriesFrame) -> str:

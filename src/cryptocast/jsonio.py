@@ -25,5 +25,11 @@ def dumps_canonical(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False)
 
 
+def dumps_line(obj) -> str:
+    """Canonical JSON on one line: sorted keys and no whitespace, so a line
+    break in it can only be one the caller appends."""
+    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()

@@ -436,27 +436,43 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def write_files(outputs: dict) -> None:
-    """Write a command's output files, text or bytes by path: all of them,
-    or none when one cannot be written (a ConfigError naming it, see
-    `_writing`). Each file is written to a staged file next to its
-    target, and the staged files replace their targets only once every one
-    is written."""
-    staged = {}
+def _check_distinct(outputs) -> None:
+    """Two output paths that resolve to one file would be written once and
+    reported twice: a ConfigError naming both."""
+    seen = {}
+    for path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"two outputs name one file: {seen[real]} and {path}")
+        seen[real] = path
+
+
+def write_files(outputs) -> None:
+    """Write a command's output files, given as (path, text or bytes) pairs:
+    all of them, or none when one cannot be written (a ConfigError naming
+    it, see `_writing`). Two paths that resolve to one file are a
+    ConfigError before anything is written. Each file is written to a
+    staged file next to its target, and the staged files replace their
+    targets only once every one is written."""
+    outputs = list(outputs)
+    if len(outputs) > 1:  # a lone output clashes with nothing: skip its stat calls
+        _check_distinct(outputs)
+    staged = []
     try:
-        for path, content in outputs.items():
+        for path, content in outputs:
             with _writing(path):
                 if os.path.isdir(path):  # os.replace would fail only after others moved
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 head, tail = os.path.split(path)
-                staged[path] = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-                with open(staged[path], "xb") as fh:
+                stage = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+                staged.append((path, stage))
+                with open(stage, "xb") as fh:
                     fh.write(content.encode("utf-8") if isinstance(content, str) else content)
-        for path, stage in staged.items():
+        for path, stage in staged:
             with _writing(path):
                 os.replace(stage, path)
     finally:
-        for stage in staged.values():
+        for _, stage in staged:
             with suppress(FileNotFoundError):
                 os.remove(stage)
 
@@ -489,7 +505,7 @@ def emit_artifacts(result: RunResult, out_dir: str, extra: dict[str, bytes] | No
     files["manifest.json"] = (dumps_canonical(manifest) + "\n").encode("utf-8")
     with _writing(out_dir):
         os.makedirs(out_dir, exist_ok=True)
-    write_files({os.path.join(out_dir, name): content for name, content in files.items()})
+    write_files((os.path.join(out_dir, name), content) for name, content in files.items())
     for name in listed.keys() - files.keys():
         path = os.path.join(out_dir, name)
         with suppress(OSError):

@@ -3,6 +3,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -63,32 +64,50 @@ def fitted(kind, **overrides):
     return model
 
 
+# The /7 layout, read and written here independently of the bundle module,
+# so these helpers also pin the on-disk layout: a line of JSON, the header,
+# then each array's little-endian float64 bytes at its declared offset.
+class Doc(dict):
+    """A bundle's header document; `tail` holds the bytes after its line."""
+
+    tail = b""
+
+
+def parse_doc(raw: bytes) -> Doc:
+    header, tail = raw.split(b"\n", 1)
+    doc = Doc(json.loads(header))
+    doc.tail = tail
+    return doc
+
+
+def write_doc(path, doc: Doc):
+    path.write_bytes(json.dumps(doc).encode("utf-8") + b"\n" + doc.tail)
+
+
 def saved_doc(tmp_path, kind, model=None):
     path = tmp_path / f"{kind}.json"
     bundleio.save_bundle(wrap(kind, model or fitted(kind), HYPER[kind]), path)
-    return path, json.loads(path.read_text())
+    return path, parse_doc(path.read_bytes())
 
 
-# The /6 payload, decoded and encoded here independently of the bundle module,
-# so these helpers also pin the on-disk layout.
-def decode_entry(entry):
-    return np.frombuffer(base64.b64decode(entry["f8le"]), dtype="<f8").reshape(entry["shape"])
-
-
-def encode_entry(value):
-    a = np.array(value, dtype="<f8")
-    return {"shape": list(a.shape), "f8le": base64.b64encode(a.tobytes()).decode("ascii")}
+def decode_entry(doc, entry):
+    return np.frombuffer(doc.tail, dtype="<f8", count=math.prod(entry["shape"]),
+                         offset=entry["offset"]).reshape(entry["shape"])
 
 
 def as_lists(doc):
     """doc's parameters as nested number lists, the pre-/4 layout tests edit."""
-    return {name: decode_entry(entry).tolist() for name, entry in doc["parameters"].items()}
+    return {name: decode_entry(doc, entry).tolist() for name, entry in doc["parameters"].items()}
 
 
 def write_lists(path, doc, params):
-    """Write doc with its parameters re-encoded from nested lists."""
-    doc["parameters"] = {name: encode_entry(value) for name, value in params.items()}
-    path.write_text(json.dumps(doc))
+    """Write doc with its parameters laid out anew from nested lists, in order."""
+    arrays = [np.array(value, dtype="<f8") for value in params.values()]
+    offsets = np.cumsum([0] + [a.nbytes for a in arrays]).tolist()
+    doc["parameters"] = {name: {"shape": list(a.shape), "offset": offset}
+                         for name, a, offset in zip(params, arrays, offsets)}
+    doc.tail = b"".join(a.tobytes() for a in arrays)
+    write_doc(path, doc)
 
 
 class TestRoundTrips:
@@ -127,8 +146,8 @@ class TestGoldenBytes:
     involved: a refactor of the writer must not move a byte."""
 
     DIGESTS = {
-        "rbfn": "3e8693dc4ae09e865175d16ef60c9ae2ed491a54949549930e9c98da87c6aba3",
-        "hybrid": "ae120923ec17e39f847b31571deec235efc9091c616f9c3148de9aa8a398a716",
+        "rbfn": "033396eebc52483271296b4895869ce64c94069212b8fd4d0e99b6f93ed220a4",
+        "hybrid": "b10c2e5c041a20d1ea3e2b4d51b8aa792394c20e9a95b97b1dc085925c6dbf58",
     }
 
     @pytest.mark.parametrize("kind", list(DIGESTS))
@@ -163,7 +182,7 @@ class TestLoadTemplate:
         loaded = bundleio.load_bundle(path)
         assert built == [(WINDOW, INPUTS)]
         assert {name: a.tobytes() for name, a in named_arrays(loaded.model).items()} == \
-            {name: decode_entry(entry).tobytes() for name, entry in doc["parameters"].items()}
+            {name: decode_entry(doc, entry).tobytes() for name, entry in doc["parameters"].items()}
 
 
 class TestShapeRules:
@@ -196,7 +215,7 @@ class TestParameterNaming:
         path = tmp_path / "layers.json"
         hyper = dict(HYPER["hybrid"], layers=3)
         bundleio.save_bundle(wrap("hybrid", init_hybrid(hyper, 2, seed=6), hyper), path)
-        params = as_lists(json.loads(path.read_text()))
+        params = as_lists(parse_doc(path.read_bytes()))
         for i in range(3):
             layer = {name.split(".", 2)[2] for name in params
                      if name.startswith(f"encoder_layers.{i}.")}
@@ -217,25 +236,25 @@ class TestBundleErrors:
         # /4 bundles store gate and head weights as separate arrays
         path, doc = saved_doc(tmp_path, "bilstm")
         doc["format"] = "model-bundle/4"
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "pred.csv")]) == 3
-        assert "has format 'model-bundle/4', expected 'model-bundle/6'" in capsys.readouterr().err
+        assert "has format 'model-bundle/4', expected 'model-bundle/7'" in capsys.readouterr().err
 
     def test_version_5_rejected(self, tmp_path, small_csv, capsys):
         # /5 hyperparameters restate the envelope's window and input size
         path, doc = saved_doc(tmp_path, "hybrid")
         doc["format"] = "model-bundle/5"
         doc["hyperparameters"].update(window=WINDOW, input_size=INPUTS)
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "pred.csv")]) == 3
-        assert "has format 'model-bundle/5', expected 'model-bundle/6'" in capsys.readouterr().err
+        assert "has format 'model-bundle/5', expected 'model-bundle/7'" in capsys.readouterr().err
 
     def test_version_1_rejected(self, tmp_path):
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["format"] = "model-bundle/1"
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match="model-bundle/1"):
             bundleio.load_bundle(path)
 
@@ -244,7 +263,7 @@ class TestBundleErrors:
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["format"] = "model-bundle/2"
         del doc["compose_fgi"], doc["fgi_weights"]
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match="model-bundle/2"):
             bundleio.load_bundle(path)
 
@@ -255,17 +274,17 @@ class TestBundleErrors:
     def test_malformed_fgi_envelope_named(self, tmp_path, field, value):
         path, doc = saved_doc(tmp_path, "rbfn")
         doc[field] = value
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match="malformed envelope"):
             bundleio.load_bundle(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad2.json"
         path.write_text(
-            '{"format": "model-bundle/6", "model": "perceptron",'
+            '{"format": "model-bundle/7", "model": "perceptron",'
             ' "hyperparameters": {}, "parameters": {}, "window": 1,'
             ' "feature_columns": [], "target_column": "close",'
-            ' "normalization": {}}'
+            ' "normalization": {}}\n'
         )
         with pytest.raises(DataError, match="perceptron"):
             bundleio.load_bundle(path)
@@ -283,14 +302,14 @@ class TestBundleErrors:
     def test_missing_envelope_field_named(self, tmp_path):
         path, doc = saved_doc(tmp_path, "rbfn")
         del doc["window"]
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match="window"):
             bundleio.load_bundle(path)
 
     def test_missing_parameter_named(self, tmp_path, small_csv, capsys):
         path, doc = saved_doc(tmp_path, "bilstm")
         del doc["parameters"]["forward.W_x"]
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match=r"lacks parameter forward\.W_x"):
             bundleio.load_bundle(path)
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
@@ -316,7 +335,7 @@ class TestBundleErrors:
     def test_kernel_width_comes_from_window_and_columns(self, tmp_path):
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["feature_columns"] = ["close"]
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match=r"centers has shape \(5, 8\), expected \(5, 4\)"):
             bundleio.load_bundle(path)
 
@@ -356,9 +375,22 @@ class TestBundleErrors:
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["format"] = "model-bundle/3"
         doc["parameters"] = as_lists(doc)
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match="model-bundle/3"):
             bundleio.load_bundle(path)
+
+    def test_version_6_rejected(self, tmp_path, small_csv, capsys):
+        # /6 bundles are one JSON document that holds each array as base64
+        path, doc = saved_doc(tmp_path, "rbfn")
+        doc["format"] = "model-bundle/6"
+        doc["parameters"] = {
+            name: {"shape": entry["shape"],
+                   "f8le": base64.b64encode(decode_entry(doc, entry).tobytes()).decode("ascii")}
+            for name, entry in doc["parameters"].items()}
+        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(tmp_path / "pred.csv")]) == 3
+        assert "has format 'model-bundle/6', expected 'model-bundle/7'" in capsys.readouterr().err
 
     def test_deeply_nested_json_is_a_data_error(self, tmp_path, small_csv, capsys):
         path = tmp_path / "nested.json"
@@ -376,12 +408,21 @@ class TestPayload:
         model = fitted(kind)
         _, doc = saved_doc(tmp_path, kind, model)
         arrays = named_arrays(model)
-        assert doc["format"] == "model-bundle/6"
+        assert doc["format"] == "model-bundle/7"
         assert doc["parameters"].keys() == arrays.keys()
         for name, entry in doc["parameters"].items():
-            assert entry.keys() == {"shape", "f8le"}
+            assert entry.keys() == {"shape", "offset"}
             assert entry["shape"] == list(arrays[name].shape)
-            assert decode_entry(entry).tobytes() == arrays[name].astype("<f8").tobytes()
+            assert decode_entry(doc, entry).tobytes() == arrays[name].astype("<f8").tobytes()
+        # the arrays follow one another in named_arrays order and fill the tail
+        assert doc.tail == b"".join(a.astype("<f8").tobytes() for a in arrays.values())
+        offsets = [doc["parameters"][name]["offset"] for name in arrays]
+        assert offsets == np.cumsum([0] + [a.nbytes for a in arrays.values()])[:-1].tolist()
+
+    def test_header_is_one_line_of_canonical_json(self, tmp_path):
+        path, doc = saved_doc(tmp_path, "hybrid")
+        header = path.read_bytes().split(b"\n", 1)[0]
+        assert header == json.dumps(dict(doc), sort_keys=True, separators=(",", ":")).encode()
 
     @pytest.mark.parametrize("kind", list(MODELS))
     def test_saves_are_byte_identical(self, tmp_path, kind):
@@ -421,43 +462,109 @@ def _set_entry(key, value):
     return edit
 
 
-def _truncate_payload(entry):
-    # valid base64 of one float64 fewer than the shape needs
-    entry["f8le"] = base64.b64encode(base64.b64decode(entry["f8le"])[:-8]).decode("ascii")
-
-
 class TestPayloadErrors:
     """Each malformed `centers` entry is a data error that names it."""
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda e: e.pop("f8le"), "exactly the keys 'shape' and 'f8le'"),
-        (_set_entry("dtype", "<f8"), "exactly the keys 'shape' and 'f8le'"),
+        (lambda e: e.pop("offset"), "exactly the keys 'shape' and 'offset'"),
+        (_set_entry("dtype", "<f8"), "exactly the keys 'shape' and 'offset'"),
         (_set_entry("shape", [True, 8]), r"has shape \[True, 8\], expected a list"),
         (_set_entry("shape", [-1, 8]), r"has shape \[-1, 8\], expected a list"),
         (_set_entry("shape", [5.0, 8]), "expected a list of non-negative integers"),
         (_set_entry("shape", "5x8"), "expected a list of non-negative integers"),
         (_set_entry("shape", [8, 5]), r"has shape \(8, 5\), expected \(5, 8\)"),
-        (_set_entry("f8le", "!!!!"), "invalid f8le payload"),
-        (_set_entry("f8le", "AAAAAAAAAAA"), "invalid f8le payload"),
-        (_set_entry("f8le", "AAAA AAAAAAA="), "invalid f8le payload"),
-        (_set_entry("f8le", "AAAAAAAAAAA=é"), "invalid f8le payload"),
-        (_set_entry("f8le", 12), "invalid f8le payload"),
-        (_truncate_payload, r"holds 312 bytes, shape \(5, 8\) needs 320"),
+        (_set_entry("offset", -8), "has offset -8, expected a non-negative integer"),
+        (_set_entry("offset", 0.0), "has offset 0.0, expected a non-negative integer"),
+        (_set_entry("offset", True), "has offset True, expected a non-negative integer"),
+        (_set_entry("offset", "0"), "has offset '0', expected a non-negative integer"),
+        (_set_entry("offset", None), "has offset None, expected a non-negative integer"),
     ])
     def test_malformed_entry_named(self, tmp_path, edit, message):
         path, doc = saved_doc(tmp_path, "rbfn")
         edit(doc["parameters"]["centers"])
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match="parameter centers .*" + message):
             bundleio.load_bundle(path)
 
     def test_entry_as_number_lists_named(self, tmp_path, small_csv, capsys):
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["parameters"]["centers"] = as_lists(doc)["centers"]
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "pred.csv")]) == 3
         assert "parameter centers must be an object" in capsys.readouterr().err
+
+
+def _drop_last_byte(doc):
+    doc.tail = doc.tail[:-1]
+
+
+def _add_eight_bytes(doc):
+    doc.tail += bytes(8)
+
+
+def _offset(name, offset):
+    def edit(doc):
+        doc["parameters"][name]["offset"] = offset
+    return edit
+
+
+def _gap_before_bias(doc):
+    doc["parameters"]["bias"]["offset"] += 8
+    doc.tail = doc.tail[:400] + bytes(8) + doc.tail[400:]
+
+
+class TestTail:
+    """Each array's span must lie in the tail, and the spans must tile it: an
+    RBFN tail holds centers at bytes 0..320, spreads 320..360, weights
+    360..400 and bias 400..408. Every other file exits 3 naming what is
+    wrong, and writes nothing."""
+
+    @staticmethod
+    def predict_refuses(path, small_csv, tmp_path, capsys, message):
+        out = tmp_path / "pred.csv"
+        assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_last_byte, "parameter bias spans bytes 400..408 of a 407-byte tail"),
+        (_add_eight_bytes, "tail bytes 408..416 belong to no parameter"),
+        (_offset("centers", 408), "parameter centers spans bytes 408..728 of a 408-byte tail"),
+        (_offset("spreads", 312), "parameter spreads at byte 312 overlaps parameter centers, "
+                                  "which ends at byte 320"),
+        (_gap_before_bias, "tail bytes 400..408 belong to no parameter"),
+    ], ids=["truncated-by-one-byte", "eight-extra-bytes", "span-past-the-end",
+            "overlapping-spans", "gap"])
+    def test_spans_must_tile_the_tail(self, tmp_path, small_csv, capsys, edit, message):
+        path, doc = saved_doc(tmp_path, "rbfn")
+        edit(doc)
+        write_doc(path, doc)
+        self.predict_refuses(path, small_csv, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda raw: raw.replace(b"\n", b"", 1), "header is not valid UTF-8 JSON"),
+        (lambda raw: raw.split(b"\n", 1)[0], "header does not end in a line break"),
+        (lambda raw: raw.replace(b'"close"', b'"clos\xff"', 1),
+         "header is not valid UTF-8 JSON: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["line-break-removed", "header-alone", "non-utf8-header"])
+    def test_header_must_be_a_utf8_json_line(self, tmp_path, small_csv, capsys, cut, message):
+        path, _ = saved_doc(tmp_path, "rbfn")
+        path.write_bytes(cut(path.read_bytes()))
+        self.predict_refuses(path, small_csv, tmp_path, capsys, message)
+
+    def test_spans_checked_before_any_array_is_allocated(self, tmp_path):
+        # a GRNN's row count is free, so a file can declare more rows than it
+        # holds: 10**12 rows of 8 floats, 64 TB, which no array could take
+        path, doc = saved_doc(tmp_path, "grnn")
+        doc["parameters"]["stored_targets"]["shape"] = [10**12]
+        doc["parameters"]["stored_inputs"]["shape"][0] = 10**12
+        write_doc(path, doc)
+        with pytest.raises(DataError, match=r"stored_inputs spans bytes 0\.\.64000000000000 of"):
+            bundleio.load_bundle(path)
 
 
 class TestEnvelopeChecks:
@@ -465,7 +572,7 @@ class TestEnvelopeChecks:
 
     @staticmethod
     def rejects(path, doc, message):
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         with pytest.raises(DataError, match=message):
             bundleio.load_bundle(path)
 
@@ -480,7 +587,7 @@ class TestEnvelopeChecks:
         # as in a config file
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["window"] = 4.0
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         window = bundleio.load_bundle(path).config["window"]
         assert type(window) is int and window == 4
 
@@ -518,7 +625,7 @@ class TestEnvelopeChecks:
         # the rules JSON Schema cannot state hold for a bundle as for a config
         path, doc = saved_doc(tmp_path, "hybrid")
         doc["hyperparameters"].update(shape)
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "pred.csv")]) == 3
         assert message in capsys.readouterr().err
@@ -535,7 +642,7 @@ class TestEnvelopeChecks:
         # a file of n bytes carries at most n/8 parameters
         path, doc = saved_doc(tmp_path, kind)
         (doc if key == "window" else doc["hyperparameters"])[key] = value
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "pred.csv")]) == 3
         assert f"{key}={value} needs more parameters than the" in capsys.readouterr().err
@@ -547,7 +654,7 @@ class TestEnvelopeChecks:
         path, doc = saved_doc(tmp_path, "hybrid")
         arrays = len(doc["parameters"])
         doc["hyperparameters"]["layers"] = arrays + 1
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
 
         def no_template(hyper, window, input_size):
             raise AssertionError("load_bundle built the template")
@@ -603,7 +710,7 @@ class TestEnvelopeChecks:
         assert err.startswith("config error:") and message in err
         path, doc = saved_doc(tmp_path, "rbfn")
         doc.update(target_column=target, fgi_weights=weights)
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         assert cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "pred.csv")]) == 3
         err = capsys.readouterr().err
@@ -621,7 +728,8 @@ class TestEnvelopeChecks:
     def test_normalization_pairs_must_be_ordered_finite(self, tmp_path, normalization):
         path, doc = saved_doc(tmp_path, "rbfn")
         doc["normalization"] = normalization
-        path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        path.write_bytes(json.dumps(doc).replace("Infinity", "1e400").encode() + b"\n"
+                         + doc.tail)
         with pytest.raises(DataError, match="normalization"):
             bundleio.load_bundle(path)
 
@@ -630,7 +738,7 @@ class TestEnvelopeChecks:
         path, doc = saved_doc(tmp_path, "hybrid")
         text = json.dumps(doc).replace('"lr": 0.01', f'"lr": {literal}')
         assert literal in text
-        path.write_text(text)
+        path.write_bytes(text.encode() + b"\n" + doc.tail)
         with pytest.raises(DataError, match="not valid UTF-8 JSON: non-finite number"):
             bundleio.load_bundle(path)
 
@@ -650,7 +758,7 @@ class TestEnvelopeChecks:
                                                       kind, key, value, message):
         path, doc = saved_doc(tmp_path, kind)
         doc["hyperparameters"][key] = value
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         code = cli_main(["predict", "--bundle", str(path), "--data", small_csv,
                          "--out", str(tmp_path / "p.csv")])
         err = capsys.readouterr().err
@@ -661,14 +769,14 @@ class TestEnvelopeChecks:
 
 # --- fuzzing -----------------------------------------------------------------
 
-_BASE_TEXT = {}
+_BASE_BYTES = {}
 
 
-def base_text(kind):
-    """A saved /6 bundle of `kind`, made once per session."""
-    if kind not in _BASE_TEXT:
-        _BASE_TEXT[kind] = bundleio.bundle_bytes(wrap(kind, fitted(kind), HYPER[kind])).decode()
-    return _BASE_TEXT[kind]
+def base_bytes(kind):
+    """A saved /7 bundle of `kind`, made once per session."""
+    if kind not in _BASE_BYTES:
+        _BASE_BYTES[kind] = bundleio.bundle_bytes(wrap(kind, fitted(kind), HYPER[kind]))
+    return _BASE_BYTES[kind]
 
 
 _ENVELOPE_KEYS = ["format", "model", "hyperparameters", "window", "feature_columns",
@@ -687,13 +795,14 @@ _MUTATION = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(_ENVELOPE_KEYS)),
     st.tuples(st.just("set"), st.sampled_from(_ENVELOPE_KEYS), _JSON),
     st.tuples(st.just("hyper"), st.sampled_from(_HYPER_KEYS) | st.text(max_size=6), _JSON),
+    st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("corrupt"), st.integers(0, 10**4), st.integers(0, 255)),
+    st.tuples(st.just("append"), st.binary(max_size=80)),
     st.tuples(st.just("drop_param"), _PICK),
-    st.tuples(st.just("drop_key"), _PICK, st.sampled_from(["shape", "f8le"])),
-    st.tuples(st.just("set_key"), _PICK, st.sampled_from(["shape", "f8le", "dtype"]), _JSON),
-    st.tuples(st.just("truncate"), _PICK, st.integers(0, 400)),
-    st.tuples(st.just("corrupt"), _PICK, st.integers(0, 400), st.characters()),
+    st.tuples(st.just("drop_key"), _PICK, st.sampled_from(["shape", "offset"])),
+    st.tuples(st.just("set_key"), _PICK, st.sampled_from(["shape", "offset", "dtype"]), _JSON),
     st.tuples(st.just("shape"), _PICK, st.lists(_DIM, max_size=4)),
-    st.tuples(st.just("payload"), _PICK, st.binary(max_size=80)),
+    st.tuples(st.just("offset"), _PICK, st.integers(-16, 10**4)),
     st.tuples(st.just("values"), _PICK,
               st.lists(_EDGE_FLOATS | st.floats(), min_size=1, max_size=4)),
 )
@@ -708,6 +817,14 @@ def mutate(doc, op, *args):
     elif op == "hyper":
         if isinstance(doc.get("hyperparameters"), dict):
             doc["hyperparameters"][args[0]] = args[1]
+    elif op == "truncate":
+        doc.tail = doc.tail[:args[0] % (len(doc.tail) + 1)]
+    elif op == "corrupt":
+        if doc.tail:
+            at = args[0] % len(doc.tail)
+            doc.tail = doc.tail[:at] + bytes([args[1]]) + doc.tail[at + 1:]
+    elif op == "append":
+        doc.tail += args[0]
     elif isinstance(doc.get("parameters"), dict) and doc["parameters"]:
         params = doc["parameters"]
         name = sorted(params)[args[0] % len(params)]
@@ -722,21 +839,18 @@ def mutate(doc, op, *args):
             entry[args[1]] = args[2]
         elif op == "shape":
             entry["shape"] = args[1]
-        elif op == "payload":
-            entry["f8le"] = base64.b64encode(args[1]).decode("ascii")
+        elif op == "offset":
+            entry["offset"] = args[1]
         elif op == "values":
-            # as many values as the declared shape holds, cycling through args[1]
+            # as many values as the declared shape holds, cycling through
+            # args[1], written over the array's span where it lies in the tail
             try:
-                count = int(np.prod(entry["shape"]))
+                count, offset = int(np.prod(entry["shape"])), int(entry["offset"])
             except (KeyError, TypeError, ValueError, OverflowError):
                 return
-            if 0 <= count <= 4096:
-                entry["f8le"] = encode_entry(np.resize(args[1], count))["f8le"]
-        elif isinstance(entry.get("f8le"), str):
-            text = entry["f8le"]
-            cut = args[1] % (len(text) + 1)
-            tail = "" if op == "truncate" else args[2] + text[cut + 1:]
-            entry["f8le"] = text[:cut] + tail
+            if 0 <= count <= 4096 and 0 <= offset <= len(doc.tail) - 8 * count:
+                values = np.resize(np.array(args[1], dtype="<f8"), count).tobytes()
+                doc.tail = doc.tail[:offset] + values + doc.tail[offset + len(values):]
 
 
 class TestLoadBundleFuzz:
@@ -775,11 +889,25 @@ class TestLoadBundleFuzz:
     @given(st.sampled_from(list(MODELS)), st.lists(_MUTATION, min_size=1, max_size=3))
     @settings(max_examples=400, deadline=None)
     def test_mutated_documents(self, tmp_path_factory, kind, mutations):
-        doc = json.loads(base_text(kind))
+        doc = parse_doc(base_bytes(kind))
         for mutation in mutations:
             mutate(doc, *mutation)
         path = tmp_path_factory.mktemp("fuzz") / "bundle.json"
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
+        self.check(path)
+
+    @given(st.sampled_from(list(MODELS)), st.integers(0, 10**5),
+           st.lists(st.tuples(st.integers(0, 10**5), st.integers(1, 255)), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_truncations_and_byte_flips(self, tmp_path_factory, kind, cut, flips):
+        # a saved bundle cut short at any byte, then with some bytes flipped
+        raw = bytearray(base_bytes(kind))
+        del raw[cut % (len(raw) + 1):]
+        for at, mask in flips:
+            if raw:
+                raw[at % len(raw)] ^= mask
+        path = tmp_path_factory.mktemp("fuzz") / "cut.json"
+        path.write_bytes(bytes(raw))
         self.check(path)
 
     @given(st.binary(max_size=400))

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptocast import cli, pipeline
 from cryptocast import data as dataio
@@ -129,7 +131,8 @@ class TestRun:
                        "--save-models") == 0
         resolved = json.loads((out_dir / "config.resolved.json").read_text())
         for kind in ("rbfn", "grnn", "bilstm", "bigru", "hybrid"):
-            bundle = json.loads((out_dir / f"model_{kind}.json").read_text())
+            # the bundle's first line is its JSON header
+            bundle = json.loads((out_dir / f"model_{kind}.json").read_bytes().split(b"\n")[0])
             # the config's section as resolved, with nothing derived added
             assert bundle["hyperparameters"] == resolved["models"][kind]
             assert bundle["window"] == resolved["window"]
@@ -802,6 +805,21 @@ class TestPredictOutput:
             assert predict(kind, f"{kind}_again.csv") == first[kind], kind
 
 
+class TestPredictionsText:
+    @given(st.lists(st.tuples(st.dates(), st.floats(allow_nan=False) | st.sampled_from(
+        [1e-05, 1e+16, -0.0, 0.1 + 0.2, 1.2345678901234567, 5e-324, 1.7976931348623157e308,
+         123456789012345678.0])), max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_text_is_csv_text_of_the_rows(self, rows):
+        # csv_text quotes a cell holding a comma, a quote or a line break; no
+        # date or float repr holds one, so the one-join text has its bytes
+        dates = [d for d, _ in rows]
+        values = [v for _, v in rows]
+        expected = pipeline.csv_text([["date", "actual", "predicted"],
+                                      *([d.isoformat(), repr(v), repr(-v)] for d, v in rows)])
+        assert cli.predictions_text(dates, values, [-v for v in values]) == expected
+
+
 class TestRangeBeyondFloat64:
     """A column whose max - min overflows float64 has no min-max scale: every
     command that would scale by one exits 3, and writes nothing, instead of
@@ -836,9 +854,10 @@ class TestRangeBeyondFloat64:
         bundle, out = tmp_path / "rbfn.json", tmp_path / "p.csv"
         assert run_cli("train", "--config", small_config_file, "--model", "rbfn",
                        "--out", str(bundle)) == 0
-        doc = json.loads(bundle.read_text())
+        header, tail = bundle.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
         doc["normalization"]["volume"] = [-1e308, 1e308]
-        bundle.write_text(json.dumps(doc))
+        bundle.write_bytes(json.dumps(doc).encode() + b"\n" + tail)
         assert run_cli("predict", "--bundle", str(bundle), "--data", small_csv,
                        "--out", str(out)) == 3
         assert "finite max - min" in capsys.readouterr().err
@@ -1018,7 +1037,22 @@ class TestTwoOutputs:
         first.write_text("previous\n")
         assert run_cli(*self.argv(command, tiny_run, first, second)) == 0
         assert sorted(path.name for path in tmp_path.iterdir()) == ["first", "second"]
-        assert first.read_text() != "previous\n" and second.stat().st_size > 0
+        assert first.read_bytes() != b"previous\n" and second.stat().st_size > 0
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_one_path_for_both_outputs_exits_2(self, tiny_run, tmp_path, capsys, monkeypatch,
+                                               command, spelling):
+        # the two spellings name one file: nothing is written, and the
+        # error names the path
+        monkeypatch.chdir(tmp_path)
+        first, second = "same.txt", "same.txt" if spelling == "same" else "./same.txt"
+        capsys.readouterr()
+        assert run_cli(*self.argv(command, tiny_run, first, second)) == 2
+        out, err = capsys.readouterr()
+        assert "wrote" not in out and "written" not in out
+        assert err == f"config error: two outputs name one file: {first} and {second}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_directory_target_replaces_nothing(self, tiny_run, tmp_path, capsys):
         kept = tmp_path / "kept"

@@ -1,4 +1,6 @@
+import csv
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from cryptocast import data as dataio
 from cryptocast.errors import (
     CryptocastError,
+    DataError,
     DegenerateScaleError,
     DomainError,
     OrderingError,
@@ -145,6 +148,156 @@ class TestLoadSeriesFuzz:
         path = tmp_path_factory.mktemp("fuzz") / "text.csv"
         path.write_bytes((header + "\n" + body).encode("utf-8", "surrogatepass"))
         self.check(path)
+
+
+# --- parity of the one-pass reader with the row-by-row reader it replaced -----
+
+def oracle_load_series(path) -> dataio.SeriesFrame:
+    """load_series as it read a file one Python step per cell: the oracle
+    for the one-pass reader's values, errors and messages."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open data file {path}: {exc}") from exc
+    try:
+        with fh:
+            return oracle_read_series(path, csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path} is not a readable UTF-8 CSV: {exc}") from None
+
+
+def oracle_read_series(path, reader) -> dataio.SeriesFrame:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path} is empty") from None
+    header = [h.strip() for h in header]
+    repeated = [h for i, h in enumerate(header) if h in header[:i]]
+    if repeated:
+        raise SchemaError(f"{path} header repeats column {repeated[0]!r}")
+    if "date" not in header:
+        raise SchemaError(f"column 'date' not found in {path} header {header}")
+    date_index = header.index("date")
+    feature_names = [h for h in header if h != "date"]
+    if not feature_names:
+        raise SchemaError(f"{path} declares no value columns")
+    col_index = [header.index(name) for name in feature_names]
+    dates: list[dt.date] = []
+    rows: list[list[float]] = []
+    for row_number, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            date = dt.date.fromisoformat(row[date_index].strip())
+        except (ValueError, IndexError):
+            raise ParseError(
+                f"{path} row {row_number}: unparseable date "
+                f"{row[date_index] if len(row) > date_index else '<missing>'!r}"
+            ) from None
+        parsed: list[float] = []
+        for name, j in zip(feature_names, col_index):
+            try:
+                value = float(row[j])
+            except (ValueError, IndexError):
+                raise ParseError(
+                    f"{path} row {row_number}: non-numeric value for column {name!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path} row {row_number}: non-finite value for column {name!r}"
+                )
+            parsed.append(value)
+        dates.append(date)
+        rows.append(parsed)
+    if not rows:
+        raise SizeError(f"{path} contains no data rows")
+    return dataio.SeriesFrame.build(dates, feature_names, np.array(rows, dtype=np.float64))
+
+
+def outcome(load, path):
+    """A loader's frame as (dates, columns, value bytes), or its error as
+    (type, message)."""
+    try:
+        frame = load(path)
+    except CryptocastError as exc:
+        return type(exc), str(exc)
+    return frame.dates, frame.columns, frame.values.shape, frame.values.tobytes()
+
+
+_ODD_VALUES = ["1_000", "1__0", " 1.5 ", "\t2.5", '"3,5"', '"4.25"', '"a""b"', "nan", "-nan",
+               "inf", "-Infinity", "1e400", "-0.0", "5e-324", "", "  ", "abc", "0x10",
+               "\u0661\u0662\u0663", "\uff11\uff12", "+7", ".5", "5."]
+_VALUE = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.integers(-10**20, 10**20).map(str), st.sampled_from(_ODD_VALUES))
+_BAD_DATES = ["2021-02-30", "20210103", "", " ", "2021-1-5", "date", "2021-01-01T00:00"]
+# a data row (date, then values), a blank row, or a row of whitespace cells
+_ROW = st.one_of(
+    st.tuples(st.one_of(st.dates(dt.date(2000, 1, 1), dt.date(2030, 12, 31)).map(
+                  dt.date.isoformat), st.sampled_from(_BAD_DATES)),
+              st.lists(_VALUE, max_size=4)).map(lambda row: [row[0], *row[1]]),
+    st.just([]),
+    st.lists(st.sampled_from([" ", "\t", ""]), min_size=1, max_size=3),
+)
+
+
+def _csv_body(rows, ordered):
+    """Rows as CSV lines; data rows sorted by their date cell when `ordered`,
+    so that most files pass the date-order check."""
+    if ordered:
+        rows = sorted(rows, key=lambda row: row[0] if row else "")
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestLoadSeriesParity:
+    """The one-pass reader gives the row-by-row reader's dates, columns and
+    float64 bits, or the same error type and message: blank and whitespace
+    rows keep their row numbers, short and long rows, quoted cells,
+    underscores, nan/inf, non-numeric cells, bad and decreasing dates."""
+
+    @given(st.sampled_from(["date,close", "date,close,fgi", "close,date,volume",
+                            "date,close,volume,fgi", " date , close "]),
+           st.lists(_ROW, max_size=8), st.booleans())
+    @settings(max_examples=500, deadline=None)
+    def test_same_frame_or_same_error(self, tmp_path_factory, header, rows, ordered):
+        path = tmp_path_factory.mktemp("parity") / "p.csv"
+        path.write_text(header + "\n" + _csv_body(rows, ordered), encoding="utf-8")
+        assert outcome(dataio.load_series, path) == outcome(oracle_load_series, path)
+
+    @given(st.lists(st.tuples(st.dates(dt.date(2000, 1, 1), dt.date(2030, 12, 31)),
+                              st.lists(st.one_of(st.floats(-1e6, 1e6).map(repr), _VALUE),
+                                       min_size=2, max_size=2),
+                              st.sampled_from(["", "\n", " , \n"])),
+                    min_size=1, max_size=8, unique_by=lambda row: row[0]))
+    @settings(max_examples=300, deadline=None)
+    def test_well_formed_rows_read_bit_for_bit(self, tmp_path_factory, rows):
+        # each data row may be followed by a blank or whitespace row
+        path = tmp_path_factory.mktemp("parity") / "w.csv"
+        path.write_text("date,close,volume\n" + "".join(
+            f"{d.isoformat()},{a},{b}\n{gap}" for d, (a, b), gap in sorted(rows)))
+        assert outcome(dataio.load_series, path) == outcome(oracle_load_series, path)
+
+    @pytest.mark.parametrize("body, error", [
+        ("2021-01-01,1\n\n  ,\t\n2021-01-04,oops\n", "row 5: non-numeric value"),
+        ("2021-01-01,1,2\n2021-01-02,1e400\n2021-01-03,x\n", "row 3: non-finite value"),
+        ("2021-01-01,1\n2021-01-02\n", "row 3: non-numeric value"),
+        ("2021-01-01,nan\n2021-13-01,1\n", "row 2: non-finite value"),
+        ("2021-01-02,1\nnot-a-date,x\n", "row 3: unparseable date 'not-a-date'"),
+        ("2021-01-02,1\n2021-01-01,2\n", "row 2 (2021-01-01) does not follow 2021-01-02"),
+    ])
+    def test_first_error_in_row_order(self, tmp_path, body, error):
+        path = tmp_path / "e.csv"
+        path.write_text("date,close\n" + body)
+        kind, message = outcome(dataio.load_series, path)
+        assert (kind, message) == outcome(oracle_load_series, path)
+        assert issubclass(kind, DataError) and error in message
+
+    def test_unreadable_line_after_a_bad_cell(self, tmp_path):
+        # a bad cell before the first undecodable byte is reported first, as
+        # when the rows were read one at a time
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"date,close\n2021-01-01,oops\n" + b"2021-01-02,1\n" * 2000 + b"\xff\n")
+        assert outcome(dataio.load_series, path) == outcome(oracle_load_series, path)
+        assert "row 2: non-numeric value" in outcome(dataio.load_series, path)[1]
 
 
 class TestComposeFgi:
