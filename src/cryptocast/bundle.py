@@ -14,8 +14,8 @@ Q/K/V projections of all heads in one W_QKV. The hyperparameters are the
 config's `models.<kind>` section; the window and input size are the
 envelope's. Every model kind round-trips bit-exactly; loading checks the
 envelope and the hyperparameters by the config's schema and rules, each
-array's name and shape, that the arrays' spans tile the tail exactly, and
-that every value is finite.
+array's name and shape, that the arrays follow one another in that order
+and fill the tail exactly, and that every value is finite.
 """
 
 from __future__ import annotations
@@ -91,36 +91,13 @@ def _declared_span(path, name: str, entry) -> tuple[tuple[int, ...], int]:
     return tuple(shape), offset
 
 
-def _tiling_order(path, spans: dict[str, tuple[int, int]], tail_bytes: int) -> list[str]:
-    """The names of the (offset, byte count) spans in offset order, once they
-    tile the tail: each inside it and, in that order, each starting where
-    the one before ends, the first at byte 0 and the last ending at the
-    tail's end."""
-    for name, (offset, size) in spans.items():
-        if offset + size > tail_bytes:
-            raise DataError(f"bundle {path}: parameter {name} spans bytes {offset}.."
-                            f"{offset + size} of a {tail_bytes}-byte tail")
-    order = sorted(spans, key=spans.__getitem__)
-    end, previous = 0, None
-    for name in order:
-        offset, size = spans[name]
-        if offset < end:
-            raise DataError(f"bundle {path}: parameter {name} at byte {offset} overlaps "
-                            f"parameter {previous}, which ends at byte {end}")
-        if offset > end:
-            raise DataError(f"bundle {path}: tail bytes {end}..{offset} belong to no "
-                            f"parameter")
-        end, previous = offset + size, name
-    if end < tail_bytes:
-        raise DataError(f"bundle {path}: tail bytes {end}..{tail_bytes} belong to no parameter")
-    return order
-
-
 def _parameter_arrays(path, expected: dict, params: dict, fh,
                       tail_bytes: int) -> dict[str, np.ndarray]:
     """Arrays named exactly as `expected`, each of its shape and finite, read
     from `fh`, which stands at the start of a tail of `tail_bytes` bytes. A
-    string dimension is free but must agree wherever it appears."""
+    string dimension is free but must agree wherever it appears. The arrays
+    lie in `expected` order, each starting where the one before ends, the
+    first at byte 0 and the last ending at the tail's end."""
     for name in expected:
         if name not in params:
             raise DataError(f"bundle {path} lacks parameter {name}")
@@ -128,7 +105,7 @@ def _parameter_arrays(path, expected: dict, params: dict, fh,
         if name not in expected:
             raise DataError(f"bundle {path} has unexpected parameter {name}")
     free: dict[str, int] = {}
-    shapes, spans = {}, {}
+    shapes, end = {}, 0
     for name, shape in expected.items():
         declared, offset = _declared_span(path, name, params[name])
         if len(declared) == len(shape):
@@ -137,19 +114,23 @@ def _parameter_arrays(path, expected: dict, params: dict, fh,
         if declared != shape:
             raise DataError(f"bundle {path}: parameter {name} has shape {declared}, "
                             f"expected {shape}")
+        if offset != end:
+            raise DataError(f"bundle {path}: parameter {name} starts at byte {offset}, "
+                            f"expected byte {end}")
         shapes[name] = declared
-        spans[name] = (offset, F8LE.itemsize * math.prod(declared))
-    # every span lies in the file before any array is allocated; as the
-    # spans tile the tail, reading them in offset order reads it through
+        end += F8LE.itemsize * math.prod(declared)
+    # every span is checked against the tail before any array is allocated
+    if end != tail_bytes:
+        raise DataError(f"bundle {path}: the parameters take {end} bytes, the tail holds "
+                        f"{tail_bytes}")
     arrays = {}
-    for name in _tiling_order(path, spans, tail_bytes):
-        a = np.empty(shapes[name], dtype=F8LE)
-        if fh.readinto(a.reshape(-1).view(np.uint8)) != spans[name][1]:
+    for name, shape in shapes.items():
+        a = np.empty(shape, dtype=F8LE)
+        if fh.readinto(a.reshape(-1).view(np.uint8)) != a.nbytes:
             raise DataError(f"bundle {path} was cut short while it was read")
-        arrays[name] = a.astype(np.float64, copy=False)
-    for name in expected:
-        if not np.isfinite(arrays[name]).all():
+        if not np.isfinite(a).all():
             raise DataError(f"bundle {path}: parameter {name} has non-finite values")
+        arrays[name] = a.astype(np.float64, copy=False)
     return arrays
 
 

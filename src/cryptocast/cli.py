@@ -120,17 +120,20 @@ def _load_config(args):
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
+    # the kernel kinds are fitted in closed form, with no epochs to trace
+    if args.loss_out and "epochs" not in cfg["models"][args.model]:
+        raise ConfigError(f"--loss-out: {args.model} is fitted in closed form and has no "
+                          f"loss trace")
     prepared = prepare_data(cfg)
     model, trace = train_model(args.model, cfg, prepared, Rng(cfg["seed"]))
     outputs = [(args.out, bundle_bytes(ModelBundle(args.model, model, cfg, prepared.stats)))]
-    loss_out = args.loss_out if trace is not None else None
-    if loss_out:
-        outputs.append((loss_out, loss_csv(trace)))
+    if args.loss_out:
+        outputs.append((args.loss_out, loss_csv(trace)))
     write_files(outputs)
     print(f"trained {args.model} on {len(prepared.train_windows)} windows; "
           f"bundle written to {args.out}")
-    if loss_out:
-        print(f"loss trace written to {loss_out}")
+    if args.loss_out:
+        print(f"loss trace written to {args.loss_out}")
     return EXIT_OK
 
 

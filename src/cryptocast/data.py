@@ -13,8 +13,8 @@ import io
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, count
+from operator import itemgetter, le
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,12 +56,12 @@ class SeriesFrame:
             )
         if len(set(columns)) != len(columns):
             raise SchemaError(f"duplicate column names in {columns}")
-        for i in range(1, len(dates)):
-            if dates[i] <= dates[i - 1]:
-                raise OrderingError(
-                    f"dates must be strictly increasing; row {i + 1} "
-                    f"({dates[i]}) does not follow {dates[i - 1]}"
-                )
+        i = _first_unordered(dates)
+        if i:
+            raise OrderingError(
+                f"dates must be strictly increasing; row {i + 1} "
+                f"({dates[i]}) does not follow {dates[i - 1]}"
+            )
         if not np.all(np.isfinite(values)):
             raise DataError("frame contains non-finite values")
         frame = cls(dates=dates, columns=columns, values=values)
@@ -109,6 +109,12 @@ class SeriesFrame:
             "dates": [d.isoformat() for d in self.dates],
             "values": {c: self.column(c).tolist() for c in self.columns},
         }
+
+
+def _first_unordered(dates: list) -> int:
+    """The index of the first date not later than the one before it; 0 when
+    the dates strictly increase."""
+    return next(compress(count(1), map(le, dates[1:], dates[:-1])), 0)
 
 
 def load_series(path) -> SeriesFrame:
@@ -172,6 +178,11 @@ def _read_series(path, reader) -> SeriesFrame:
     if not ok:
         _raise_first_error(path, lines, date_index, feature_names, col_index)
         raise AssertionError(f"{path}: numpy refused a cell that float() reads")
+    i = _first_unordered(dates)
+    if i:
+        row_number = [n for n, row in enumerate(lines, start=2) if _has_text(row)][i]
+        raise OrderingError(f"{path} row {row_number}: date {dates[i]} does not follow "
+                            f"{dates[i - 1]}; dates must be strictly increasing")
     return SeriesFrame.build(dates, feature_names, values)
 
 

@@ -60,7 +60,8 @@ def run_blocks(work, spans: list, threads: int) -> None:
     BLAS calls and ufunc loops, so the threads' arithmetic overlaps. Every
     thread is joined before this returns or raises; once a call fails no
     further span is claimed, and the exception of the earliest failed span
-    is raised.
+    is raised. numpy keeps its error state per thread, so every thread runs
+    under the caller's.
 
     Each started thread allocates from a glibc malloc arena of its own,
     which keeps its peak after the thread ends; so large arrays a worker
@@ -68,19 +69,21 @@ def run_blocks(work, spans: list, threads: int) -> None:
     claims = iter(enumerate(spans))
     lock = threading.Lock()
     errors: dict[int, BaseException] = {}
+    errstate = {"call": np.geterrcall(), **np.geterr()}
 
     def claim_and_work(worker: int) -> None:
-        while True:
-            with lock:
-                claim = None if errors else next(claims, None)
-            if claim is None:
-                return
-            index, span = claim
-            try:
-                work(span, worker)
-            except BaseException as exc:
-                errors[index] = exc
-                return
+        with np.errstate(**errstate):
+            while True:
+                with lock:
+                    claim = None if errors else next(claims, None)
+                if claim is None:
+                    return
+                index, span = claim
+                try:
+                    work(span, worker)
+                except BaseException as exc:
+                    errors[index] = exc
+                    return
 
     started = []
     for worker in range(1, min(threads, len(spans))):
@@ -166,11 +169,12 @@ def softmax_rows(x, out=None) -> np.ndarray:
     rows are shifted by the largest entry of the whole array when all
     entries lie within SOFTMAX_SHIFT_SPREAD of each other, and each by its
     own maximum otherwise; softmax is the same under any shift, and one
-    scalar costs two whole-array reductions instead of a pass per column."""
+    scalar costs two whole-array reductions instead of numpy's slower one
+    over the short last axis."""
     x = as_float(x)
     top = x.max(initial=-np.inf)
     spread = SOFTMAX_SHIFT_SPREAD[x.dtype]
-    shift = top if top - x.min(initial=np.inf) < spread else _max_last(x)
+    shift = top if top - x.min(initial=np.inf) < spread else x.max(axis=-1, keepdims=True)
     out = np.subtract(x, shift, out=out)
     np.exp(out, out=out)
     out /= _sum_last(out)
@@ -184,16 +188,6 @@ def softmax_backward(dprobs: np.ndarray, probs: np.ndarray, out=None) -> np.ndar
     out = np.subtract(dprobs, inner, out=out)
     out *= probs
     return out
-
-
-def _max_last(x) -> np.ndarray:
-    """Max over the last axis, kept as a length-1 axis, as a running maximum
-    over the columns: numpy's own reduction over a short last axis costs
-    several times more."""
-    top = x[..., :1].copy()
-    for j in range(1, x.shape[-1]):
-        np.maximum(top, x[..., j:j + 1], out=top)
-    return top
 
 
 def _sum_last(x) -> np.ndarray:

@@ -96,8 +96,10 @@ def decode_entry(doc, entry):
 
 
 def as_lists(doc):
-    """doc's parameters as nested number lists, the pre-/4 layout tests edit."""
-    return {name: decode_entry(doc, entry).tolist() for name, entry in doc["parameters"].items()}
+    """doc's parameters as nested number lists, the pre-/4 layout tests edit,
+    in the tail's order."""
+    entries = sorted(doc["parameters"].items(), key=lambda item: item[1]["offset"])
+    return {name: decode_entry(doc, entry).tolist() for name, entry in entries}
 
 
 def write_lists(path, doc, params):
@@ -514,11 +516,18 @@ def _gap_before_bias(doc):
     doc.tail = doc.tail[:400] + bytes(8) + doc.tail[400:]
 
 
+def _swap_spreads_and_weights(doc):
+    # equal sizes, so the swapped spans still tile the tail
+    params = doc["parameters"]
+    params["spreads"]["offset"], params["weights"]["offset"] = 360, 320
+    doc.tail = doc.tail[:320] + doc.tail[360:400] + doc.tail[320:360] + doc.tail[400:]
+
+
 class TestTail:
-    """Each array's span must lie in the tail, and the spans must tile it: an
-    RBFN tail holds centers at bytes 0..320, spreads 320..360, weights
-    360..400 and bias 400..408. Every other file exits 3 naming what is
-    wrong, and writes nothing."""
+    """The arrays must follow one another in `named_arrays` order and fill the
+    tail: an RBFN tail holds centers at bytes 0..320, spreads 320..360,
+    weights 360..400 and bias 400..408. Every other file exits 3 naming what
+    is wrong, and writes nothing."""
 
     @staticmethod
     def predict_refuses(path, small_csv, tmp_path, capsys, message):
@@ -531,14 +540,14 @@ class TestTail:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
-        (_drop_last_byte, "parameter bias spans bytes 400..408 of a 407-byte tail"),
-        (_add_eight_bytes, "tail bytes 408..416 belong to no parameter"),
-        (_offset("centers", 408), "parameter centers spans bytes 408..728 of a 408-byte tail"),
-        (_offset("spreads", 312), "parameter spreads at byte 312 overlaps parameter centers, "
-                                  "which ends at byte 320"),
-        (_gap_before_bias, "tail bytes 400..408 belong to no parameter"),
+        (_drop_last_byte, "the parameters take 408 bytes, the tail holds 407"),
+        (_add_eight_bytes, "the parameters take 408 bytes, the tail holds 416"),
+        (_offset("centers", 408), "parameter centers starts at byte 408, expected byte 0"),
+        (_offset("spreads", 312), "parameter spreads starts at byte 312, expected byte 320"),
+        (_gap_before_bias, "parameter bias starts at byte 408, expected byte 400"),
+        (_swap_spreads_and_weights, "parameter spreads starts at byte 360, expected byte 320"),
     ], ids=["truncated-by-one-byte", "eight-extra-bytes", "span-past-the-end",
-            "overlapping-spans", "gap"])
+            "overlapping-spans", "gap", "out-of-order"])
     def test_spans_must_tile_the_tail(self, tmp_path, small_csv, capsys, edit, message):
         path, doc = saved_doc(tmp_path, "rbfn")
         edit(doc)
@@ -563,7 +572,8 @@ class TestTail:
         doc["parameters"]["stored_targets"]["shape"] = [10**12]
         doc["parameters"]["stored_inputs"]["shape"][0] = 10**12
         write_doc(path, doc)
-        with pytest.raises(DataError, match=r"stored_inputs spans bytes 0\.\.64000000000000 of"):
+        with pytest.raises(DataError, match="stored_targets starts at byte 1280, "
+                                             "expected byte 64000000000000"):
             bundleio.load_bundle(path)
 
 

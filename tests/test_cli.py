@@ -619,6 +619,16 @@ class TestTrainPredictEvaluate:
         assert len(rows) == 15
         assert float(rows[-1]["loss"]) < float(rows[0]["loss"])
 
+    @pytest.mark.parametrize("kind", ["rbfn", "grnn"])
+    def test_loss_out_of_a_kind_without_trace_exits_2(self, small_config_file, tmp_path, capsys,
+                                                      kind):
+        bundle_path, loss_path = tmp_path / f"{kind}.json", tmp_path / "loss.csv"
+        assert run_cli("train", "--config", small_config_file, "--model", kind,
+                       "--out", str(bundle_path), "--loss-out", str(loss_path)) == 2
+        assert capsys.readouterr().err == (f"config error: --loss-out: {kind} is fitted in "
+                                           f"closed form and has no loss trace\n")
+        assert not bundle_path.exists() and not loss_path.exists()
+
 
 class TestPredictReproducesRun:
     """`cli predict` over exactly a run's test rows builds the run's test

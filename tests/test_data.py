@@ -59,6 +59,16 @@ class TestLoadSeries:
         with pytest.raises(OrderingError):
             dataio.load_series(path)
 
+    def test_ordering_error_names_the_file_and_its_row(self, tmp_path):
+        # rows are counted as a ParseError counts them: the header is row 1
+        # and a blank row counts
+        path = tmp_path / "gap.csv"
+        path.write_text("date,close\n2021-01-02,1\n\n2021-01-01,2\n")
+        with pytest.raises(OrderingError) as raised:
+            dataio.load_series(path)
+        assert str(raised.value) == (f"{path} row 4: date 2021-01-01 does not follow "
+                                     f"2021-01-02; dates must be strictly increasing")
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "missing.csv"
         path.write_text("date,close\n2021-01-01,1\n")
@@ -183,6 +193,7 @@ def oracle_read_series(path, reader) -> dataio.SeriesFrame:
         raise SchemaError(f"{path} declares no value columns")
     col_index = [header.index(name) for name in feature_names]
     dates: list[dt.date] = []
+    numbers: list[int] = []
     rows: list[list[float]] = []
     for row_number, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -208,9 +219,14 @@ def oracle_read_series(path, reader) -> dataio.SeriesFrame:
                 )
             parsed.append(value)
         dates.append(date)
+        numbers.append(row_number)
         rows.append(parsed)
     if not rows:
         raise SizeError(f"{path} contains no data rows")
+    for i in range(1, len(dates)):
+        if dates[i] <= dates[i - 1]:
+            raise OrderingError(f"{path} row {numbers[i]}: date {dates[i]} does not follow "
+                                f"{dates[i - 1]}; dates must be strictly increasing")
     return dataio.SeriesFrame.build(dates, feature_names, np.array(rows, dtype=np.float64))
 
 
@@ -282,7 +298,7 @@ class TestLoadSeriesParity:
         ("2021-01-01,1\n2021-01-02\n", "row 3: non-numeric value"),
         ("2021-01-01,nan\n2021-13-01,1\n", "row 2: non-finite value"),
         ("2021-01-02,1\nnot-a-date,x\n", "row 3: unparseable date 'not-a-date'"),
-        ("2021-01-02,1\n2021-01-01,2\n", "row 2 (2021-01-01) does not follow 2021-01-02"),
+        ("2021-01-02,1\n2021-01-01,2\n", "row 3: date 2021-01-01 does not follow 2021-01-02"),
     ])
     def test_first_error_in_row_order(self, tmp_path, body, error):
         path = tmp_path / "e.csv"

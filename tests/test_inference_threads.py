@@ -1,6 +1,7 @@
 """Inference runs a pass's blocks on one thread per CPU (`ops.run_blocks`):
 the predictions do not depend on the number of CPUs, every thread is gone
-when a pass returns, and a failed block's exception reaches the caller."""
+when a pass returns, a failed block's exception reaches the caller, and
+every thread computes under the caller's numpy error state."""
 
 import os
 import sys
@@ -148,3 +149,46 @@ def test_a_run_after_a_threaded_predict_forks_with_one_thread(small_config_file,
     monkeypatch.setattr(os, "fork", counted_fork)
     assert cli.main(["run", "--config", small_config_file, "--out", str(tmp_path / "second")]) == 0
     assert threads_at_fork == [1]
+
+
+class Overflow(Exception):
+    pass
+
+
+def raise_overflow(kind, flag):
+    raise Overflow(kind)
+
+
+@pytest.mark.parametrize("state, raises", [
+    ({"over": "raise"}, FloatingPointError),
+    ({"over": "call", "call": raise_overflow}, Overflow),
+], ids=["raise", "call"])
+def test_every_thread_runs_under_the_callers_error_state(cpus, state, raises):
+    # numpy keeps its error state per thread: a started thread that began
+    # with numpy's default would only warn, and go on with an inf
+    both = threading.Barrier(2, timeout=30)
+    raised = set()
+
+    def work(span, worker):
+        both.wait()  # spans run two at a time, one on each thread
+        try:
+            np.float64(1e308) * 10
+        except raises:
+            raised.add(span.start)
+
+    cpus(0, 1)
+    with np.errstate(**state):
+        ops.run_blocks(work, [slice(i, i + 1) for i in range(4)], ops.threads_for(4))
+    assert raised == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("ids", [(0,), (0, 1)], ids=["one-cpu", "two-cpus"])
+def test_an_overflowing_pass_raises_under_raise_on_any_cpu_count(cpus, ids):
+    # a default-size hybrid over two read-out blocks: the started thread's
+    # overflow must raise as the calling thread's does
+    model, forward = MODELS["hybrid"]()
+    X = Rng(8).uniform(0.0, 1.0, (300, T, K))
+    X[0, 0, 0] = 1e300
+    cpus(*ids)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        forward(model, X)
