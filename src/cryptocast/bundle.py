@@ -119,7 +119,10 @@ def _parameter_arrays(path, expected: dict, params: dict, fh,
                             f"expected byte {end}")
         shapes[name] = declared
         end += F8LE.itemsize * math.prod(declared)
-    # every span is checked against the tail before any array is allocated
+        # every span is checked against the tail before any array is allocated
+        if end > tail_bytes:
+            raise DataError(f"bundle {path}: parameter {name} of shape {declared} ends at "
+                            f"byte {end}, the tail holds {tail_bytes}")
     if end != tail_bytes:
         raise DataError(f"bundle {path}: the parameters take {end} bytes, the tail holds "
                         f"{tail_bytes}")

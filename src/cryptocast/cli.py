@@ -35,6 +35,7 @@ from .pipeline import (
     comparison_csv,
     csv_text,
     emit_artifacts,
+    float_table,
     load_inputs,
     loss_csv,
     predict_prices,
@@ -137,15 +138,6 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def predictions_text(dates, actual, predicted) -> str:
-    """predict's output CSV for dates and float values: csv_text's bytes, in
-    one join, as neither a date nor a float repr holds a character csv_text
-    would quote."""
-    return "date,actual,predicted\n" + "".join([
-        f"{date.isoformat()},{act!r},{pred!r}\n"
-        for date, act, pred in zip(dates, actual, predicted)])
-
-
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.bundle)
     cfg, stats = bundle.config, bundle.stats
@@ -154,9 +146,9 @@ def _cmd_predict(args) -> int:
     ws = dataio.make_windows(normalized, cfg["window"], target)
     predicted = predict_prices(bundle.kind, bundle.model, ws, target, stats)
     actual = dataio.invert_minmax(ws.y, target, stats)
-    # tolist() gives Python floats, whose repr is the cell text
-    write_files([(args.out, predictions_text(ws.target_dates, actual.tolist(),
-                                             predicted.tolist()))])
+    write_files([(args.out, float_table(["date", "actual", "predicted"],
+                                        [date.isoformat() for date in ws.target_dates],
+                                        actual.tolist(), predicted.tolist()))])
     print(f"wrote {len(ws)} predictions to {args.out}")
     return EXIT_OK
 
@@ -223,7 +215,8 @@ def cmd_compare(paths: list[str], names: list[str] | None = None, alpha: float =
             )
     abs_errors = {}
     for path, name, frame in zip(paths, names, frames):
-        errors = np.abs(frame.column("actual") - frame.column("predicted"))
+        with np.errstate(over="ignore"):  # an overflow is an inf error, refused below
+            errors = np.abs(frame.column("actual") - frame.column("predicted"))
         finite = np.isfinite(errors)
         if not finite.all():
             date = frame.dates[int(np.argmin(finite))]

@@ -64,12 +64,7 @@ class SeriesFrame:
             )
         if not np.all(np.isfinite(values)):
             raise DataError("frame contains non-finite values")
-        frame = cls(dates=dates, columns=columns, values=values)
-        if "fgi" in columns:
-            fgi = frame.column("fgi")
-            if fgi.min() < 0.0 or fgi.max() > 100.0:
-                raise DomainError("fgi column must lie within [0, 100]")
-        return frame
+        return _fgi_checked(cls(dates=dates, columns=columns, values=values))
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -109,6 +104,15 @@ class SeriesFrame:
             "dates": [d.isoformat() for d in self.dates],
             "values": {c: self.column(c).tolist() for c in self.columns},
         }
+
+
+def _fgi_checked(frame: SeriesFrame) -> SeriesFrame:
+    """`frame`, once its fgi column, if it has one, lies within [0, 100]."""
+    if "fgi" in frame.columns:
+        fgi = frame.column("fgi")
+        if fgi.min() < 0.0 or fgi.max() > 100.0:
+            raise DomainError("fgi column must lie within [0, 100]")
+    return frame
 
 
 def _first_unordered(dates: list) -> int:
@@ -183,7 +187,8 @@ def _read_series(path, reader) -> SeriesFrame:
         row_number = [n for n, row in enumerate(lines, start=2) if _has_text(row)][i]
         raise OrderingError(f"{path} row {row_number}: date {dates[i]} does not follow "
                             f"{dates[i - 1]}; dates must be strictly increasing")
-    return SeriesFrame.build(dates, feature_names, values)
+    # every check of SeriesFrame.build but the fgi range has run above
+    return _fgi_checked(SeriesFrame(dates, feature_names, values))
 
 
 def _has_text(row: list[str]) -> bool:

@@ -356,38 +356,34 @@ def csv_text(rows) -> str:
     return out.getvalue()
 
 
-def _float_cell(x: float) -> str:
-    return repr(float(x))
+def float_table(header, keys, *columns) -> str:
+    """A table of floats as CSV text: the `header` line, then per key a line
+    of the key and the repr of each column's value at that row, each line
+    ending in a bare newline. Neither a key (a date, an epoch or a model
+    kind) nor a float repr holds a character `csv_text` would quote, so
+    these are its bytes, in one join. Every column must hold Python floats,
+    such as an array's `.tolist()`: in numpy 2, `repr(np.float64(x))` is
+    `np.float64(x)`. A column shorter or longer than `keys` is a ValueError."""
+    line = "%s" + ",%r" * len(columns) + "\n"
+    return ",".join(header) + "\n" + "".join(map(line.__mod__, zip(keys, *columns, strict=True)))
 
 
 def metrics_csv(result: RunResult) -> str:
-    rows = [["model", "mse", "rmse", "mae", "mape_percent"]]
-    for kind in MODEL_ORDER:
-        m = result.runs[kind].metrics
-        rows.append([kind, _float_cell(m.mse), _float_cell(m.rmse),
-                     _float_cell(m.mae), _float_cell(m.mape_percent)])
-    return csv_text(rows)
+    fields = ("mse", "rmse", "mae", "mape_percent")
+    return float_table(["model", *fields], MODEL_ORDER, *(
+        [getattr(result.runs[kind].metrics, name) for kind in MODEL_ORDER] for name in fields))
 
 
 def predictions_csv(result: RunResult, kind: str) -> str:
     run = result.runs[kind]
-    rows = [["date", "actual", "predicted", "lower", "upper"]]
-    for i, date in enumerate(result.test_dates):
-        rows.append([
-            date.isoformat(),
-            _float_cell(result.test_actual[i]),
-            _float_cell(run.test_pred[i]),
-            _float_cell(run.band.lower[i]),
-            _float_cell(run.band.upper[i]),
-        ])
-    return csv_text(rows)
+    return float_table(["date", "actual", "predicted", "lower", "upper"],
+                       [date.isoformat() for date in result.test_dates],
+                       result.test_actual.tolist(), run.test_pred.tolist(),
+                       run.band.lower.tolist(), run.band.upper.tolist())
 
 
 def loss_csv(trace: list[float]) -> str:
-    rows = [["epoch", "loss"]]
-    for epoch, loss in enumerate(trace):
-        rows.append([str(epoch), _float_cell(loss)])
-    return csv_text(rows)
+    return float_table(["epoch", "loss"], map(str, range(len(trace))), trace)
 
 
 def comparison_csv(report: ComparisonReport) -> str:
@@ -395,8 +391,8 @@ def comparison_csv(report: ComparisonReport) -> str:
              "bonferroni_corrected_p_value", "significant"]]
     for p in report.pairwise:
         rows.append([
-            p.model_1, p.model_2, _float_cell(p.wilcoxon_r),
-            _float_cell(p.p_raw), _float_cell(p.p_corrected),
+            p.model_1, p.model_2, repr(float(p.wilcoxon_r)),
+            repr(float(p.p_raw)), repr(float(p.p_corrected)),
             "TRUE" if p.significant else "FALSE",
         ])
     return csv_text(rows)

@@ -27,7 +27,8 @@ def compute_metrics(y, yhat) -> MetricReport:
     """MSE, RMSE, MAE, and MAPE (in percent) of predictions against actuals.
 
     MAPE divides by the actual values, so every actual must be nonzero. The
-    first metric that is not finite raises NumericalError naming it.
+    first metric that is not finite, as an overflow makes it, raises
+    NumericalError naming it, with no numpy warning.
     """
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -37,15 +38,16 @@ def compute_metrics(y, yhat) -> MetricReport:
         raise SizeError("metric inputs are empty")
     if np.any(y == 0.0):
         raise DomainError("MAPE undefined: at least one actual value is zero")
-    err = y - yhat
-    mse = float((err**2).mean())
-    report = MetricReport(
-        mse=mse,
-        rmse=float(math.sqrt(mse)),
-        mae=float(np.abs(err).mean()),
-        mape_percent=float((np.abs(err) / np.abs(y)).mean() * 100.0),
-        n=int(y.size),
-    )
+    with np.errstate(over="ignore"):
+        err = y - yhat
+        mse = float((err**2).mean())
+        report = MetricReport(
+            mse=mse,
+            rmse=float(math.sqrt(mse)),
+            mae=float(np.abs(err).mean()),
+            mape_percent=float((np.abs(err) / np.abs(y)).mean() * 100.0),
+            n=int(y.size),
+        )
     for name, value in vars(report).items():
         if not math.isfinite(value):
             raise NumericalError(f"non-finite {name}: {value}")

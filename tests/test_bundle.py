@@ -540,7 +540,7 @@ class TestTail:
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
-        (_drop_last_byte, "the parameters take 408 bytes, the tail holds 407"),
+        (_drop_last_byte, "parameter bias of shape () ends at byte 408, the tail holds 407"),
         (_add_eight_bytes, "the parameters take 408 bytes, the tail holds 416"),
         (_offset("centers", 408), "parameter centers starts at byte 408, expected byte 0"),
         (_offset("spreads", 312), "parameter spreads starts at byte 312, expected byte 320"),
@@ -572,8 +572,9 @@ class TestTail:
         doc["parameters"]["stored_targets"]["shape"] = [10**12]
         doc["parameters"]["stored_inputs"]["shape"][0] = 10**12
         write_doc(path, doc)
-        with pytest.raises(DataError, match="stored_targets starts at byte 1280, "
-                                             "expected byte 64000000000000"):
+        with pytest.raises(DataError, match=r"parameter stored_inputs of shape "
+                                             r"\(1000000000000, 8\) ends at byte "
+                                             r"64000000000000, the tail holds 1448$"):
             bundleio.load_bundle(path)
 
 

@@ -7,11 +7,10 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cryptocast import cli, pipeline
 from cryptocast import data as dataio
@@ -815,21 +814,6 @@ class TestPredictOutput:
             assert predict(kind, f"{kind}_again.csv") == first[kind], kind
 
 
-class TestPredictionsText:
-    @given(st.lists(st.tuples(st.dates(), st.floats(allow_nan=False) | st.sampled_from(
-        [1e-05, 1e+16, -0.0, 0.1 + 0.2, 1.2345678901234567, 5e-324, 1.7976931348623157e308,
-         123456789012345678.0])), max_size=20))
-    @settings(max_examples=200, deadline=None)
-    def test_text_is_csv_text_of_the_rows(self, rows):
-        # csv_text quotes a cell holding a comma, a quote or a line break; no
-        # date or float repr holds one, so the one-join text has its bytes
-        dates = [d for d, _ in rows]
-        values = [v for _, v in rows]
-        expected = pipeline.csv_text([["date", "actual", "predicted"],
-                                      *([d.isoformat(), repr(v), repr(-v)] for d, v in rows)])
-        assert cli.predictions_text(dates, values, [-v for v in values]) == expected
-
-
 class TestRangeBeyondFloat64:
     """A column whose max - min overflows float64 has no min-max scale: every
     command that would scale by one exits 3, and writes nothing, instead of
@@ -915,17 +899,25 @@ class TestNonFinitePrediction:
 
 
 class TestOverflowingMetric:
-    def test_evaluate_exits_4_and_writes_nothing(self, tmp_path, capsys):
+    """An overflow exits 4 with one stderr line whether or not the caller
+    silences numpy's overflow warnings, which this suite's filterwarnings
+    otherwise turns into errors."""
+
+    @pytest.fixture(params=["errstate", "default"])
+    def numpy_state(self, request):
+        return np.errstate(over="ignore") if request.param == "errstate" else nullcontext()
+
+    def test_evaluate_exits_4_and_writes_nothing(self, tmp_path, capsys, numpy_state):
         predictions, out = tmp_path / "p.csv", tmp_path / "m.json"
         predictions.write_text("date,actual,predicted\n2021-01-01,1.0,1e200\n"
                                "2021-01-02,2.0,1e200\n")
-        with np.errstate(over="ignore"):
+        with numpy_state:
             code = run_cli("evaluate", "--predictions", str(predictions), "--out", str(out))
         assert code == 4
         assert capsys.readouterr().err == "numerical error: non-finite mse: inf\n"
         assert not out.exists()
 
-    def test_run_exits_4_naming_the_kind(self, tmp_path, capsys):
+    def test_run_exits_4_naming_the_kind(self, tmp_path, capsys, numpy_state):
         # every 7th close 1e160: the predictions stay finite, but their
         # errors square past float64
         frame = dataio.synthesize_series(7, 200)
@@ -935,21 +927,21 @@ class TestOverflowingMetric:
         dataio.write_series_csv(dataio.SeriesFrame.build(frame.dates, frame.columns, values), data)
         config.write_text(json.dumps({"data": {"path": str(data)}, "window": 5, "models": {
             kind: {"epochs": 1} for kind in ("bilstm", "bigru", "hybrid")}}))
-        with np.errstate(over="ignore"):
+        with numpy_state:
             code = run_cli("run", "--config", str(config), "--out", str(out))
         assert code == 4
         assert capsys.readouterr().err == ("numerical error: [stage: evaluate:rbfn] "
                                            "non-finite mse: inf\n")
         assert not out.exists()
 
-    def test_compare_exits_4_naming_the_file_and_date(self, tmp_path, capsys):
+    def test_compare_exits_4_naming_the_file_and_date(self, tmp_path, capsys, numpy_state):
         # 1e308 - (-1e308) overflows to inf, as in `evaluate`
         rows = "".join(f"2021-01-{d:02d},{100.0 + d},{101.0 + d % 3}\n" for d in range(2, 7))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text("date,actual,predicted\n2021-01-01,1e308,1.0\n" + rows)
         b.write_text("date,actual,predicted\n2021-01-01,1e308,-1e308\n" + rows)
         out, table = tmp_path / "r.json", tmp_path / "r.csv"
-        with np.errstate(over="ignore"):
+        with numpy_state:
             code = run_cli("compare", "--inputs", str(a), str(b), "--out", str(out),
                            "--csv", str(table))
         assert code == 4

@@ -69,6 +69,24 @@ class TestLoadSeries:
         assert str(raised.value) == (f"{path} row 4: date 2021-01-01 does not follow "
                                      f"2021-01-02; dates must be strictly increasing")
 
+    def test_date_order_is_checked_once(self, tmp_path, monkeypatch):
+        # the reader checks the order itself to name the file row, and builds
+        # the frame without checking it again
+        path = tmp_path / "ok.csv"
+        path.write_text("date,close\n2021-01-01,1\n2021-01-02,2\n2021-01-03,3\n")
+        calls = []
+        first_unordered = dataio._first_unordered
+        monkeypatch.setattr(dataio, "_first_unordered",
+                            lambda dates: calls.append(dates) or first_unordered(dates))
+        assert len(dataio.load_series(path)) == 3
+        assert len(calls) == 1
+
+    def test_fgi_beyond_100_is_domain_error(self, tmp_path):
+        path = tmp_path / "fgi.csv"
+        path.write_text("date,close,fgi\n2021-01-01,1,50\n2021-01-02,2,120\n")
+        with pytest.raises(DomainError, match=r"fgi column must lie within \[0, 100\]"):
+            dataio.load_series(path)
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "missing.csv"
         path.write_text("date,close\n2021-01-01,1\n")

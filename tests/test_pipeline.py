@@ -1,8 +1,11 @@
+import datetime as dt
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptocast import data as dataio
 from cryptocast import hybrid, optim, pipeline, recurrent
@@ -336,3 +339,45 @@ class TestArtifacts:
         expected["data"] = {**result.config["data"],
                             "path": os.path.relpath(path, tmp_path / "out")}
         assert snapshot == expected
+
+
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [1e-05, 1e+16, -0.0, 0.1 + 0.2, 1.2345678901234567, 5e-324, 1.7976931348623157e308,
+     123456789012345678.0])
+# the keys the tables have: ISO dates, epochs and model kinds
+_KEYS = [st.dates().map(dt.date.isoformat), st.integers(0, 10**6).map(str),
+         st.sampled_from(pipeline.MODEL_ORDER)]
+
+
+@st.composite
+def _tables(draw):
+    """(number of columns, rows of a key and that many floats)."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(draw(st.sampled_from(_KEYS)),
+                                   st.lists(_FLOATS, min_size=width, max_size=width)),
+                         max_size=20))
+    return width, rows
+
+
+class TestFloatTable:
+    @given(_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_text_is_csv_text_of_the_rows(self, table):
+        # csv_text quotes a cell holding a comma, a quote or a line break; no
+        # key or float repr holds one, so the one-join text has its bytes
+        width, rows = table
+        header = ["key", *(f"column_{j}" for j in range(width))]
+        columns = [[values[j] for _, values in rows] for j in range(width)]
+        expected = pipeline.csv_text([header, *([key, *map(repr, values)]
+                                                for key, values in rows)])
+        assert pipeline.float_table(header, [key for key, _ in rows], *columns) == expected
+
+    @pytest.mark.parametrize("short", ["keys", "first column", "last column"])
+    def test_a_short_column_raises(self, short):
+        keys, columns = ["2021-01-01", "2021-01-02"], [[1.0, 2.0], [3.0, 4.0]]
+        if short == "keys":
+            keys = keys[:1]
+        else:
+            columns[0 if short == "first column" else 1].pop()
+        with pytest.raises(ValueError):
+            pipeline.float_table(["date", "a", "b"], keys, *columns)
